@@ -11,6 +11,15 @@ a single monotone counter orders everything, which makes whole runs
 replayable byte for byte. Used single-threaded the fabric is deterministic;
 a lock still guards the tables so concurrent publishers are safe, and
 delivery handlers always run outside fabric-internal critical sections.
+
+Dispatch is indexed by topic segments: `subscribe` files each subscription
+in a segment trie (exact, `*` and final `**` segments, after MQTT v5.0 topic
+filters), so a publish walks only the branches its topic can reach and then
+checks tag predicates on those candidates alone. `Selector.matches` remains
+the definition of a match: a publish reaches exactly the subscriptions whose
+selector accepts the envelope, in subscription-creation order. A
+subscription's selector is read once, at `subscribe`; assigning
+`subscription.selector` afterwards does not change what it receives.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .errors import (
@@ -363,10 +373,38 @@ DEFAULT_PROFILES = (
 class _SubEntry:
     sub: Subscription
     handler: Callable[[MessageEnvelope], None] | None
+    selector: Selector  # as read at subscribe; the index files it by this
+    seq: int  # creation order; delivery order sorts by it
     mailbox: list[MessageEnvelope] = field(default_factory=list)
 
 
-@dataclass
+class _TopicNode:
+    """One trie level: children by exact segment (and `*`), plus the
+    subscriptions whose pattern ends here (`here`) or ends here in a final
+    `**` (`tail`), each keyed by subscription id."""
+
+    __slots__ = ("children", "here", "tail")
+
+    def __init__(self) -> None:
+        self.children: dict[str, _TopicNode] = {}
+        self.here: dict[str, _SubEntry] = {}
+        self.tail: dict[str, _SubEntry] = {}
+
+
+def _pattern_path(pattern: str) -> tuple[list[str], bool]:
+    """Trie path of a topic pattern and whether it ends in `**`. Only a final
+    `**` is a wildcard; a non-final one stays a literal segment, which no
+    topic name has, so it never matches (as in `Selector.matches`)."""
+    segments = pattern.split("/")
+    if segments[-1] == "**":
+        return segments[:-1], True
+    return segments, False
+
+
+_by_seq = attrgetter("seq")
+
+
+@dataclass(eq=False)
 class _TokenWatch:
     topic: str
     kind: str
@@ -382,11 +420,13 @@ class Fabric:
         self._topics: dict[str, TopicId] = {}
         self._nodes: set[str] = set()
         self._subs: dict[str, _SubEntry] = {}
+        self._index = _TopicNode()
+        self._sub_seq = 0
         self._now = 0
         self._counters = {"m": 0, "s": 0, "tok": 0}
         self._seen_ids: set[str] = set()
         self._retained: dict[str, MessageEnvelope] = {}
-        self._watches: list[_TokenWatch] = []
+        self._watches: dict[str, list[_TokenWatch]] = {}
         self._model_hosts: dict[str, str] = {}
         self._profiles = tuple(profiles) if profiles is not None else DEFAULT_PROFILES
         self.audit_log = AuditLog()
@@ -531,6 +571,14 @@ class Fabric:
         Returns the delivery count. Assigns id and logical time, retains the
         envelope as the topic's latest, removes fired one-shot subscriptions
         before any handler runs, and settles tokens watching this topic.
+
+        Matches are found through the topic-segment index, so a publish
+        costs the subscriptions its topic can reach, not every subscription.
+        They are exactly the subscriptions whose selector, as read at
+        `subscribe`, accepts the envelope under `Selector.matches`. Mailboxes
+        fill, deliver records are audited and handlers run in
+        subscription-creation order; re-subscribing under an existing id
+        keeps the original place.
         """
         with self._lock:
             if envelope.topic not in self._topics:
@@ -561,14 +609,11 @@ class Fabric:
                 model_id=envelope.metadata.get("model-id"),
             )
 
-            matched = [
-                entry
-                for entry in self._subs.values()
-                if entry.sub.selector.matches(envelope.topic, envelope.metadata)
-            ]
+            matched = self._matching(envelope.topic, envelope.metadata)
             for entry in matched:
                 if entry.sub.mode is SubscriptionMode.ONE_SHOT:
                     del self._subs[entry.sub.id]
+                    self._unindex(entry)
             callbacks: list[Callable[[], None]] = []
             for entry in matched:
                 entry.mailbox.append(envelope)
@@ -583,14 +628,16 @@ class Fabric:
                     callbacks.append(lambda h=handler, e=envelope: h(e))
             self._retained[envelope.topic] = envelope
 
-            still: list[_TokenWatch] = []
-            for watch in self._watches:
-                if (
-                    watch.token.state is TokenState.PENDING
-                    and watch.topic == envelope.topic
-                    and envelope.metadata[KIND_KEY] == watch.kind
-                    and (watch.session is None or envelope.metadata[SESSION_KEY] == watch.session)
-                ):
+            watches = self._watches.pop(envelope.topic, None)
+            if watches:
+                still: list[_TokenWatch] = []
+                for watch in watches:
+                    if envelope.metadata[KIND_KEY] != watch.kind or (
+                        watch.session is not None
+                        and envelope.metadata[SESSION_KEY] != watch.session
+                    ):
+                        still.append(watch)
+                        continue
                     error = envelope.metadata.get("error")
                     if error:
                         settled = watch.token._settle(TokenState.FAILED, envelope, error)
@@ -598,13 +645,65 @@ class Fabric:
                         settled = watch.token._settle(TokenState.NOTIFIED, envelope, None)
                     token = watch.token
                     callbacks.extend(lambda cb=cb, t=token: cb(t) for cb in settled)
-                else:
-                    still.append(watch)
-            self._watches = still
+                if still:
+                    self._watches[envelope.topic] = still
 
         for callback in callbacks:
             callback()
         return len(matched)
+
+    def _matching(self, topic: str, metadata: dict[str, str]) -> list[_SubEntry]:
+        """Subscriptions accepting `topic` and `metadata`, in creation order.
+
+        Walks the index along the topic's segments, following the exact and
+        the `*` child at each level and collecting every `**` bucket passed;
+        only the patterns reached this way have their predicates checked.
+        """
+        segments = topic.split("/")
+        candidates: list[_SubEntry] = []
+        frontier = [(self._index, 0)]
+        while frontier:
+            node, depth = frontier.pop()
+            candidates.extend(node.tail.values())
+            if depth == len(segments):
+                candidates.extend(node.here.values())
+                continue
+            for key in (segments[depth], "*"):
+                child = node.children.get(key)
+                if child is not None:
+                    frontier.append((child, depth + 1))
+        matched = []
+        for entry in candidates:
+            for predicate in entry.selector.predicates:
+                if not predicate.holds(metadata):
+                    break
+            else:
+                matched.append(entry)
+        matched.sort(key=_by_seq)
+        return matched
+
+    def _index_entry(self, entry: _SubEntry) -> None:
+        path, tail = _pattern_path(entry.selector.topic_pattern)
+        node = self._index
+        for segment in path:
+            child = node.children.get(segment)
+            if child is None:
+                child = node.children[segment] = _TopicNode()
+            node = child
+        (node.tail if tail else node.here)[entry.sub.id] = entry
+
+    def _unindex(self, entry: _SubEntry) -> None:
+        """Remove an entry from the index, pruning nodes left empty."""
+        path, tail = _pattern_path(entry.selector.topic_pattern)
+        trail = [self._index]
+        for segment in path:
+            trail.append(trail[-1].children[segment])
+        del (trail[-1].tail if tail else trail[-1].here)[entry.sub.id]
+        for depth in range(len(path), 0, -1):
+            node = trail[depth]
+            if node.children or node.here or node.tail:
+                break
+            del trail[depth - 1].children[path[depth - 1]]
 
     def last_envelope(self, topic: str) -> MessageEnvelope | None:
         """Latest envelope retained on a topic, if any."""
@@ -622,7 +721,10 @@ class Fabric:
         The selector must already parse (pass a Selector, or text via
         Selector.parse). Subscriptions of kind `inference` additionally hand
         the subscription to the attached broker hook, which turns the carried
-        prompt into a task plan.
+        prompt into a task plan. The selector is read here, once: assigning
+        `subscription.selector` later does not change what it receives.
+        Re-subscribing under an existing id replaces that subscription and
+        keeps its place in delivery order.
         """
         selector = subscription.selector
         if isinstance(selector, str):
@@ -633,7 +735,16 @@ class Fabric:
                 raise UnknownNode(f"node {subscription.subscriber_node!r} not registered")
             if not subscription.id:
                 subscription.id = self._next_id("s")
-            self._subs[subscription.id] = _SubEntry(subscription, handler)
+            old = self._subs.get(subscription.id)
+            if old is None:
+                self._sub_seq += 1
+                seq = self._sub_seq
+            else:
+                self._unindex(old)
+                seq = old.seq
+            entry = _SubEntry(subscription, handler, selector, seq)
+            self._subs[subscription.id] = entry
+            self._index_entry(entry)
             self.audit(AuditOp.SUBSCRIBE, actor=subscription.subscriber_node)
         if subscription.kind is SubscriptionKind.INFERENCE and self.on_inference_subscription:
             self.on_inference_subscription(subscription)
@@ -645,6 +756,7 @@ class Fabric:
             entry = self._subs.pop(subscription_id, None)
             if entry is None:
                 raise ValueError(f"unknown subscription {subscription_id!r}")
+            self._unindex(entry)
             self.audit(AuditOp.UNSUBSCRIBE, actor=entry.sub.subscriber_node)
 
     def drain(self, subscription_id: str) -> list[MessageEnvelope]:
@@ -687,6 +799,25 @@ class Fabric:
                 return descriptor
         raise NoEligibleModel(f"no eligible model for {capability!r} is hosted anywhere")
 
+    def _watch(self, watch: _TokenWatch) -> None:
+        """Settle `watch.token` from the next matching publish on its topic.
+
+        The watch is dropped as soon as the token leaves pending: by that
+        publish, or through the token's first callback when it is failed
+        from outside (e.g. a spent settle budget).
+        """
+        with self._lock:
+            self._watches.setdefault(watch.topic, []).append(watch)
+        watch.token.on_complete(lambda _token: self._unwatch(watch))
+
+    def _unwatch(self, watch: _TokenWatch) -> None:
+        with self._lock:
+            watches = self._watches.get(watch.topic)
+            if watches and watch in watches:
+                watches.remove(watch)
+                if not watches:
+                    del self._watches[watch.topic]
+
     def participate_inference(
         self, data: MessageEnvelope, session_meta: dict[str, str]
     ) -> CompletionToken:
@@ -710,10 +841,7 @@ class Fabric:
         result_topic = f"sessions/{session}/results"
         self.create_topic(result_topic)
         token = CompletionToken(self._next_id("tok"), result_topic)
-        with self._lock:
-            self._watches.append(
-                _TokenWatch(result_topic, KIND_INFERENCE_RESULT, session, token)
-            )
+        self._watch(_TokenWatch(result_topic, KIND_INFERENCE_RESULT, session, token))
         self.audit(
             AuditOp.PARTICIPATE_INFERENCE,
             actor=data.metadata[ORIGIN_KEY],
@@ -760,8 +888,7 @@ class Fabric:
         update_topic = f"registry/{model_id}"
         self.create_topic(update_topic)
         token = CompletionToken(self._next_id("tok"), update_topic)
-        with self._lock:
-            self._watches.append(_TokenWatch(update_topic, KIND_MODEL_UPDATE, None, token))
+        self._watch(_TokenWatch(update_topic, KIND_MODEL_UPDATE, None, token))
         self.audit(
             AuditOp.PARTICIPATE_LEARNING,
             actor=data.metadata[ORIGIN_KEY],

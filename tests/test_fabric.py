@@ -1,8 +1,11 @@
 """Fabric behavior: selectors, delivery, tokens, audit, backend choice."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interconnect.errors import (
     EmptyObjective,
@@ -21,6 +24,7 @@ from interconnect.fabric import (
     Selector,
     Subscription,
     SubscriptionMode,
+    TagPredicate,
     TokenState,
     parse_audit_line,
 )
@@ -265,6 +269,151 @@ def test_selector_predicates_filter_deliveries():
     assert fabric.pending(sub_id) == 1
 
 
+# -- indexed dispatch against the reference scan --------------------------------
+
+_SEGMENTS = ("a", "b")
+_TOPICS = tuple(
+    "/".join(parts) for n in (1, 2, 3) for parts in itertools.product(_SEGMENTS, repeat=n)
+)
+_pattern_segments = st.lists(st.sampled_from(_SEGMENTS + ("*",)), max_size=3)
+_patterns = st.one_of(
+    _pattern_segments.filter(bool).map("/".join),
+    _pattern_segments.map(lambda segments: "/".join(segments + ["**"])),
+    st.just("a/**/b"),
+)
+_predicates = st.sampled_from(
+    [
+        TagPredicate("session", "eq", "s1"),
+        TagPredicate("session", "neq", "s1"),
+        TagPredicate("session", "prefix", "s"),
+        TagPredicate("zone", "eq", "north"),
+        TagPredicate("zone", "neq", "north"),
+        TagPredicate("zone", "prefix", "no"),
+        TagPredicate("kind", "eq", "data"),
+    ]
+)
+_selectors = st.builds(Selector, _patterns, st.lists(_predicates, max_size=2).map(tuple))
+_handler_actions = st.one_of(
+    st.none(),
+    st.tuples(st.just("subscribe"), _selectors, st.booleans()),
+    st.tuples(st.just("unsubscribe"), st.integers(min_value=0, max_value=50)),
+)
+_operations = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("subscribe"),
+            _selectors,
+            st.booleans(),
+            st.none() | st.integers(min_value=0, max_value=50),
+            _handler_actions,
+        ),
+        st.tuples(st.just("unsubscribe"), st.integers(min_value=0, max_value=50)),
+        st.tuples(
+            st.just("publish"),
+            st.sampled_from(("s1", "s2")),
+            st.sampled_from((None, "north", "south")),
+        ),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_operations)
+@example(
+    [
+        ("subscribe", Selector("a/**/b"), False, None, None),
+        ("subscribe", Selector("a/**"), False, None, None),
+        ("subscribe", Selector("**"), True, None, None),
+        ("publish", "s1", None),
+    ]
+)
+def test_indexed_dispatch_equals_reference_scan(operations):
+    """Delivered ids and their order equal a Selector.matches scan over the
+    live subscriptions in creation order (dict order, as re-subscribing under
+    an existing id keeps its place), through one-shots, re-subscribes,
+    unsubscribes and (un)subscribes made from inside handlers."""
+    fabric = make_fabric("pub", "sub")
+    for topic in _TOPICS:
+        fabric.create_topic(topic)
+    reference: dict[str, tuple[Selector, bool]] = {}
+    issued: list[str] = []
+    events: list[tuple] = []
+
+    def subscribe(selector, one_shot, sub_id="", action=None):
+        mode = SubscriptionMode.ONE_SHOT if one_shot else SubscriptionMode.DURABLE
+        subscription = Subscription(selector, "sub", mode=mode, id=sub_id)
+
+        def handler(envelope):
+            events.append(("deliver", subscription.id))
+            if action is not None and action[0] == "subscribe":
+                new_id = subscribe(action[1], action[2])
+                events.append(("subscribed", new_id, action[1], action[2]))
+            elif action is not None:
+                target = issued[action[1] % len(issued)]
+                try:
+                    fabric.unsubscribe(target)
+                    events.append(("unsubscribed", target, True))
+                except ValueError:
+                    events.append(("unsubscribed", target, False))
+
+        new_id = fabric.subscribe(subscription, handler=handler)
+        if new_id not in issued:
+            issued.append(new_id)
+        return new_id
+
+    for op in operations:
+        if op[0] == "subscribe":
+            _, selector, one_shot, reuse, action = op
+            sub_id = issued[reuse % len(issued)] if reuse is not None and issued else ""
+            reference[subscribe(selector, one_shot, sub_id, action)] = (selector, one_shot)
+        elif op[0] == "unsubscribe":
+            target = issued[op[1] % len(issued)] if issued else "s0"
+            if target in reference:
+                fabric.unsubscribe(target)
+                del reference[target]
+            else:
+                with pytest.raises(ValueError):
+                    fabric.unsubscribe(target)
+        else:
+            _, session, zone = op
+            for topic in _TOPICS:
+                envelope = data_envelope(
+                    fabric, topic, session=session, origin="pub",
+                    extra={"zone": zone} if zone else None,
+                )
+                expected = [
+                    sub_id
+                    for sub_id, (selector, _) in reference.items()
+                    if selector.matches(topic, envelope.metadata)
+                ]
+                events.clear()
+                assert fabric.publish(envelope) == len(expected)
+                assert [e[1] for e in events if e[0] == "deliver"] == expected
+                for sub_id in expected:
+                    if reference[sub_id][1]:
+                        del reference[sub_id]
+                for event in events:
+                    if event[0] == "subscribed":
+                        reference[event[1]] = (event[2], event[3])
+                    elif event[0] == "unsubscribed":
+                        assert event[2] is (event[1] in reference)
+                        reference.pop(event[1], None)
+
+
+def test_selector_is_read_once_at_subscribe():
+    fabric = make_fabric("node-a", "node-b")
+    fabric.create_topic("a/b")
+    fabric.create_topic("a/c")
+    subscription = Subscription(Selector.parse("a/b"), "node-b")
+    sub_id = fabric.subscribe(subscription)
+    subscription.selector = Selector.parse("a/c")
+    fabric.publish(data_envelope(fabric, "a/b"))
+    fabric.publish(data_envelope(fabric, "a/c"))
+    assert [e.topic for e in fabric.drain(sub_id)] == ["a/b"]
+
+
 # -- audit ---------------------------------------------------------------------
 
 
@@ -400,6 +549,24 @@ def test_token_settles_exactly_once():
     late = []
     token.on_complete(lambda t: late.append(t.state))
     assert late == [TokenState.NOTIFIED]
+
+
+def test_settled_and_failed_tokens_leave_no_watches():
+    fabric = make_fabric("app", "edge-1")
+    registry = ModelRegistry(fabric)
+    registry.register(parse_descriptor(descriptor_doc("forecaster")))
+    host_sub = fabric.host_model("forecaster", "edge-1")
+    fabric.create_topic("net/load")
+    for k in range(100):
+        data = data_envelope(fabric, "net/load", origin="app", tags="predict")
+        token = fabric.participate_inference(data, {"session": f"job-{k}"})
+        token.fail("no reply within settle budget")
+        fabric.drain(host_sub)
+    data = data_envelope(fabric, "net/load", origin="app", tags="predict")
+    token = fabric.participate_inference(data, {"session": "served"})
+    serve_one_request(fabric, host_sub, "forecaster")
+    assert token.state is TokenState.NOTIFIED
+    assert not fabric._watches
 
 
 def test_participate_inference_requires_data_kind_and_session():
