@@ -70,10 +70,8 @@ class Intent:
 
 class TaskKind(str, Enum):
     INGEST = "ingest"
-    TRANSFORM = "transform"
     INFER = "infer"
     AGGREGATE = "aggregate"
-    SUBSCRIBE_BINDING = "subscribe-binding"
     TOOL_INVOKE = "tool-invoke"
 
 
@@ -166,7 +164,6 @@ def validate_plan(plan: TaskPlan) -> None:
 
 @dataclass(frozen=True)
 class PlannerAction:
-    thought: str
     action: str
     payload: dict = field(default_factory=dict)
 
@@ -196,7 +193,7 @@ class MockPlanner:
     """Deterministic stand-in for a reasoning model.
 
     Every output is a pure function of (seed, inputs): episodes enumerate
-    thought/action pairs, metaprompt expansion walks a fixed aspect list, and
+    planner actions, metaprompt expansion walks a fixed aspect list, and
     tool programs come from a template. The seed only feeds provenance
     strings and plan ids, never control flow, so replays are stable.
     """
@@ -218,21 +215,16 @@ class MockPlanner:
     def episode(self, capability: str, streams: list[str]) -> list[PlannerAction]:
         """Enumerate the reasoning steps for one decomposition."""
         actions = [
-            PlannerAction(f"bind stream {s}", "emit-task",
-                          {"kind": "ingest", "source": s})
+            PlannerAction("emit-task", {"kind": "ingest", "source": s})
             for s in streams
         ]
         actions.append(
-            PlannerAction(f"apply a {capability} model", "emit-task",
-                          {"kind": "infer", "capability": capability})
+            PlannerAction("emit-task", {"kind": "infer", "capability": capability})
         )
         if len(streams) >= 2:
-            actions.append(
-                PlannerAction("combine the inferences", "emit-task",
-                              {"kind": "aggregate"})
-            )
-        actions.append(PlannerAction("notify the issuer", "emit-subscription", {}))
-        actions.append(PlannerAction("plan complete", "finish", {}))
+            actions.append(PlannerAction("emit-task", {"kind": "aggregate"}))
+        actions.append(PlannerAction("emit-subscription", {}))
+        actions.append(PlannerAction("finish", {}))
         if len(actions) > self.max_steps:
             raise PlanningFailed(
                 f"episode needs {len(actions)} steps, budget is {self.max_steps}"
@@ -515,11 +507,6 @@ class TaskBroker:
 
             if task.kind is TaskKind.INGEST:
                 output = resolved[0]
-            elif task.kind is TaskKind.TRANSFORM:
-                output = json.dumps(
-                    {"transformed": _digest(b"".join(resolved))},
-                    sort_keys=True,
-                ).encode("utf-8")
             elif task.kind is TaskKind.INFER:
                 output = self._run_infer(plan, task, resolved, settle, settle_budget, fail)
             elif task.kind is TaskKind.AGGREGATE:
@@ -530,14 +517,6 @@ class TaskBroker:
                     },
                     sort_keys=True,
                 ).encode("utf-8")
-            elif task.kind is TaskKind.SUBSCRIBE_BINDING:
-                sub_id = self._fabric.subscribe(
-                    Subscription(
-                        selector=Selector.parse(task.params["selector"]),
-                        subscriber_node=task.params.get("subscriber", plan.issuer),
-                    )
-                )
-                output = sub_id.encode("utf-8")
             elif task.kind is TaskKind.TOOL_INVOKE:
                 output = self._run_tool(task, fail)
             else:  # pragma: no cover - TaskKind is closed

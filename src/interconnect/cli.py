@@ -23,11 +23,11 @@ from .errors import (
     UnknownScenario,
     UnknownTicket,
 )
-from .fabric import AuditOp, parse_audit_line
+from .fabric import AuditLog, AuditOp, parse_audit_line
 from .guard import TicketBook, TicketState
 from .registry import parse_descriptor
 from .scenarios import run_scenario
-from .trace import compare_traces, parse_trace
+from .trace import Trace, compare_traces, parse_trace
 
 
 def golden_path(name: str):
@@ -84,30 +84,27 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     except FileNotFoundError:
         print(f"error: no audit log at {args.log}", file=sys.stderr)
         return 2
-    wanted = None
+    ops = None
     if args.op:
         try:
-            wanted = {AuditOp(op) for op in args.op}
+            ops = [AuditOp(op) for op in args.op]
         except ValueError:
             known = ", ".join(op.value for op in AuditOp)
             print(f"error: unknown op (known: {known})", file=sys.stderr)
             return 2
-    shown = 0
+    records = Trace()
     for line in text.splitlines():
         if not line.strip():
             continue
         try:
-            record = parse_audit_line(line)
+            records.append(parse_audit_line(line))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if wanted is not None and record.op not in wanted:
-            continue
-        if args.actor is not None and record.actor != args.actor:
-            continue
+    shown = AuditLog(records).query(ops=ops, actor=args.actor)
+    for record in shown:
         print(record.to_line())
-        shown += 1
-    print(f"{shown} records", file=sys.stderr)
+    print(f"{len(shown)} records", file=sys.stderr)
     return 0
 
 

@@ -5,12 +5,13 @@ received a message beyond a delivery count), time (durable subscriptions
 buffer messages until drained), and synchronization (one-shot requests and
 participate* calls return completion tokens instead of blocking).
 
-Every accepted operation appends exactly one record to an append-only audit
-log stamped with fabric-local logical time. There is no wall clock anywhere;
-a single monotone counter orders everything, which makes whole runs
-replayable byte for byte. Used single-threaded the fabric is deterministic;
-a lock still guards the tables so concurrent publishers are safe, and
-delivery handlers always run outside fabric-internal critical sections.
+Every accepted operation appends exactly one audit record to the fabric's
+journal, stamped with fabric-local logical time; `audit_log` is a read-only
+view of those records. There is no wall clock anywhere; a single monotone
+counter orders everything, which makes whole runs replayable byte for byte.
+The fabric is single-threaded and holds no lock. Delivery handlers and token
+callbacks run after a publish has updated every table, so a handler may
+publish, subscribe or unsubscribe.
 
 Dispatch is indexed by topic segments: `subscribe` files each subscription
 in a segment trie (exact, `*` and final `**` segments, after MQTT v5.0 topic
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import logging
 import re
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -34,6 +34,7 @@ from typing import Callable, Iterable
 
 from .errors import (
     EmptyObjective,
+    GoldenParseError,
     InvalidMetadata,
     NoEligibleModel,
     NoSatisfyingBackend,
@@ -41,7 +42,7 @@ from .errors import (
     UnknownNode,
     UnknownTopic,
 )
-from .trace import AuditEvent, EnvelopeEvent, Trace
+from .trace import AuditEvent, AuditOp, EnvelopeEvent, Trace, parse_trace
 
 log = logging.getLogger(__name__)
 
@@ -62,31 +63,6 @@ MESSAGE_KINDS = frozenset(
 
 _SEGMENT_RE = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
 _KEY_RE = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
-
-
-class AuditOp(str, Enum):
-    """Closed set of auditable operations."""
-
-    PUBLISH = "publish"
-    SUBSCRIBE = "subscribe"
-    UNSUBSCRIBE = "unsubscribe"
-    DELIVER = "deliver"
-    PARTICIPATE_INFERENCE = "participate-inference"
-    PARTICIPATE_LEARNING = "participate-learning"
-    NEGOTIATE = "negotiate"
-    PLAN = "plan"
-    EXECUTE = "execute"
-    SANDBOX = "sandbox"
-    ROLLBACK = "rollback"
-    HITL = "hitl"
-
-
-@dataclass(frozen=True)
-class TopicId:
-    """Hierarchical topic name plus its sharing scope."""
-
-    name: str
-    scope: str = "application"  # application | shared
 
 
 @dataclass
@@ -197,9 +173,7 @@ class SubscriptionMode(str, Enum):
 class SubscriptionKind(str, Enum):
     DATA = "data"
     INFERENCE = "inference"
-    LEARNING = "learning"
     MODEL_UPDATE = "model-update"
-    SEMANTICS_AWARE = "semantics-aware"
 
 
 @dataclass
@@ -257,60 +231,30 @@ class CompletionToken:
             cb(self)
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    """One immutable audit entry."""
-
-    seq: int
-    logical_time: int
-    op: AuditOp
-    actor: str
-    message_id: str | None
-    model_id: str | None
-    outcome: str
-
-    def to_line(self) -> str:
-        """Flush format: seq|logicalTime|op|actor|messageId|modelId|outcome."""
-        return "|".join(
-            [
-                str(self.seq),
-                str(self.logical_time),
-                self.op.value,
-                self.actor,
-                self.message_id or "-",
-                self.model_id or "-",
-                self.outcome,
-            ]
-        )
-
-
 class AuditLog:
-    """Append-only audit store with dense seq numbers starting at 1."""
+    """Read-only view of the audit records in a journal, in seq order."""
 
-    def __init__(self) -> None:
-        self._records: list[AuditRecord] = []
+    def __init__(self, journal: Trace) -> None:
+        self._journal = journal
 
-    def append(self, record: AuditRecord) -> None:
-        self._records.append(record)
-
-    def records(self) -> tuple[AuditRecord, ...]:
-        return tuple(self._records)
+    def records(self) -> tuple[AuditEvent, ...]:
+        return tuple(self._journal.audit_events())
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._journal.audit_events())
 
     def query(
         self,
         ops: Iterable[AuditOp | str] | None = None,
         actor: str | None = None,
         time_range: tuple[int, int] | None = None,
-    ) -> list[AuditRecord]:
+    ) -> list[AuditEvent]:
         """Filter by op set, actor, and inclusive logical-time range."""
         wanted = None
         if ops is not None:
             wanted = {AuditOp(o) for o in ops}
         out = []
-        for rec in self._records:
+        for rec in self._journal.audit_events():
             if wanted is not None and rec.op not in wanted:
                 continue
             if actor is not None and rec.actor != actor:
@@ -321,27 +265,24 @@ class AuditLog:
         return out
 
     def flush(self, path) -> int:
-        """Write all records to a file, one line each; returns the count."""
+        """Write all records to a file, one `to_line` each; returns the count."""
+        records = self._journal.audit_events()
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in self._records:
+            for rec in records:
                 fh.write(rec.to_line() + "\n")
-        return len(self._records)
+        return len(records)
 
 
-def parse_audit_line(line: str) -> AuditRecord:
-    """Inverse of AuditRecord.to_line; raises ValueError on malformed input."""
-    fields = line.rstrip("\n").split("|")
-    if len(fields) != 7:
-        raise ValueError(f"expected 7 fields, got {len(fields)}: {line!r}")
-    return AuditRecord(
-        seq=int(fields[0]),
-        logical_time=int(fields[1]),
-        op=AuditOp(fields[2]),
-        actor=fields[3],
-        message_id=None if fields[4] == "-" else fields[4],
-        model_id=None if fields[5] == "-" else fields[5],
-        outcome=fields[6],
-    )
+def parse_audit_line(line: str) -> AuditEvent:
+    """Inverse of AuditEvent.to_line; raises ValueError on malformed input,
+    including input that holds more than one record."""
+    try:
+        events = parse_trace("A|" + line).events
+    except GoldenParseError as exc:
+        raise ValueError(f"bad audit line {line!r}: {exc}") from None
+    if len(events) != 1:
+        raise ValueError(f"expected one audit record, got {len(events)}: {line!r}")
+    return events[0]
 
 
 @dataclass(frozen=True)
@@ -416,21 +357,21 @@ class Fabric:
     """The message fabric: topics, subscriptions, tokens, audit, journal."""
 
     def __init__(self, profiles: tuple[BackendProfile, ...] | None = None):
-        self._lock = threading.RLock()
-        self._topics: dict[str, TopicId] = {}
+        self._topics: set[str] = set()
         self._nodes: set[str] = set()
         self._subs: dict[str, _SubEntry] = {}
         self._index = _TopicNode()
         self._sub_seq = 0
         self._now = 0
+        self._audit_seq = 0
         self._counters = {"m": 0, "s": 0, "tok": 0}
         self._seen_ids: set[str] = set()
         self._retained: dict[str, MessageEnvelope] = {}
         self._watches: dict[str, list[_TokenWatch]] = {}
         self._model_hosts: dict[str, str] = {}
         self._profiles = tuple(profiles) if profiles is not None else DEFAULT_PROFILES
-        self.audit_log = AuditLog()
         self.journal = Trace()
+        self.audit_log = AuditLog(self.journal)
         self.registry = None  # attached by ModelRegistry
         self.on_inference_subscription: Callable[[Subscription], object] | None = None
 
@@ -449,18 +390,15 @@ class Fabric:
         self._counters[prefix] += 1
         return f"{prefix}{self._counters[prefix]}"
 
-    def create_topic(self, name: str, scope: str = "application") -> TopicId:
-        """Create (or return) a topic; names follow the selector segment rules."""
-        with self._lock:
-            existing = self._topics.get(name)
-            if existing is not None:
-                return existing
-            for seg in name.split("/"):
-                if not _SEGMENT_RE.match(seg):
-                    raise ValueError(f"bad topic segment {seg!r} in {name!r}")
-            tid = TopicId(name, scope)
-            self._topics[name] = tid
-            return tid
+    def create_topic(self, name: str) -> None:
+        """Create a topic if it does not exist; names follow the selector
+        segment rules."""
+        if name in self._topics:
+            return
+        for seg in name.split("/"):
+            if not _SEGMENT_RE.match(seg):
+                raise ValueError(f"bad topic segment {seg!r} in {name!r}")
+        self._topics.add(name)
 
     def has_topic(self, name: str) -> bool:
         return name in self._topics
@@ -471,8 +409,7 @@ class Fabric:
 
     def register_node(self, node_id: str) -> None:
         """Idempotently register a node identity with the fabric."""
-        with self._lock:
-            self._nodes.add(node_id)
+        self._nodes.add(node_id)
 
     def host_model(self, model_id: str, node_id: str) -> str:
         """Bind a model to its hosting node; returns the host's request-queue
@@ -481,8 +418,7 @@ class Fabric:
             raise UnknownNode(f"node {node_id!r} not registered")
         request_topic = f"models/{model_id}/requests"
         self.create_topic(request_topic)
-        with self._lock:
-            self._model_hosts[model_id] = node_id
+        self._model_hosts[model_id] = node_id
         sub = Subscription(
             selector=Selector(request_topic),
             subscriber_node=node_id,
@@ -501,31 +437,14 @@ class Fabric:
         message_id: str | None = None,
         model_id: str | None = None,
         outcome: str = "ok",
-    ) -> AuditRecord:
-        """Append one audit record at a fresh logical tick."""
-        with self._lock:
-            record = AuditRecord(
-                seq=len(self.audit_log) + 1,
-                logical_time=self._tick(),
-                op=op,
-                actor=actor,
-                message_id=message_id,
-                model_id=model_id,
-                outcome=outcome,
-            )
-            self.audit_log.append(record)
-            self.journal.append(
-                AuditEvent(
-                    seq=record.seq,
-                    logical_time=record.logical_time,
-                    op=record.op.value,
-                    actor=record.actor,
-                    message_id=record.message_id,
-                    model_id=record.model_id,
-                    outcome=record.outcome,
-                )
-            )
-            return record
+    ) -> AuditEvent:
+        """Append one audit record to the journal at a fresh logical tick."""
+        self._audit_seq += 1
+        record = AuditEvent(
+            self._audit_seq, self._tick(), op, actor, message_id, model_id, outcome
+        )
+        self.journal.append(record)
+        return record
 
     # -- envelopes ----------------------------------------------------------
 
@@ -580,73 +499,72 @@ class Fabric:
         subscription-creation order; re-subscribing under an existing id
         keeps the original place.
         """
-        with self._lock:
-            if envelope.topic not in self._topics:
-                raise UnknownTopic(f"topic {envelope.topic!r} does not exist")
-            self._validate_metadata(envelope.metadata)
-            if not envelope.id:
-                envelope.id = self._next_id("m")
-            if envelope.id in self._seen_ids:
-                raise InvalidMetadata(f"duplicate message id {envelope.id!r}")
-            self._seen_ids.add(envelope.id)
-            envelope.logical_time = self._tick()
+        if envelope.topic not in self._topics:
+            raise UnknownTopic(f"topic {envelope.topic!r} does not exist")
+        self._validate_metadata(envelope.metadata)
+        if not envelope.id:
+            envelope.id = self._next_id("m")
+        if envelope.id in self._seen_ids:
+            raise InvalidMetadata(f"duplicate message id {envelope.id!r}")
+        self._seen_ids.add(envelope.id)
+        envelope.logical_time = self._tick()
 
-            self.journal.append(
-                EnvelopeEvent(
-                    logical_time=envelope.logical_time,
-                    topic=envelope.topic,
-                    kind=envelope.metadata[KIND_KEY],
-                    session=envelope.metadata[SESSION_KEY],
-                    origin=envelope.metadata[ORIGIN_KEY],
-                    message_id=envelope.id,
-                    detail=envelope.metadata.get("detail"),
-                )
+        self.journal.append(
+            EnvelopeEvent(
+                logical_time=envelope.logical_time,
+                topic=envelope.topic,
+                kind=envelope.metadata[KIND_KEY],
+                session=envelope.metadata[SESSION_KEY],
+                origin=envelope.metadata[ORIGIN_KEY],
+                message_id=envelope.id,
+                detail=envelope.metadata.get("detail"),
             )
+        )
+        self.audit(
+            AuditOp.PUBLISH,
+            actor=envelope.metadata[ORIGIN_KEY],
+            message_id=envelope.id,
+            model_id=envelope.metadata.get("model-id"),
+        )
+
+        matched = self._matching(envelope.topic, envelope.metadata)
+        for entry in matched:
+            if entry.sub.mode is SubscriptionMode.ONE_SHOT:
+                del self._subs[entry.sub.id]
+                self._unindex(entry)
+        callbacks: list[Callable[[], None]] = []
+        for entry in matched:
+            entry.mailbox.append(envelope)
             self.audit(
-                AuditOp.PUBLISH,
-                actor=envelope.metadata[ORIGIN_KEY],
+                AuditOp.DELIVER,
+                actor=entry.sub.subscriber_node,
                 message_id=envelope.id,
                 model_id=envelope.metadata.get("model-id"),
             )
+            if entry.handler is not None:
+                handler = entry.handler
+                callbacks.append(lambda h=handler, e=envelope: h(e))
+        self._retained[envelope.topic] = envelope
 
-            matched = self._matching(envelope.topic, envelope.metadata)
-            for entry in matched:
-                if entry.sub.mode is SubscriptionMode.ONE_SHOT:
-                    del self._subs[entry.sub.id]
-                    self._unindex(entry)
-            callbacks: list[Callable[[], None]] = []
-            for entry in matched:
-                entry.mailbox.append(envelope)
-                self.audit(
-                    AuditOp.DELIVER,
-                    actor=entry.sub.subscriber_node,
-                    message_id=envelope.id,
-                    model_id=envelope.metadata.get("model-id"),
-                )
-                if entry.handler is not None:
-                    handler = entry.handler
-                    callbacks.append(lambda h=handler, e=envelope: h(e))
-            self._retained[envelope.topic] = envelope
-
-            watches = self._watches.pop(envelope.topic, None)
-            if watches:
-                still: list[_TokenWatch] = []
-                for watch in watches:
-                    if envelope.metadata[KIND_KEY] != watch.kind or (
-                        watch.session is not None
-                        and envelope.metadata[SESSION_KEY] != watch.session
-                    ):
-                        still.append(watch)
-                        continue
-                    error = envelope.metadata.get("error")
-                    if error:
-                        settled = watch.token._settle(TokenState.FAILED, envelope, error)
-                    else:
-                        settled = watch.token._settle(TokenState.NOTIFIED, envelope, None)
-                    token = watch.token
-                    callbacks.extend(lambda cb=cb, t=token: cb(t) for cb in settled)
-                if still:
-                    self._watches[envelope.topic] = still
+        watches = self._watches.pop(envelope.topic, None)
+        if watches:
+            still: list[_TokenWatch] = []
+            for watch in watches:
+                if envelope.metadata[KIND_KEY] != watch.kind or (
+                    watch.session is not None
+                    and envelope.metadata[SESSION_KEY] != watch.session
+                ):
+                    still.append(watch)
+                    continue
+                error = envelope.metadata.get("error")
+                if error:
+                    settled = watch.token._settle(TokenState.FAILED, envelope, error)
+                else:
+                    settled = watch.token._settle(TokenState.NOTIFIED, envelope, None)
+                token = watch.token
+                callbacks.extend(lambda cb=cb, t=token: cb(t) for cb in settled)
+            if still:
+                self._watches[envelope.topic] = still
 
         for callback in callbacks:
             callback()
@@ -730,43 +648,40 @@ class Fabric:
         if isinstance(selector, str):
             selector = Selector.parse(selector)
             subscription.selector = selector
-        with self._lock:
-            if subscription.subscriber_node not in self._nodes:
-                raise UnknownNode(f"node {subscription.subscriber_node!r} not registered")
-            if not subscription.id:
-                subscription.id = self._next_id("s")
-            old = self._subs.get(subscription.id)
-            if old is None:
-                self._sub_seq += 1
-                seq = self._sub_seq
-            else:
-                self._unindex(old)
-                seq = old.seq
-            entry = _SubEntry(subscription, handler, selector, seq)
-            self._subs[subscription.id] = entry
-            self._index_entry(entry)
-            self.audit(AuditOp.SUBSCRIBE, actor=subscription.subscriber_node)
+        if subscription.subscriber_node not in self._nodes:
+            raise UnknownNode(f"node {subscription.subscriber_node!r} not registered")
+        if not subscription.id:
+            subscription.id = self._next_id("s")
+        old = self._subs.get(subscription.id)
+        if old is None:
+            self._sub_seq += 1
+            seq = self._sub_seq
+        else:
+            self._unindex(old)
+            seq = old.seq
+        entry = _SubEntry(subscription, handler, selector, seq)
+        self._subs[subscription.id] = entry
+        self._index_entry(entry)
+        self.audit(AuditOp.SUBSCRIBE, actor=subscription.subscriber_node)
         if subscription.kind is SubscriptionKind.INFERENCE and self.on_inference_subscription:
             self.on_inference_subscription(subscription)
         return subscription.id
 
     def unsubscribe(self, subscription_id: str) -> None:
         """Remove a subscription; unknown ids raise ValueError."""
-        with self._lock:
-            entry = self._subs.pop(subscription_id, None)
-            if entry is None:
-                raise ValueError(f"unknown subscription {subscription_id!r}")
-            self._unindex(entry)
-            self.audit(AuditOp.UNSUBSCRIBE, actor=entry.sub.subscriber_node)
+        entry = self._subs.pop(subscription_id, None)
+        if entry is None:
+            raise ValueError(f"unknown subscription {subscription_id!r}")
+        self._unindex(entry)
+        self.audit(AuditOp.UNSUBSCRIBE, actor=entry.sub.subscriber_node)
 
     def drain(self, subscription_id: str) -> list[MessageEnvelope]:
         """Pop and return everything buffered for a subscription."""
-        with self._lock:
-            entry = self._subs.get(subscription_id)
-            if entry is None:
-                return []
-            out, entry.mailbox = entry.mailbox, []
-            return out
+        entry = self._subs.get(subscription_id)
+        if entry is None:
+            return []
+        out, entry.mailbox = entry.mailbox, []
+        return out
 
     def pending(self, subscription_id: str) -> int:
         """Number of undrained envelopes for a subscription."""
@@ -806,17 +721,15 @@ class Fabric:
         publish, or through the token's first callback when it is failed
         from outside (e.g. a spent settle budget).
         """
-        with self._lock:
-            self._watches.setdefault(watch.topic, []).append(watch)
+        self._watches.setdefault(watch.topic, []).append(watch)
         watch.token.on_complete(lambda _token: self._unwatch(watch))
 
     def _unwatch(self, watch: _TokenWatch) -> None:
-        with self._lock:
-            watches = self._watches.get(watch.topic)
-            if watches and watch in watches:
-                watches.remove(watch)
-                if not watches:
-                    del self._watches[watch.topic]
+        watches = self._watches.get(watch.topic)
+        if watches and watch in watches:
+            watches.remove(watch)
+            if not watches:
+                del self._watches[watch.topic]
 
     def participate_inference(
         self, data: MessageEnvelope, session_meta: dict[str, str]
@@ -915,14 +828,3 @@ class Fabric:
                 f"no profile satisfies guarantees {sorted(interaction.guarantees)}"
             )
         return min(candidates, key=lambda p: (p.max_latency_budget, p.name))
-
-    # -- audit ----------------------------------------------------------------
-
-    def audit_query(
-        self,
-        ops: Iterable[AuditOp | str] | None = None,
-        actor: str | None = None,
-        time_range: tuple[int, int] | None = None,
-    ) -> list[AuditRecord]:
-        """Read-only filtered view of the audit log, in seq order."""
-        return self.audit_log.query(ops=ops, actor=actor, time_range=time_range)

@@ -260,7 +260,7 @@ class Negotiator:
             peer_b=b,
             context=context,
         )
-        self._fabric.create_topic(f"negotiation/{session.session_id}", scope="shared")
+        self._fabric.create_topic(f"negotiation/{session.session_id}")
         self._fabric.audit(
             AuditOp.NEGOTIATE, actor=a.model_id, model_id=b.model_id
         )
@@ -305,7 +305,8 @@ class Negotiator:
         The canonical unit is the dimensionless one if either peer uses it,
         else the lexicographically smaller; the canonical range is the union
         of the unit-converted peer ranges; each peer's transform maps its
-        declared endpoints exactly onto the canonical endpoints.
+        declared endpoints exactly onto the canonical endpoints. A missing or
+        malformed declaration fails the session before the error propagates.
         """
         if session.phase is not Phase.CAPABILITIES_EXCHANGED:
             raise ValueError("negotiate_scale requires phase CapabilitiesExchanged")
@@ -313,11 +314,15 @@ class Negotiator:
         for peer in (session.peer_a, session.peer_b):
             cap = peer.capability(metric)
             scale_raw = cap.params.get("scale") if cap else None
-            if not scale_raw:
-                raise MissingScaleDeclaration(
-                    f"{peer.model_id} declares no scale for {metric!r}"
-                )
-            decls[peer.model_id] = _parse_scale_declaration(scale_raw)
+            try:
+                if not scale_raw:
+                    raise MissingScaleDeclaration(
+                        f"{peer.model_id} declares no scale for {metric!r}"
+                    )
+                decls[peer.model_id] = _parse_scale_declaration(scale_raw)
+            except MissingScaleDeclaration:
+                self._fail(session, f"MissingScaleDeclaration({metric})")
+                raise
 
         (id_a, (unit_a, lo_a, hi_a)), (id_b, (unit_b, lo_b, hi_b)) = decls.items()
         dim_a = self._units[unit_a].dimension if unit_a in self._units else f"unit:{unit_a}"
@@ -470,7 +475,12 @@ class Negotiator:
                 self.build_adapter(session)
             else:
                 self._fail(session, "VersionIncompatible")
-        except (NegotiationFailed, NonOverlappingSemantics, AdapterSynthesisFailed):
+        except (
+            NegotiationFailed,
+            MissingScaleDeclaration,
+            NonOverlappingSemantics,
+            AdapterSynthesisFailed,
+        ):
             if session.phase is not Phase.FAILED:
                 self._fail(session, "ProtocolError")
         return session

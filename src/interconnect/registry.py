@@ -341,7 +341,7 @@ class ModelRegistry:
         if self._fabric is None:
             return
         topic = f"registry/{descriptor.model_id}"
-        self._fabric.create_topic(topic, scope="shared")
+        self._fabric.create_topic(topic)
         envelope = self._fabric.envelope(
             topic,
             serialize_descriptor(descriptor),

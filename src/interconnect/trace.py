@@ -7,6 +7,9 @@ serialize one record per line, pipe-separated, `-` for absent fields:
     A|<seq>|<logicalTime>|<op>|<actor>|<messageId>|<modelId>|<outcome>
     M|<logicalTime>|<topic>|<kind>|<session>|<origin-node>|<id>|<detail>
 
+An `A` line is the fabric's audit record itself (`AuditEvent`); the audit
+flush format is the same line without its `A|` tag.
+
 Comparison is structural: message ids in both traces are canonicalized by
 order of first appearance before diffing, so id-assignment drift between
 otherwise identical runs does not register as a difference.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
+from enum import Enum
 
 from .errors import GoldenParseError
 
@@ -32,13 +36,33 @@ def _render_field(value: str | int | None) -> str:
     return str(value)
 
 
+class AuditOp(str, Enum):
+    """Closed set of auditable operations."""
+
+    PUBLISH = "publish"
+    SUBSCRIBE = "subscribe"
+    UNSUBSCRIBE = "unsubscribe"
+    DELIVER = "deliver"
+    PARTICIPATE_INFERENCE = "participate-inference"
+    PARTICIPATE_LEARNING = "participate-learning"
+    NEGOTIATE = "negotiate"
+    PLAN = "plan"
+    EXECUTE = "execute"
+    SANDBOX = "sandbox"
+    ROLLBACK = "rollback"
+    HITL = "hitl"
+
+
+_OPS = {op.value: op for op in AuditOp}
+
+
 @dataclass(frozen=True)
 class AuditEvent:
-    """Audit record as it appears in a trace."""
+    """One audit record: the fabric's audit log and the trace's `A` line."""
 
     seq: int
     logical_time: int
-    op: str
+    op: AuditOp
     actor: str
     message_id: str | None
     model_id: str | None
@@ -46,6 +70,8 @@ class AuditEvent:
 
     def render(self) -> str:
         """Serialize to one trace line."""
+        # join reads the op's str data, so the bytes do not depend on how
+        # this Python version formats str-mixin enums.
         return "|".join(
             [
                 "A",
@@ -58,6 +84,10 @@ class AuditEvent:
                 self.outcome,
             ]
         )
+
+    def to_line(self) -> str:
+        """Audit flush format: seq|logicalTime|op|actor|messageId|modelId|outcome."""
+        return self.render()[2:]
 
 
 @dataclass(frozen=True)
@@ -136,11 +166,14 @@ def parse_trace(text: str) -> Trace:
             )
         tag = fields[0]
         if tag == "A":
+            op = _OPS.get(fields[3])
+            if op is None:
+                raise GoldenParseError(f"line {line_no}: unknown op {fields[3]!r}", line_no)
             trace.append(
                 AuditEvent(
                     seq=_parse_int(fields[1], line_no, "seq"),
                     logical_time=_parse_int(fields[2], line_no, "logicalTime"),
-                    op=fields[3],
+                    op=op,
                     actor=fields[4],
                     message_id=None if fields[5] == ABSENT else fields[5],
                     model_id=None if fields[6] == ABSENT else fields[6],

@@ -215,7 +215,7 @@ def _prop_audit_completeness(subs, publishes):
         delivered += fabric.publish(envelope)
         published_ids.append(envelope.id)
 
-    records = fabric.audit_query()
+    records = fabric.audit_log.query()
     assert [r.seq for r in records] == list(range(1, len(records) + 1))
     times = [r.logical_time for r in records]
     assert all(a < b for a, b in zip(times, times[1:]))

@@ -150,7 +150,7 @@ def test_decompose_builds_the_expected_task_graph():
     assert fabric.has_topic(plan.result_topic)
     assert len(plan.subscriptions) == 1
     assert broker.plans[plan.plan_id] is plan
-    (audit,) = fabric.audit_query(ops=["plan"])
+    (audit,) = fabric.audit_log.query(ops=["plan"])
     assert (audit.actor, audit.model_id) == ("app-1", "forecaster")
 
 
@@ -239,6 +239,21 @@ def test_plan_document_rejects_broken_graphs():
     empty["tasks"] = []
     with pytest.raises(PlanningFailed, match="no tasks"):
         TaskPlan.from_document(json.dumps(empty).encode())
+
+
+def test_plan_document_rejects_unknown_task_kinds():
+    fabric, world, registry, broker = make_stack()
+    doc = json.loads(broker.decompose_intent(make_intent()).to_document())
+    doc["tasks"][0] = {
+        "taskId": doc["tasks"][0]["taskId"],
+        "kind": "subscribe-binding",
+        "inputs": [],
+        "capability": None,
+        "assignedModel": None,
+        "params": {"selector": "**", "subscriber": "core-1"},
+    }
+    with pytest.raises(ValueError, match="subscribe-binding"):
+        TaskPlan.from_document(json.dumps(doc).encode())
 
 
 def test_validate_plan_accepts_stream_refs_only_at_any_point():
@@ -368,7 +383,7 @@ def test_synthesize_tool_caches_by_task_shape():
     first = broker.synthesize_tool(tool_task())
     second = broker.synthesize_tool(tool_task())
     assert first is second
-    assert len(fabric.audit_query(ops=["sandbox"])) == 1
+    assert len(fabric.audit_log.query(ops=["sandbox"])) == 1
     other = broker.synthesize_tool(tool_task(signature="other-purpose"))
     assert other is not first
     assert len(broker.catalog) == 2
@@ -408,7 +423,7 @@ def test_execute_plan_completes_end_to_end():
     assert delivery.metadata["detail"] == f"result {plan.plan_id}"
     assert delivery.payload == result.final_payload
     assert fabric.last_envelope(f"plans/{plan.plan_id}/work") is None
-    (execute,) = fabric.audit_query(ops=["execute"])
+    (execute,) = fabric.audit_log.query(ops=["execute"])
     assert execute.actor == "app-1"
 
 

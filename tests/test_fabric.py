@@ -130,9 +130,9 @@ def test_predicates_against_missing_keys():
 
 def test_create_topic_is_idempotent():
     fabric = make_fabric()
-    first = fabric.create_topic("net/cell-a/load")
-    second = fabric.create_topic("net/cell-a/load")
-    assert first == second
+    fabric.create_topic("net/cell-a/load")
+    assert fabric.topics() == ["net/cell-a/load"]
+    fabric.create_topic("net/cell-a/load")
     assert fabric.topics() == ["net/cell-a/load"]
 
 
@@ -430,15 +430,31 @@ def test_audit_seq_dense_and_time_monotone():
     assert len(set(times)) == len(times)
 
 
+def test_audit_log_is_a_view_of_the_journal():
+    fabric = make_fabric("node-a", "node-b")
+    fabric.create_topic("a/b")
+    fabric.subscribe(Subscription(Selector.parse("a/b"), "node-b"))
+    fabric.publish(data_envelope(fabric, "a/b"))
+    before = len(fabric.journal.events)
+    returned = fabric.audit(AuditOp.HITL, actor="node-a")
+    assert len(fabric.journal.events) == before + 1
+    assert fabric.journal.events[-1] is returned
+    audits = [e for e in fabric.journal.events if isinstance(e, AuditEvent)]
+    records = fabric.audit_log.records()
+    assert len(records) == len(audits) == len(fabric.audit_log) == 4
+    assert all(r is e for r, e in zip(records, audits))
+    assert all(type(r.op) is AuditOp for r in records)
+
+
 def test_audit_query_filters():
     fabric = make_fabric("node-a", "node-b")
     fabric.create_topic("a/b")
     fabric.subscribe(Subscription(Selector.parse("a/b"), "node-b"))
     fabric.publish(data_envelope(fabric, "a/b"))
-    publishes = fabric.audit_query(ops=[AuditOp.PUBLISH])
+    publishes = fabric.audit_log.query(ops=[AuditOp.PUBLISH])
     assert len(publishes) == 1 and publishes[0].actor == "node-a"
-    assert fabric.audit_query(actor="node-b")[0].op is AuditOp.SUBSCRIBE
-    assert fabric.audit_query(time_range=(1, 1))[0].seq == 1
+    assert fabric.audit_log.query(actor="node-b")[0].op is AuditOp.SUBSCRIBE
+    assert fabric.audit_log.query(time_range=(1, 1))[0].seq == 1
 
 
 def test_audit_line_round_trip():
@@ -449,6 +465,19 @@ def test_audit_line_round_trip():
         assert parse_audit_line(record.to_line()) == record
     with pytest.raises(ValueError):
         parse_audit_line("1|2|publish|node-a|-|-")
+    with pytest.raises(ValueError):
+        parse_audit_line("1|2|frobnicate|node-a|-|-|ok")
+
+
+def test_parse_audit_line_rejects_more_than_one_record():
+    line = "1|2|publish|node-a|-|-|ok"
+    assert parse_audit_line(line + "\n").seq == 1
+    for smuggled in (
+        line + "\nA|2|3|deliver|node-b|-|-|ok",
+        line + "\nM|3|a/b|data|s1|node-a|m1|-",
+    ):
+        with pytest.raises(ValueError, match="one audit record"):
+            parse_audit_line(smuggled)
 
 
 def test_audit_flush_writes_one_line_per_record(tmp_path):

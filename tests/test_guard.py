@@ -125,7 +125,7 @@ def test_sandbox_rejects_bad_programs_and_audits():
     verdict = guard.sandbox_run(program("boost ran-1 admission-rate 2"))
     assert not verdict.accepted
     assert verdict.reason == "IllegalInstruction"
-    (record,) = fabric.audit_query(ops=["sandbox"])
+    (record,) = fabric.audit_log.query(ops=["sandbox"])
     assert record.outcome == "error(IllegalInstruction)"
 
 
@@ -213,8 +213,8 @@ def test_deploy_audits_execute_and_rollback_audits_rollback():
     guard.sandbox_run(good)
     record = guard.deploy(good, "ran-1")
     guard.rollback(record.deployment_id)
-    assert [r.actor for r in fabric.audit_query(ops=["execute"])] == ["ran-1"]
-    assert [r.actor for r in fabric.audit_query(ops=["rollback"])] == ["ran-1"]
+    assert [r.actor for r in fabric.audit_log.query(ops=["execute"])] == ["ran-1"]
+    assert [r.actor for r in fabric.audit_log.query(ops=["rollback"])] == ["ran-1"]
 
 
 def test_failed_live_execution_restores_snapshot():
@@ -263,7 +263,7 @@ def test_consensus_all_distinct_escalates():
     assert result.ticket.reason == "ConsensusDisagreement"
     assert result.ticket.subject == "prog-a"
     assert [t.ticket_id for t in guard.tickets()] == [result.ticket.ticket_id]
-    feedback = fabric.audit_query(ops=["publish"], actor="guard")
+    feedback = fabric.audit_log.query(ops=["publish"], actor="guard")
     assert len(feedback) == 3
 
 
@@ -297,7 +297,7 @@ def test_strict_policy_needs_approval():
     guard.hitl_resolve(ticket.ticket_id, "approve", note="reviewed")
     record = guard.deploy(good, "ran-1")
     assert record.status == "Applied"
-    (hitl,) = fabric.audit_query(ops=["hitl"])
+    (hitl,) = fabric.audit_log.query(ops=["hitl"])
     assert hitl.actor == "operator"
 
 

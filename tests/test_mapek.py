@@ -146,7 +146,7 @@ def test_plan_scales_the_admission_knob():
     assert action == ManagedAction("core-1", "admission-rate", Fraction(9, 10))
     assert action.render() == "core-1.admission-rate=9/10"
     assert plan.rollback_ref.startswith("snap-")
-    (audit,) = fabric.audit_query(ops=["plan"])
+    (audit,) = fabric.audit_log.query(ops=["plan"])
     assert audit.actor == "mapek"
 
 
@@ -185,7 +185,7 @@ def test_execute_applies_and_verifies_effect():
     report = loop.execute(plan)
     assert report.effect_held and not report.rolled_back
     assert world.state.get_knob("core-1", "admission-rate") == Fraction(9, 10)
-    (execute,) = fabric.audit_query(ops=["execute"])
+    (execute,) = fabric.audit_log.query(ops=["execute"])
     assert execute.outcome == "ok"
     control = fabric.last_envelope("managed/core-1/knobs")
     assert control.payload.decode() == "admission-rate=9/10"
@@ -203,9 +203,9 @@ def test_execute_rolls_back_when_effect_not_observed():
     report = loop.execute(plan)
     assert not report.effect_held and report.rolled_back
     assert world.state.get_knob("core-1", "admission-rate") == Fraction(1)
-    (execute,) = fabric.audit_query(ops=["execute"])
+    (execute,) = fabric.audit_log.query(ops=["execute"])
     assert execute.outcome == "error(EffectNotObserved)"
-    (rollback,) = fabric.audit_query(ops=["rollback"])
+    (rollback,) = fabric.audit_log.query(ops=["rollback"])
     assert rollback.actor == "mapek"
 
 

@@ -71,7 +71,7 @@ def test_open_session_audits_and_records():
     session = negotiator.open_session(a, b, context="pairing")
     assert session.phase is Phase.OPENED
     assert session.peers() == ("a", "b")
-    (record,) = fabric.audit_query(ops=["negotiate"])
+    (record,) = fabric.audit_log.query(ops=["negotiate"])
     assert (record.actor, record.model_id) == ("a", "b")
     envelope = fabric.last_envelope(f"negotiation/{session.session_id}")
     assert envelope.metadata["detail"].startswith("opened a@1.0.0")
@@ -197,6 +197,7 @@ def test_missing_or_degenerate_scale_declarations():
         negotiator, session = scale_pair(bad, "fraction:0..1")
         with pytest.raises(MissingScaleDeclaration):
             negotiator.negotiate_scale(session, "optimize")
+        assert session.phase is Phase.FAILED
 
 
 def test_unconvertible_units_fail_the_session():
@@ -408,6 +409,19 @@ def test_run_to_completion_version_mismatch_fails():
     negotiator.run_to_completion(session)
     assert session.phase is Phase.FAILED
     assert session.failure_reason == "VersionIncompatible"
+
+
+def test_run_to_completion_fails_on_malformed_scale():
+    negotiator = make_negotiator()
+    session = open_pair(
+        negotiator,
+        descriptor("a", caps={"optimize": {"scale": "percent:0..x"}}),
+        descriptor("b", caps={"optimize": {"scale": "fraction:0..1"}}),
+    )
+    negotiator.run_to_completion(session)
+    assert session.phase is Phase.FAILED
+    assert session.failure_reason == "MissingScaleDeclaration(optimize)"
+    assert session.transcript[-1].detail == "failed MissingScaleDeclaration(optimize)"
 
 
 def test_run_to_completion_without_scales_skips_alignment():

@@ -5,6 +5,7 @@ import pytest
 from interconnect.errors import GoldenParseError
 from interconnect.trace import (
     AuditEvent,
+    AuditOp,
     EnvelopeEvent,
     Trace,
     canonicalize_lines,
@@ -69,6 +70,20 @@ def test_parse_rejects_wrong_field_count():
 def test_parse_rejects_unknown_tag():
     with pytest.raises(GoldenParseError):
         parse_trace("X|1|2|publish|node-a|-|-|ok\n")
+
+
+def test_parse_maps_ops_and_rejects_unknown_ones():
+    (event,) = parse_trace("A|1|2|publish|node-a|-|-|ok\n").events
+    assert event.op is AuditOp.PUBLISH
+    with pytest.raises(GoldenParseError) as err:
+        parse_trace("M|1|a/b|data|s1|node-a|m1|-\nA|1|2|frobnicate|node-a|-|-|ok\n")
+    assert err.value.line_no == 2
+
+
+def test_audit_line_is_trace_line_without_its_tag():
+    event = _audit(1, 2, message_id="m1")
+    assert event.to_line() == "1|2|publish|node-a|m1|-|ok"
+    assert event.render() == "A|" + event.to_line()
 
 
 def test_parse_rejects_non_numeric_time():
