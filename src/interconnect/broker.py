@@ -35,7 +35,6 @@ from .fabric import (
     KIND_INFERENCE_RESULT,
     AuditOp,
     Fabric,
-    MessageEnvelope,
     Selector,
     Subscription,
     SubscriptionKind,

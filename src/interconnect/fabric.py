@@ -51,6 +51,9 @@ KIND_KEY = "kind"
 SESSION_KEY = "session"
 ORIGIN_KEY = "origin-node"
 REQUIRED_METADATA = (KIND_KEY, SESSION_KEY, ORIGIN_KEY)
+# Metadata copied into journal records, which are `|`-separated lines.
+_JOURNALED_METADATA = (SESSION_KEY, ORIGIN_KEY, "model-id", "detail")
+_RECORD_BREAK = re.compile(r"[|\r\n]")
 
 KIND_DATA = "data"
 KIND_PROMPT = "prompt"
@@ -477,12 +480,19 @@ class Fabric:
         body = payload.encode("utf-8") if isinstance(payload, str) else payload
         return MessageEnvelope(topic=topic, payload=body, metadata=metadata)
 
-    def _validate_metadata(self, metadata: dict[str, str]) -> None:
+    def _validate_metadata(self, metadata: dict[str, str], envelope_id: str) -> None:
+        """Reject what cannot be journaled as one well-formed record."""
         for key in REQUIRED_METADATA:
             if not metadata.get(key):
                 raise InvalidMetadata(f"missing required metadata key {key!r}")
         if metadata[KIND_KEY] not in MESSAGE_KINDS:
             raise InvalidMetadata(f"unknown message kind {metadata[KIND_KEY]!r}")
+        for key in _JOURNALED_METADATA:
+            value = metadata.get(key)
+            if value is not None and _RECORD_BREAK.search(str(value)):
+                raise InvalidMetadata(f"metadata {key!r} holds a record separator: {value!r}")
+        if _RECORD_BREAK.search(str(envelope_id)):
+            raise InvalidMetadata(f"message id {envelope_id!r} holds a record separator")
 
     def publish(self, envelope: MessageEnvelope) -> int:
         """Deliver an envelope to every matching subscription.
@@ -490,6 +500,9 @@ class Fabric:
         Returns the delivery count. Assigns id and logical time, retains the
         envelope as the topic's latest, removes fired one-shot subscriptions
         before any handler runs, and settles tokens watching this topic.
+        Before anything is journaled, raises InvalidMetadata for missing or
+        unknown metadata and for a `|` or a line break in the id, session,
+        origin-node, model-id or detail, which would split its trace line.
 
         Matches are found through the topic-segment index, so a publish
         costs the subscriptions its topic can reach, not every subscription.
@@ -501,7 +514,7 @@ class Fabric:
         """
         if envelope.topic not in self._topics:
             raise UnknownTopic(f"topic {envelope.topic!r} does not exist")
-        self._validate_metadata(envelope.metadata)
+        self._validate_metadata(envelope.metadata, envelope.id)
         if not envelope.id:
             envelope.id = self._next_id("m")
         if envelope.id in self._seen_ids:

@@ -19,7 +19,6 @@ authoring planner's feedback topic, closing the loop.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import re
@@ -330,12 +329,13 @@ class Guard:
     ) -> SandboxVerdict:
         """Interpret the program against a copy of the world and judge it.
 
-        The live world is never written: the run works on a deep copy of
-        `model` (default: current state). The verdict is recorded so deploy
-        can check it later, and rejections emit planner feedback.
+        The live world is never written: the run works on a clone of
+        `model` (default: current state), see `WorldState.clone`. The
+        verdict is recorded so deploy can check it later, and rejections
+        emit planner feedback.
         """
         base = model if model is not None else self._world.state
-        work = copy.deepcopy(base)
+        work = base.clone()
         before = work.metrics()
         reason: str | None = None
         try:

@@ -15,7 +15,7 @@ tolerance. Severity of a congestion finding is clamp((mean - theta) /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExecutionFailed, InsufficientData, NoApplicableAction

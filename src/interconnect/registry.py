@@ -318,20 +318,29 @@ def serialize_descriptor(descriptor: ModelDescriptor) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+_NO_MODELS: frozenset[str] = frozenset()
+
+
 @dataclass
 class _ModelEntry:
+    latest: ModelDescriptor
     versions: dict[str, ModelDescriptor] = field(default_factory=dict)
-    latest: Version | None = None
     learning_buffer: list[tuple[str, str]] = field(default_factory=list)  # (envelope id, objective)
 
 
 class ModelRegistry:
-    """Versioned store of model descriptors with capability lookup."""
+    """Versioned store of model descriptors with capability lookup.
+
+    Capability lookup is indexed: each capability name maps to the ids of
+    the models whose latest descriptor declares it, so a query costs the
+    models its rarest required name reaches, not every registered model.
+    """
 
     def __init__(self, fabric: Fabric | None = None, update_cycle_len: int = 1):
         if update_cycle_len < 1:
             raise ValueError("update_cycle_len must be at least 1")
         self._entries: dict[str, _ModelEntry] = {}
+        self._by_capability: dict[str, set[str]] = {}
         self._fabric = fabric
         self.update_cycle_len = update_cycle_len
         if fabric is not None:
@@ -353,15 +362,35 @@ class ModelRegistry:
         )
         self._fabric.publish(envelope)
 
+    def _store(self, descriptor: ModelDescriptor) -> _ModelEntry:
+        """File a new version; re-index the model only if it becomes the latest."""
+        model_id = descriptor.model_id
+        key = descriptor.version.render()
+        entry = self._entries.get(model_id)
+        if entry is None:
+            entry = self._entries[model_id] = _ModelEntry(descriptor)
+            dropped, added = frozenset(), descriptor.capability_names()
+        elif key in entry.versions:
+            raise DuplicateModelVersion(f"{model_id}@{key} already registered")
+        elif descriptor.version > entry.latest.version:
+            old, new = entry.latest.capability_names(), descriptor.capability_names()
+            dropped, added = old - new, new - old
+            entry.latest = descriptor
+        else:
+            dropped = added = frozenset()
+        entry.versions[key] = descriptor
+        for name in dropped:
+            holders = self._by_capability[name]
+            holders.discard(model_id)
+            if not holders:
+                del self._by_capability[name]
+        for name in added:
+            self._by_capability.setdefault(name, set()).add(model_id)
+        return entry
+
     def register(self, descriptor: ModelDescriptor) -> str:
         """Add a descriptor version; announces it when a fabric is attached."""
-        entry = self._entries.setdefault(descriptor.model_id, _ModelEntry())
-        key = descriptor.version.render()
-        if key in entry.versions:
-            raise DuplicateModelVersion(f"{descriptor.model_id}@{key} already registered")
-        entry.versions[key] = descriptor
-        if entry.latest is None or descriptor.version > entry.latest:
-            entry.latest = descriptor.version
+        entry = self._store(descriptor)
         reason = "register" if len(entry.versions) == 1 else "update"
         self._announce(descriptor, reason)
         return descriptor.model_id
@@ -372,10 +401,10 @@ class ModelRegistry:
     def get(self, model_id: str, version: str | None = None) -> ModelDescriptor:
         """Fetch one version (default: latest); raises UnknownModel."""
         entry = self._entries.get(model_id)
-        if entry is None or entry.latest is None:
+        if entry is None:
             raise UnknownModel(f"no model registered as {model_id!r}")
         if version is None:
-            return entry.versions[entry.latest.render()]
+            return entry.latest
         if version not in entry.versions:
             raise UnknownModel(f"{model_id!r} has no version {version}")
         return entry.versions[version]
@@ -395,19 +424,18 @@ class ModelRegistry:
         """Latest versions whose capability names cover `required`.
 
         Ordering: domain-hint matches first, then ascending latencyTicks,
-        then model id. Pure read.
+        then model id; the key is total, so the order does not depend on
+        how the matches were found. The matches are the intersection of
+        the capability index's model sets for the required names, smallest
+        set first. Pure read.
         """
         if not required:
             raise BadQuery("required capability set must be non-empty")
-        needed = frozenset(required)
-        matches = []
-        for model_id in sorted(self._entries):
-            entry = self._entries[model_id]
-            if entry.latest is None:
-                continue
-            descriptor = entry.versions[entry.latest.render()]
-            if needed <= descriptor.capability_names():
-                matches.append(descriptor)
+        holders = sorted(
+            (self._by_capability.get(name, _NO_MODELS) for name in required), key=len
+        )
+        ids = holders[0].intersection(*holders[1:])
+        matches = [self._entries[model_id].latest for model_id in ids]
         matches.sort(
             key=lambda d: (
                 0 if (domain_hint is not None and domain_hint in d.domains) else 1,
@@ -420,16 +448,10 @@ class ModelRegistry:
     def bump_version(self, model_id: str, part: str) -> Version:
         """Clone the latest descriptor under an incremented version."""
         latest = self.get(model_id)
-        bumped = latest.version.bump(part)
-        entry = self._entries[model_id]
-        key = bumped.render()
-        if key in entry.versions:
-            raise DuplicateModelVersion(f"{model_id}@{key} already registered")
-        descriptor = replace(latest, version=bumped)
-        entry.versions[key] = descriptor
-        entry.latest = bumped
+        descriptor = replace(latest, version=latest.version.bump(part))
+        self._store(descriptor)
         self._announce(descriptor, "update")
-        return bumped
+        return descriptor.version
 
     def contribute_learning(
         self, model_id: str, data: MessageEnvelope, objective: str
@@ -439,7 +461,7 @@ class ModelRegistry:
         Returns how many contributions remain before the next update.
         """
         entry = self._entries.get(model_id)
-        if entry is None or entry.latest is None:
+        if entry is None:
             raise UnknownModel(f"no model registered as {model_id!r}")
         entry.learning_buffer.append((data.id, objective))
         if len(entry.learning_buffer) >= self.update_cycle_len:

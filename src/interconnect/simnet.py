@@ -15,7 +15,6 @@ by default.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import logging
@@ -26,7 +25,6 @@ from fractions import Fraction
 
 from .errors import DuplicateNode
 from .fabric import (
-    KIND_CONTROL,
     KIND_DATA,
     KIND_INFERENCE_RESULT,
     Fabric,
@@ -80,6 +78,20 @@ class WorldState:
 
     def __init__(self) -> None:
         self.nodes: dict[str, NodeState] = {}
+
+    def clone(self) -> WorldState:
+        """Independent copy: writes to either side never reach the other.
+
+        Every mutable part (knob maps, range maps, load models) is copied;
+        the immutable `Fraction`s and range tuples are shared.
+        """
+        copied = WorldState()
+        for node_id, node in self.nodes.items():
+            load = node.load
+            if load is not None:
+                load = LoadModel(load.offered_load, load.service_rate, load.queue_depth)
+            copied.nodes[node_id] = NodeState(dict(node.knobs), dict(node.knob_ranges), load)
+        return copied
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self.nodes
@@ -328,21 +340,25 @@ class SimWorld:
     # -- snapshots ---------------------------------------------------------------
 
     def snapshot(self) -> str:
-        """Deep-copy the world state; returns a snapshot id for restore()."""
+        """Store a clone of the world state; returns a snapshot id for restore()."""
         self._snap_count += 1
         snap_id = f"snap-{self._snap_count}"
-        self._snapshots[snap_id] = copy.deepcopy(self.state)
+        self._snapshots[snap_id] = self.state.clone()
         return snap_id
 
     def restore(self, snapshot_id: str) -> None:
-        """Replace live state with a stored snapshot, exactly."""
+        """Replace live state with a clone of a stored snapshot, exactly.
+
+        The stored snapshot is cloned again, not handed over, so restoring
+        the same id twice yields the same state both times.
+        """
         if snapshot_id not in self._snapshots:
             raise ValueError(f"unknown snapshot {snapshot_id!r}")
-        self.state = copy.deepcopy(self._snapshots[snapshot_id])
+        self.state = self._snapshots[snapshot_id].clone()
 
     def state_view(self) -> WorldState:
-        """Detached copy of the state for sandbox runs."""
-        return copy.deepcopy(self.state)
+        """Detached clone of the state for sandbox runs."""
+        return self.state.clone()
 
     def config_hash(self) -> str:
         return self.state.config_hash()

@@ -29,7 +29,7 @@ from interconnect.fabric import (
     parse_audit_line,
 )
 from interconnect.registry import ModelRegistry, parse_descriptor
-from interconnect.trace import AuditEvent, EnvelopeEvent
+from interconnect.trace import AuditEvent, EnvelopeEvent, parse_trace
 
 
 def make_fabric(*nodes):
@@ -173,6 +173,25 @@ def test_publish_assigns_sequential_ids_and_rejects_reuse():
     stale.id = "m1"
     with pytest.raises(InvalidMetadata):
         fabric.publish(stale)
+
+
+@pytest.mark.parametrize("separator", ["|", "\n", "\r"])
+@pytest.mark.parametrize("field", ["origin", "session", "model_id", "detail", "id"])
+def test_publish_rejects_record_separators_in_journaled_fields(field, separator):
+    fabric = make_fabric("node-a")
+    fabric.create_topic("a/b")
+    fabric.publish(data_envelope(fabric, "a/b"))
+    journaled = len(fabric.journal.events)
+    value = f"node{separator}x"
+    if field == "id":
+        bad = data_envelope(fabric, "a/b")
+        bad.id = value
+    else:
+        bad = data_envelope(fabric, "a/b", **{field: value})
+    with pytest.raises(InvalidMetadata):
+        fabric.publish(bad)
+    assert len(fabric.journal.events) == journaled
+    assert parse_trace(fabric.journal.render()).lines() == fabric.journal.lines()
 
 
 def test_publish_retains_latest_envelope():

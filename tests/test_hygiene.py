@@ -1,0 +1,50 @@
+"""Source hygiene: no module under src/interconnect/ imports a name it never uses.
+
+The check reads each module with the standard-library `ast` parser, so it
+needs nothing beyond the interpreter. `from __future__` imports and the
+package `__init__.py` (whose imports are its public re-exports) are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "interconnect"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """`<line>: <name>` for each module-level import the module never uses."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        unused.extend(f"{node.lineno}: {name}" for name in names if name not in used)
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_unused_import_and_spares_used_ones():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from fractions import Fraction as F\n"
+        "from typing import Callable\n"
+        "def f(x: Callable[[], None]) -> F:\n"
+        "    return F(os.path.sep)\n"
+    )
+    assert unused_imports(source) == ["2: json"]

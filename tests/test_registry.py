@@ -1,8 +1,11 @@
 """Descriptor documents and the versioned model registry."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interconnect.errors import (
     BadQuery,
@@ -14,7 +17,12 @@ from interconnect.errors import (
 )
 from interconnect.fabric import Fabric, Selector, Subscription, SubscriptionKind
 from interconnect.registry import (
+    Architecture,
+    Capability,
+    ModelCategory,
+    ModelDescriptor,
     ModelRegistry,
+    Performance,
     Version,
     parse_descriptor,
     serialize_descriptor,
@@ -294,3 +302,126 @@ def test_registration_announces_on_model_topic():
     assert announced.version == Version(1, 1, 0)
     first = fabric.last_envelope("registry/demo")
     assert first is update
+
+
+# -- capability index against a brute-force scan ----------------------------------
+
+_MODEL_IDS = ("m-a", "m-b", "m-c")
+_CAPABILITIES = ("predict", "rank", "summarize")
+# Every non-empty set of up to three names, including one no model declares.
+_QUERIES = [
+    frozenset(names)
+    for n in (1, 2, 3)
+    for names in itertools.combinations(_CAPABILITIES + ("absent",), n)
+]
+_HINTS = (None, "traffic", "energy")
+
+
+def _descriptor(model_id, version, capabilities, domains=(), latency=1):
+    return ModelDescriptor(
+        model_id=model_id,
+        model_type="analytics",
+        version=version,
+        category=ModelCategory.SPECIALIZED,
+        architecture=Architecture("transformer", "small"),
+        capabilities=tuple(Capability(name) for name in sorted(capabilities)),
+        domains=tuple(sorted(domains)),
+        performance=Performance(1, latency, 1, 1),
+    )
+
+
+_versions = st.builds(
+    Version, *(st.integers(min_value=0, max_value=2) for _ in range(3))
+)
+_registry_operations = st.lists(
+    st.one_of(
+        st.builds(
+            lambda *args: ("register", _descriptor(*args)),
+            st.sampled_from(_MODEL_IDS),
+            _versions,
+            st.frozensets(st.sampled_from(_CAPABILITIES)),
+            st.frozensets(st.sampled_from(_HINTS[1:])),
+            st.integers(min_value=1, max_value=3),
+        ),
+        st.tuples(
+            st.just("bump"),
+            st.sampled_from(_MODEL_IDS),
+            st.sampled_from(("major", "minor", "patch")),
+        ),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_registry_operations)
+@example(
+    [  # an older version registered after a newer one
+        ("register", _descriptor("m-a", Version(2, 0, 0), {"predict"})),
+        ("register", _descriptor("m-a", Version(1, 0, 0), {"rank"})),
+    ]
+)
+@example(
+    [  # a newer version that drops a capability, then a bump of it
+        ("register", _descriptor("m-a", Version(1, 0, 0), {"predict", "rank"})),
+        ("register", _descriptor("m-b", Version(1, 0, 0), {"rank"}, ("traffic",))),
+        ("register", _descriptor("m-a", Version(1, 1, 0), {"predict"})),
+        ("bump", "m-a", "patch"),
+    ]
+)
+def test_indexed_query_equals_brute_force_scan(operations):
+    """After every register and bump_version, each query returns exactly the
+    latest descriptors that cover the required names, in the documented order
+    (domain-hint matches, then latencyTicks, then model id), as a scan of all
+    registered versions computes it."""
+    registry = ModelRegistry()
+    registered: dict[str, dict[Version, ModelDescriptor]] = {}
+
+    def latest(model_id):
+        versions = registered[model_id]
+        return versions[max(versions)]
+
+    for op in operations:
+        if op[0] == "register":
+            descriptor = op[1]
+            versions = registered.setdefault(descriptor.model_id, {})
+            if descriptor.version in versions:
+                with pytest.raises(DuplicateModelVersion):
+                    registry.register(descriptor)
+            else:
+                registry.register(descriptor)
+                versions[descriptor.version] = descriptor
+        else:
+            _, model_id, part = op
+            if model_id not in registered:
+                with pytest.raises(UnknownModel):
+                    registry.bump_version(model_id, part)
+                continue
+            current = latest(model_id)
+            bumped = registry.bump_version(model_id, part)
+            assert bumped == current.version.bump(part)
+            registered[model_id][bumped] = _descriptor(
+                model_id,
+                bumped,
+                current.capability_names(),
+                current.domains,
+                current.performance.latency_ticks,
+            )
+
+        for model_id in registered:
+            assert registry.get(model_id) == latest(model_id)
+        for required, hint in itertools.product(_QUERIES, _HINTS):
+            expected = sorted(
+                (
+                    latest(model_id)
+                    for model_id in registered
+                    if required <= {c.name for c in latest(model_id).capabilities}
+                ),
+                key=lambda d: (
+                    0 if hint is not None and hint in d.domains else 1,
+                    d.performance.latency_ticks,
+                    d.model_id,
+                ),
+            )
+            assert registry.query_by_capability(required, domain_hint=hint) == expected

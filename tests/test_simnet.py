@@ -311,6 +311,61 @@ def test_state_view_is_detached():
     assert world.state.get_knob("cell-1", "admission-rate") == Fraction(1)
 
 
+def two_node_world():
+    world = make_world()
+    loaded_node(world, "cell-1")
+    loaded_node(world, "cell-2", offered="1/2", admission="3/4")
+    world.spawn_node("app-1", NodeKind.APP)
+    return world
+
+
+def test_clone_hashes_equal_the_original():
+    state = two_node_world().state
+    clone = state.clone()
+    assert clone is not state
+    assert clone.state_hash() == state.state_hash()
+    assert clone.config_hash() == state.config_hash()
+    assert clone.metrics() == state.metrics()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda s: s.set_knob("cell-1", "admission-rate", Fraction(1, 5)),
+        lambda s: s.nodes["cell-2"].knobs.update({"probe-rate": Fraction(1)}),
+        lambda s: s.nodes["cell-1"].knob_ranges.update(
+            {"admission-rate": (Fraction(0), Fraction(1, 10))}
+        ),
+        lambda s: setattr(s.nodes["cell-1"].load, "offered_load", Fraction(7)),
+        lambda s: setattr(s.nodes["cell-2"].load, "queue_depth", 3),
+        lambda s: s.shift_load("cell-1", "cell-2", Fraction(1, 2)),
+        lambda s: s.nodes.pop("app-1"),
+    ],
+    ids=["knob", "new-knob", "knob-range", "offered-load", "queue-depth", "shift", "node"],
+)
+def test_mutating_a_clone_leaves_the_original_unchanged(mutate):
+    state = two_node_world().state
+    before = state.state_hash()
+    ranges = {n: dict(node.knob_ranges) for n, node in state.nodes.items()}
+    clone = state.clone()
+    mutate(clone)
+    assert state.state_hash() == before
+    assert {n: node.knob_ranges for n, node in state.nodes.items()} == ranges
+    assert state.set_knob("cell-1", "admission-rate", Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_restoring_one_snapshot_twice_gives_the_same_state():
+    world = two_node_world()
+    snap = world.snapshot()
+    saved = world.state_hash()
+    for offered in (Fraction(3), Fraction(5)):
+        world.state.set_knob("cell-1", "admission-rate", Fraction(1, 8))
+        world.state.nodes["cell-2"].load.offered_load = offered
+        assert world.state_hash() != saved
+        world.restore(snap)
+        assert world.state_hash() == saved
+
+
 def test_config_hash_tracks_knobs_only():
     world = make_world()
     loaded_node(world)
