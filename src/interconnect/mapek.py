@@ -10,7 +10,8 @@ the settle window, the managed configuration is restored.
 All arithmetic is exact: loads, thresholds, and severities are Fractions, so
 convergence counts can be checked against a symbolic oracle with no
 tolerance. Severity of a congestion finding is clamp((mean - theta) /
-(1 - theta), 0, 1).
+(1 - theta), 0, 1). The knowledge base indexes values by key, so a windowed
+read costs O(window) however long the loop has run.
 """
 
 from __future__ import annotations
@@ -34,14 +35,20 @@ class KnowledgeRecord:
 
 
 class KnowledgeBase:
-    """Append-only store shared by all loop stages."""
+    """Append-only store shared by all loop stages.
+
+    Besides the full history it keeps each key's values in insertion order,
+    so `series` is one lookup and a tail slice: O(window), not O(history).
+    """
 
     def __init__(self) -> None:
         self._records: list[KnowledgeRecord] = []
+        self._values: dict[str, list] = {}
         self._seen_envelopes: set[str] = set()
 
     def add(self, record: KnowledgeRecord) -> None:
         self._records.append(record)
+        self._values.setdefault(record.key, []).append(record.value)
 
     def records(self) -> tuple[KnowledgeRecord, ...]:
         return tuple(self._records)
@@ -57,8 +64,7 @@ class KnowledgeBase:
 
     def series(self, key: str, window: int) -> list:
         """Last `window` values recorded under a key, oldest first."""
-        values = [r.value for r in self._records if r.key == key]
-        return values[-window:]
+        return self._values.get(key, [])[-window:]
 
 
 @dataclass(frozen=True)
@@ -140,6 +146,8 @@ class MapeKLoop:
     ):
         if not (0 < knob_step < 1):
             raise ValueError("knob_step must lie strictly between 0 and 1")
+        if window < 1:
+            raise ValueError("window must be at least 1")
         self._fabric = fabric
         self._world = world
         self.theta = Fraction(theta)
@@ -159,15 +167,29 @@ class MapeKLoop:
     # -- stages ------------------------------------------------------------
 
     def monitor(self, envelopes: list[MessageEnvelope] | None = None) -> int:
-        """Fold telemetry into knowledge; idempotent per envelope id."""
+        """Fold telemetry into knowledge; idempotent per envelope id.
+
+        An envelope whose payload is not a UTF-8 exact number is marked seen,
+        audited as `error(MalformedTelemetry)` and skipped; the rest of the
+        batch is still read.
+        """
         batch = envelopes if envelopes is not None else self._fabric.drain(self._sub_id)
         ingested = 0
         for envelope in batch:
             if self.knowledge.seen(envelope.id):
                 continue
             self.knowledge.mark_seen(envelope.id)
+            try:
+                value = Fraction(envelope.payload.decode("utf-8"))
+            except (ValueError, ZeroDivisionError):  # UnicodeDecodeError is a ValueError
+                self._fabric.audit(
+                    AuditOp.MONITOR,
+                    actor=self.actor,
+                    message_id=envelope.id,
+                    outcome="error(MalformedTelemetry)",
+                )
+                continue
             origin = envelope.metadata["origin-node"]
-            value = Fraction(envelope.payload.decode("utf-8"))
             self.knowledge.add(
                 KnowledgeRecord(
                     key=f"load.{origin}",
@@ -186,10 +208,10 @@ class MapeKLoop:
             raise InsufficientData("no monitoring data in knowledge")
         findings = []
         for origin in sorted(self._origins):
-            series = self.knowledge.series(f"load.{origin}", self.window)
-            if not series:
+            windowed = self._windowed_mean(origin)
+            if windowed is None:
                 continue
-            mean = sum(series, Fraction(0)) / len(series)
+            mean, samples = windowed
             if mean > self.theta:
                 severity = (mean - self.theta) / (1 - self.theta)
                 severity = max(Fraction(0), min(Fraction(1), severity))
@@ -198,7 +220,7 @@ class MapeKLoop:
                         kind="congestion",
                         target=origin,
                         severity=severity,
-                        evidence=(f"load.{origin}", f"samples={len(series)}", f"mean={mean}"),
+                        evidence=(f"load.{origin}", f"samples={samples}", f"mean={mean}"),
                     )
                 )
         findings.sort(key=lambda f: (-f.severity, f.target))
@@ -251,11 +273,12 @@ class MapeKLoop:
         )
         return plan
 
-    def _windowed_mean(self, origin: str) -> Fraction | None:
+    def _windowed_mean(self, origin: str) -> tuple[Fraction, int] | None:
+        """Mean of an origin's last `window` loads, and how many there were."""
         series = self.knowledge.series(f"load.{origin}", self.window)
         if not series:
             return None
-        return sum(series, Fraction(0)) / len(series)
+        return sum(series, Fraction(0)) / len(series), len(series)
 
     def execute(self, plan: AdaptationPlan) -> ExecutionReport:
         """Apply actions as control envelopes, settle, verify, else roll back."""
@@ -280,7 +303,7 @@ class MapeKLoop:
         for action in plan.actions:
             after = self._windowed_mean(action.target)
             previous = before[action.target]
-            if previous is None or after is None or not after < previous:
+            if previous is None or after is None or not after[0] < previous[0]:
                 held = False
                 break
         rolled_back = False

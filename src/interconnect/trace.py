@@ -51,6 +51,7 @@ class AuditOp(str, Enum):
     SANDBOX = "sandbox"
     ROLLBACK = "rollback"
     HITL = "hitl"
+    MONITOR = "monitor"
 
 
 _OPS = {op.value: op for op in AuditOp}

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interconnect.errors import ExecutionFailed, InsufficientData, NoApplicableAction
-from interconnect.fabric import Fabric
+from interconnect.fabric import KIND_DATA, Fabric
 from interconnect.mapek import (
     Finding,
     KnowledgeBase,
@@ -44,6 +46,30 @@ def test_knowledge_series_is_windowed():
     assert len(kb) == 6
 
 
+_KEYS = ("load.a", "load.b", "finding.a", "plan.adapt-1")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_KEYS[:3]), st.integers(-5, 5)),
+        max_size=30,
+    )
+)
+def test_knowledge_series_equals_reference_scan(adds):
+    """After every add, series(k, w) equals the tail slice of a scan over
+    records() for every key (one is never added) and every window, zero
+    and negative windows included."""
+    kb = KnowledgeBase()
+    for t, (key, value) in enumerate(adds, start=1):
+        kb.add(KnowledgeRecord(key, Fraction(value), t, "monitor"))
+        assert len(kb) == t
+        for k in _KEYS:
+            values = [r.value for r in kb.records() if r.key == k]
+            for w in range(-2, 13):
+                assert kb.series(k, w) == values[-w:]
+
+
 # -- monitor ---------------------------------------------------------------------
 
 
@@ -63,6 +89,51 @@ def test_monitor_dedups_resubmitted_envelopes():
     assert loop.monitor([envelope]) == 1
     assert loop.monitor([envelope, envelope]) == 0
     assert len(loop.knowledge.series("load.core-1", 10)) == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ["not-a-number", "1/0", b"\xff"],
+    ids=["ValueError", "ZeroDivisionError", "UnicodeDecodeError"],
+)
+def test_monitor_skips_malformed_telemetry_and_audits_it(payload):
+    fabric, world, loop = make_loop()
+    fabric.register_node("rogue")
+    fabric.create_topic("telemetry/rogue/load")
+    world.step(1)
+    bad = fabric.envelope(
+        "telemetry/rogue/load", payload, kind=KIND_DATA, session="telemetry", origin="rogue"
+    )
+    fabric.publish(bad)
+    world.step(1)
+    # The bad envelope sits between two good ones; the whole batch is read.
+    assert loop.monitor() == 2
+    assert loop.knowledge.series("load.core-1", 10) == [Fraction(19, 20)] * 2
+    assert loop.knowledge.series("load.rogue", 10) == []
+    assert loop.knowledge.seen(bad.id)
+    (audit,) = fabric.audit_log.query(ops=["monitor"])
+    assert (audit.actor, audit.message_id, audit.outcome) == (
+        "mapek",
+        bad.id,
+        "error(MalformedTelemetry)",
+    )
+    # The skipped origin is not analyzed, and resubmitting it is a no-op.
+    assert [f.target for f in loop.analyze()] == ["core-1"]
+    assert loop.monitor([bad]) == 0
+    assert len(fabric.audit_log.query(ops=["monitor"])) == 1
+
+
+def test_run_loop_survives_malformed_telemetry():
+    fabric, world, loop = make_loop()
+    fabric.register_node("rogue")
+    fabric.create_topic("telemetry/rogue/load")
+    fabric.publish(
+        fabric.envelope(
+            "telemetry/rogue/load", "1/0", kind=KIND_DATA, session="telemetry", origin="rogue"
+        )
+    )
+    report = loop.run_loop()
+    assert report.converged and report.adaptations == 2
 
 
 # -- analyze ----------------------------------------------------------------------
@@ -288,3 +359,11 @@ def test_knob_step_must_contract():
     world = SimWorld(fabric)
     with pytest.raises(ValueError):
         MapeKLoop(fabric, world, knob_step=Fraction(3, 2))
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_window_must_be_positive(window):
+    fabric = Fabric()
+    world = SimWorld(fabric)
+    with pytest.raises(ValueError, match="window"):
+        MapeKLoop(fabric, world, window=window)
