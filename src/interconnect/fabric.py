@@ -500,9 +500,10 @@ class Fabric:
         Returns the delivery count. Assigns id and logical time, retains the
         envelope as the topic's latest, removes fired one-shot subscriptions
         before any handler runs, and settles tokens watching this topic.
-        Before anything is journaled, raises InvalidMetadata for missing or
-        unknown metadata and for a `|` or a line break in the id, session,
-        origin-node, model-id or detail, which would split its trace line.
+        Before anything is journaled, raises InvalidMetadata for a payload
+        that is not `bytes`, for missing or unknown metadata and for a `|` or
+        a line break in the id, session, origin-node, model-id or detail,
+        which would split its trace line.
 
         Matches are found through the topic-segment index, so a publish
         costs the subscriptions its topic can reach, not every subscription.
@@ -514,6 +515,8 @@ class Fabric:
         """
         if envelope.topic not in self._topics:
             raise UnknownTopic(f"topic {envelope.topic!r} does not exist")
+        if not isinstance(envelope.payload, bytes):
+            raise InvalidMetadata(f"payload must be bytes, got {type(envelope.payload).__name__}")
         self._validate_metadata(envelope.metadata, envelope.id)
         if not envelope.id:
             envelope.id = self._next_id("m")

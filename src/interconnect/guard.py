@@ -6,10 +6,12 @@ of executed as code. Three mechanisms gate the path from generated text to a
 live configuration change:
 
 * sandbox runs interpret the program against a disposable copy of the world
-  and check named invariants; the live state is never touched,
-* deploys require a recorded Accepted verdict and respect human-in-the-loop
-  tickets; every deploy snapshots first so rollback restores the prior
-  configuration exactly,
+  and check named invariants; the live state is never touched. Metric deltas
+  are computed for the nodes the program writes; every other key of
+  `WorldState.metrics()` carries an exact 0,
+* deploys require a recorded Accepted verdict for the same parsed program
+  and respect human-in-the-loop tickets; every deploy snapshots first so
+  rollback restores the prior configuration exactly,
 * consensus across independently generated candidates compares structural
   hashes; anything short of a strict majority escalates to a ticket.
 
@@ -121,6 +123,14 @@ def structural_hash(source: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _written_nodes(instructions: list[Instruction]) -> set[str]:
+    """Nodes a program writes: reroute writes both idents, the rest the first."""
+    written = set()
+    for ins in instructions:
+        written.update(ins.idents if ins.op == "reroute" else ins.idents[:1])
+    return written
+
+
 def _execute(instructions: list[Instruction], state: WorldState, budget: int) -> None:
     executed = 0
     for ins in instructions:
@@ -155,7 +165,12 @@ class GuardedProgram:
 
 @dataclass(frozen=True)
 class NamedInvariant:
-    """A named predicate over post-run world state."""
+    """A named predicate over post-run world state.
+
+    Invariants only read. The predicate receives the whole sandbox world, a
+    clone, so a write cannot reach live state, but the verdict's metric
+    deltas cover only the nodes the program writes.
+    """
 
     name: str
     predicate: Callable[[WorldState], bool]
@@ -298,7 +313,8 @@ class Guard:
         self._world = world
         self.policy = policy
         self.instruction_budget = instruction_budget
-        self._verdicts: dict[str, SandboxVerdict] = {}
+        # program id -> (verdict, the parsed program it judged, or None)
+        self._verdicts: dict[str, tuple[SandboxVerdict, list[Instruction] | None]] = {}
         self._deployments: dict[str, DeploymentRecord] = {}
         self._dep_count = 0
         self._book = TicketBook(ticket_store) if ticket_store else None
@@ -330,19 +346,25 @@ class Guard:
         """Interpret the program against a copy of the world and judge it.
 
         The live world is never written: the run works on a clone of
-        `model` (default: current state), see `WorldState.clone`. The
-        verdict is recorded so deploy can check it later, and rejections
-        emit planner feedback.
+        `model` (default: current state), see `WorldState.clone`. An
+        accepted verdict's `metric_deltas` equal `after.metrics() -
+        before.metrics()`, keys sorted, but only the nodes the program
+        writes are measured: every other node's keys are an exact 0, and
+        `throughput.total` is the sum of the written nodes' deltas. The
+        verdict is recorded with the parsed program so deploy can check
+        both later, and rejections emit planner feedback.
         """
         base = model if model is not None else self._world.state
         work = base.clone()
-        before = work.metrics()
+        instructions: list[Instruction] | None = None
         reason: str | None = None
         try:
             instructions = parse_program(program.source)
         except ProgramSyntaxError as exc:
             reason = exc.kind
         else:
+            written = sorted(_written_nodes(instructions) & work.nodes.keys())
+            before = [(work.utilization(n), work.throughput(n)) for n in written]
             try:
                 _execute(instructions, work, self.instruction_budget)
             except _ExecError as exc:
@@ -354,15 +376,20 @@ class Guard:
                         break
 
         if reason is None:
-            after = work.metrics()
-            deltas = {
-                key: after.get(key, Fraction(0)) - before.get(key, Fraction(0))
-                for key in sorted(set(before) | set(after))
-            }
+            zero = Fraction(0)
+            keys = [*(f"utilization.{n}" for n in work.nodes), "throughput.total"]
+            keys += (f"throughput.{n}" for n in work.nodes)
+            deltas = dict.fromkeys(sorted(keys), zero)
+            total = zero
+            for node_id, (util, served) in zip(written, before):
+                deltas[f"utilization.{node_id}"] = work.utilization(node_id) - util
+                deltas[f"throughput.{node_id}"] = work.throughput(node_id) - served
+                total += deltas[f"throughput.{node_id}"]
+            deltas["throughput.total"] = total
             verdict = SandboxVerdict(program.program_id, True, None, deltas)
         else:
             verdict = SandboxVerdict(program.program_id, False, reason)
-        self._verdicts[program.program_id] = verdict
+        self._verdicts[program.program_id] = (verdict, instructions)
         self._fabric.audit(
             AuditOp.SANDBOX,
             actor=program.author,
@@ -373,7 +400,8 @@ class Guard:
         return verdict
 
     def verdict_for(self, program_id: str) -> SandboxVerdict | None:
-        return self._verdicts.get(program_id)
+        recorded = self._verdicts.get(program_id)
+        return recorded[0] if recorded else None
 
     # -- deploy / rollback ---------------------------------------------------
 
@@ -391,20 +419,30 @@ class Guard:
             )
 
     def deploy(self, program: GuardedProgram, target: str) -> DeploymentRecord:
-        """Apply an Accepted program to the live world, snapshotting first."""
-        verdict = self._verdicts.get(program.program_id)
+        """Apply an Accepted program to the live world, snapshotting first.
+
+        The source must parse to the instructions its verdict judged;
+        formatting, comments and identifier case may differ.
+        """
+        verdict, judged = self._verdicts.get(program.program_id, (None, None))
         if verdict is None or not verdict.accepted:
             raise DeployWithoutVerdict(
                 f"no Accepted sandbox verdict recorded for {program.program_id!r}"
+            )
+        try:
+            instructions = parse_program(program.source)
+        except ProgramSyntaxError:
+            instructions = None
+        if instructions != judged:
+            raise DeployWithoutVerdict(
+                f"{program.program_id!r} differs from the program its verdict judged"
             )
         self._hitl_gate(program.program_id)
         snapshot_id = self._world.snapshot()
         before = self._world.config_hash()
         try:
-            _execute(
-                parse_program(program.source), self._world.state, self.instruction_budget
-            )
-        except (ProgramSyntaxError, _ExecError) as exc:
+            _execute(instructions, self._world.state, self.instruction_budget)
+        except _ExecError as exc:
             self._world.restore(snapshot_id)
             raise ExecutionFailed(f"{program.program_id}: {exc}") from exc
         self._dep_count += 1

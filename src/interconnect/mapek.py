@@ -171,7 +171,8 @@ class MapeKLoop:
 
         An envelope whose payload is not a UTF-8 exact number is marked seen,
         audited as `error(MalformedTelemetry)` and skipped; the rest of the
-        batch is still read.
+        batch is still read. Exponent notation counts as malformed: simnet
+        never emits it, and `1e60000` would build a 60,000-digit integer.
         """
         batch = envelopes if envelopes is not None else self._fabric.drain(self._sub_id)
         ingested = 0
@@ -180,7 +181,10 @@ class MapeKLoop:
                 continue
             self.knowledge.mark_seen(envelope.id)
             try:
-                value = Fraction(envelope.payload.decode("utf-8"))
+                text = envelope.payload.decode("utf-8")
+                if "e" in text or "E" in text:
+                    raise ValueError(f"exponent notation in {text!r}")
+                value = Fraction(text)
             except (ValueError, ZeroDivisionError):  # UnicodeDecodeError is a ValueError
                 self._fabric.audit(
                     AuditOp.MONITOR,

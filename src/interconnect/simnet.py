@@ -93,9 +93,6 @@ class WorldState:
             copied.nodes[node_id] = NodeState(dict(node.knobs), dict(node.knob_ranges), load)
         return copied
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self.nodes
-
     def get_knob(self, node_id: str, knob: str) -> Fraction:
         node = self.nodes[node_id]
         if knob not in node.knobs:

@@ -194,6 +194,24 @@ def test_publish_rejects_record_separators_in_journaled_fields(field, separator)
     assert parse_trace(fabric.journal.render()).lines() == fabric.journal.lines()
 
 
+@pytest.mark.parametrize("topic", ["telemetry/rogue/load", "managed/n0/knobs"])
+def test_publish_rejects_a_payload_that_is_not_bytes(topic):
+    # Handlers decode payloads; a str would reach them and crash the reader.
+    fabric = make_fabric("node-a")
+    fabric.create_topic(topic)
+    handled = []
+    sub_id = fabric.subscribe(
+        Subscription(Selector.parse(topic), "node-a"), handler=handled.append
+    )
+    journaled = len(fabric.journal.events)
+    rogue = data_envelope(fabric, topic)
+    rogue.payload = "1/2"
+    with pytest.raises(InvalidMetadata):
+        fabric.publish(rogue)
+    assert len(fabric.journal.events) == journaled
+    assert (rogue.id, handled, fabric.drain(sub_id)) == ("", [], [])
+
+
 def test_publish_retains_latest_envelope():
     fabric = make_fabric("node-a")
     fabric.create_topic("a/b")

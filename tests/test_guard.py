@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interconnect.errors import (
     DeployWithoutVerdict,
@@ -15,6 +17,7 @@ from interconnect.fabric import Fabric, Selector, Subscription
 from interconnect.guard import (
     Guard,
     GuardedProgram,
+    NamedInvariant,
     ProgramSyntaxError,
     TicketBook,
     TicketState,
@@ -120,6 +123,144 @@ def test_sandbox_never_touches_live_state():
     assert verdict.metric_deltas["utilization.ran-1"] == Fraction(-2, 5)
 
 
+_KNOBS = ("admission-rate", "rate-limit", "probe-rate")
+_SMALL = st.fractions(min_value=0, max_value=4, max_denominator=8)
+_VALUE = st.fractions(min_value=-1, max_value=4, max_denominator=12)
+
+
+@st.composite
+def sandbox_cases(draw):
+    """A world of 1-12 nodes, a program over it, and how to sandbox it.
+
+    Returns (nodes, source, use_model, bound): nodes are (id, knobs, load)
+    with load None or (offered, service); bound is None or the bound of a
+    `min_total_throughput` invariant.
+    """
+    nodes = []
+    for i in range(draw(st.integers(1, 12))):
+        knobs = {k: draw(_SMALL) for k in sorted(draw(st.sets(st.sampled_from(_KNOBS))))}
+        load = None
+        if draw(st.integers(0, 3)):
+            load = (draw(_SMALL), draw(st.fractions(Fraction(1, 4), 4, max_denominator=8)))
+        nodes.append((f"n{i}", knobs, load))
+    # A well-formed program names only declared knobs and loaded reroute
+    # endpoints; the others may name anything, a missing node included.
+    well_formed = draw(st.integers(0, 3)) > 0
+    anything = [(n, _KNOBS) for n, _, _ in nodes] + [("ghost", _KNOBS)]
+    with_knobs = [(n, tuple(k)) for n, k, _ in nodes if k] if well_formed else anything
+    loaded = [n for n, _, load in nodes if load] if well_formed else [n for n, _ in anything]
+    ops = ["set", "scale", "limit"] * bool(with_knobs) + ["reroute"] * bool(loaded)
+    lines = []
+    for _ in range(draw(st.integers(1, 6)) if ops else 0):
+        op = draw(st.sampled_from(ops))
+        if op == "reroute":
+            src, dst = draw(st.sampled_from(loaded)), draw(st.sampled_from(loaded))
+            lines.append(f"reroute {src} {dst} {draw(_VALUE)}")
+            continue
+        node_id, knobs = draw(st.sampled_from(with_knobs))
+        knob = draw(st.sampled_from(knobs))
+        if op == "limit":
+            lo, hi = sorted((draw(_VALUE), draw(_VALUE)))
+            lines.append(f"limit {node_id} {knob} {lo} {hi}")
+        else:
+            lines.append(f"{op} {node_id} {knob} {draw(_VALUE)}")
+    return nodes, "\n".join(lines), draw(st.booleans()), draw(st.none() | _SMALL)
+
+
+def _reference_run(state, source):
+    """The DSL's meaning through the public WorldState API, for the oracle."""
+    for ins in parse_program(source):
+        a, b = ins.idents
+        if ins.op == "reroute":
+            state.shift_load(a, b, ins.values[0])
+        elif ins.op == "set":
+            state.set_knob(a, b, ins.values[0])
+        elif ins.op == "scale":
+            state.set_knob(a, b, state.get_knob(a, b) * ins.values[0])
+        else:
+            lo, hi = ins.values
+            state.set_knob(a, b, max(lo, min(hi, state.get_knob(a, b))))
+
+
+_SELF_REROUTE = (
+    [("n0", {"rate-limit": Fraction(1, 2)}, (Fraction(3), Fraction(2)))],
+    "reroute n0 n0 1/2\nset n0 rate-limit 1",
+    False,
+    None,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sandbox_cases())
+@example(_SELF_REROUTE)
+@example((_SELF_REROUTE[0], _SELF_REROUTE[1], True, Fraction(1, 8)))
+def test_sandbox_deltas_equal_full_metrics_of_a_brute_force_clone(case):
+    """Written-node deltas equal `after.metrics() - before.metrics()` of a
+    reference run, with the same keys in the same order; rejected programs
+    carry no deltas; neither the live world nor the model moves."""
+    nodes, source, use_model, bound = case
+    fabric = Fabric()
+    world = SimWorld(fabric, seed=0)
+    for node_id, knobs, load in nodes:
+        world.spawn_node(
+            node_id, NodeKind.RIC, knobs=knobs, load=load and LoadModel(*load)
+        )
+    model = None
+    if use_model:
+        model = world.state_view()
+        for node in model.nodes.values():
+            if node.load is not None:
+                node.load.offered_load *= 2
+    base = model if model is not None else world.state
+    live_hash, base_hash = world.state_hash(), base.state_hash()
+    invariants = [] if bound is None else [min_total_throughput(bound)]
+
+    verdict = Guard(fabric, world).sandbox_run(program(source), invariants, model=model)
+
+    assert (world.state_hash(), base.state_hash()) == (live_hash, base_hash)
+    after = base.clone()
+    try:
+        _reference_run(after, source)
+    except KeyError:
+        assert (verdict.accepted, verdict.reason) == (False, "IllegalInstruction")
+        assert verdict.metric_deltas == {}
+        return
+    if bound is not None and not after.total_throughput() > bound:
+        assert not verdict.accepted
+        assert verdict.reason == f"InvariantViolation(total-throughput>{bound})"
+        assert verdict.metric_deltas == {}
+        return
+    before, after = base.metrics(), after.metrics()
+    expected = {key: after[key] - before[key] for key in sorted(before)}
+    assert verdict.accepted
+    assert list(verdict.metric_deltas.items()) == list(expected.items())
+
+
+def test_an_invariant_that_writes_cannot_reach_live_state():
+    fabric, world, guard = make_rig()
+    world.spawn_node(
+        "ran-2",
+        NodeKind.RIC,
+        knobs={"admission-rate": Fraction(1)},
+        load=LoadModel(offered_load=Fraction(1, 2)),
+    )
+    live = world.state_hash()
+
+    def meddle(state):
+        state.set_knob("ran-2", "admission-rate", Fraction(0))
+        return True
+
+    verdict = guard.sandbox_run(
+        program("set ran-1 admission-rate 1/2"), [NamedInvariant("meddles", meddle)]
+    )
+    assert verdict.accepted
+    assert world.state_hash() == live
+    assert world.state.get_knob("ran-2", "admission-rate") == Fraction(1)
+    # Invariants only read: a write to a node the program does not write is
+    # neither measured nor kept.
+    assert verdict.metric_deltas["utilization.ran-2"] == 0
+
+
 def test_sandbox_rejects_bad_programs_and_audits():
     fabric, world, guard = make_rig()
     verdict = guard.sandbox_run(program("boost ran-1 admission-rate 2"))
@@ -215,6 +356,23 @@ def test_deploy_audits_execute_and_rollback_audits_rollback():
     guard.rollback(record.deployment_id)
     assert [r.actor for r in fabric.audit_log.query(ops=["execute"])] == ["ran-1"]
     assert [r.actor for r in fabric.audit_log.query(ops=["rollback"])] == ["ran-1"]
+
+
+def test_deploy_rejects_a_source_other_than_the_one_sandboxed():
+    # A verdict judges one program: a different source deployed under the
+    # same program id must not ride on it, however harmless the first was.
+    fabric, world, guard = make_rig()
+    assert guard.sandbox_run(program("set ran-1 rate-limit 50")).accepted
+    before = world.state_hash()
+    for swapped in ("set ran-1 admission-rate 0", "boost ran-1 admission-rate 0"):
+        with pytest.raises(DeployWithoutVerdict):
+            guard.deploy(program(swapped), "ran-1")
+    assert world.state_hash() == before
+    assert fabric.audit_log.query(ops=["execute"]) == []
+    # The same instructions, reformatted, are the program that was judged.
+    record = guard.deploy(program("# reformatted\nSET Ran-1 Rate-Limit 100/2"), "ran-1")
+    assert record.status == "Applied"
+    assert world.state.get_knob("ran-1", "rate-limit") == Fraction(50)
 
 
 def test_failed_live_execution_restores_snapshot():

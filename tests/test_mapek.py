@@ -93,8 +93,8 @@ def test_monitor_dedups_resubmitted_envelopes():
 
 @pytest.mark.parametrize(
     "payload",
-    ["not-a-number", "1/0", b"\xff"],
-    ids=["ValueError", "ZeroDivisionError", "UnicodeDecodeError"],
+    ["not-a-number", "1/0", b"\xff", "1e60000", "5E-1"],
+    ids=["ValueError", "ZeroDivisionError", "UnicodeDecodeError", "Exponent", "UpperExponent"],
 )
 def test_monitor_skips_malformed_telemetry_and_audits_it(payload):
     fabric, world, loop = make_loop()
