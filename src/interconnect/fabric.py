@@ -15,17 +15,20 @@ publish, subscribe or unsubscribe.
 
 Dispatch is indexed by topic segments: `subscribe` files each subscription
 in a segment trie (exact, `*` and final `**` segments, after MQTT v5.0 topic
-filters), so a publish walks only the branches its topic can reach and then
-checks tag predicates on those candidates alone. `Selector.matches` remains
-the definition of a match: a publish reaches exactly the subscriptions whose
-selector accepts the envelope, in subscription-creation order. A
-subscription's selector is read once, at `subscribe`; assigning
+filters), so a publish walks only the branches its topic can reach. Within
+the bucket where its pattern ends, a subscription with an `eq` predicate is
+filed under its first one, by key and then value (the equality index of
+Fabret et al., SIGMOD 2001), so a publish looks up the values its metadata
+carries instead of testing every such subscription. The candidates found
+this way still have their whole predicate list checked. `Selector.matches`
+remains the definition of a match: a publish reaches exactly the
+subscriptions whose selector accepts the envelope, in subscription-creation
+order. A subscription's selector is read once, at `subscribe`; assigning
 `subscription.selector` afterwards does not change what it receives.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -43,8 +46,6 @@ from .errors import (
     UnknownTopic,
 )
 from .trace import AuditEvent, AuditOp, EnvelopeEvent, Trace, parse_trace
-
-log = logging.getLogger(__name__)
 
 # Required metadata on every envelope.
 KIND_KEY = "kind"
@@ -322,17 +323,75 @@ class _SubEntry:
     mailbox: list[MessageEnvelope] = field(default_factory=list)
 
 
+def _first_eq(selector: Selector) -> TagPredicate | None:
+    for predicate in selector.predicates:
+        if predicate.op == "eq":
+            return predicate
+    return None
+
+
+class _Bucket:
+    """Subscriptions whose pattern ends at one trie position, keyed by id.
+
+    One with an `eq` predicate is filed under its first one in `eq` (key ->
+    value -> id -> entry), the rest in `plain`. `eq` is made on the first
+    such subscription, so buckets without one cost a single dict.
+    """
+
+    __slots__ = ("plain", "eq")
+
+    def __init__(self) -> None:
+        self.plain: dict[str, _SubEntry] = {}
+        self.eq: dict[str, dict[str, dict[str, _SubEntry]]] | None = None
+
+    def __bool__(self) -> bool:
+        return bool(self.plain or self.eq)
+
+    def add(self, entry: _SubEntry) -> None:
+        predicate = _first_eq(entry.selector)
+        if predicate is None:
+            self.plain[entry.sub.id] = entry
+            return
+        if self.eq is None:
+            self.eq = {}
+        by_value = self.eq.setdefault(predicate.key, {})
+        by_value.setdefault(predicate.value, {})[entry.sub.id] = entry
+
+    def remove(self, entry: _SubEntry) -> None:
+        predicate = _first_eq(entry.selector)
+        if predicate is None:
+            del self.plain[entry.sub.id]
+            return
+        by_value = self.eq[predicate.key]
+        filed = by_value[predicate.value]
+        del filed[entry.sub.id]
+        if not filed:
+            del by_value[predicate.value]
+            if not by_value:
+                del self.eq[predicate.key]
+
+    def collect(self, metadata: dict[str, str], out: list[_SubEntry]) -> None:
+        """Append the candidates for `metadata`: every plain entry, and every
+        filed entry whose `eq` key the metadata carries with its value."""
+        out.extend(self.plain.values())
+        if self.eq:
+            for key, by_value in self.eq.items():
+                filed = by_value.get(metadata.get(key))
+                if filed:
+                    out.extend(filed.values())
+
+
 class _TopicNode:
-    """One trie level: children by exact segment (and `*`), plus the
-    subscriptions whose pattern ends here (`here`) or ends here in a final
-    `**` (`tail`), each keyed by subscription id."""
+    """One trie level: children by exact segment (and `*`), plus the bucket
+    of subscriptions whose pattern ends here (`here`) or ends here in a
+    final `**` (`tail`)."""
 
     __slots__ = ("children", "here", "tail")
 
     def __init__(self) -> None:
         self.children: dict[str, _TopicNode] = {}
-        self.here: dict[str, _SubEntry] = {}
-        self.tail: dict[str, _SubEntry] = {}
+        self.here = _Bucket()
+        self.tail = _Bucket()
 
 
 def _pattern_path(pattern: str) -> tuple[list[str], bool]:
@@ -346,6 +405,9 @@ def _pattern_path(pattern: str) -> tuple[list[str], bool]:
 
 
 _by_seq = attrgetter("seq")
+# Read per delivery; taking a member off its enum class costs about 0.15 us.
+_DELIVER = AuditOp.DELIVER
+_ONE_SHOT = SubscriptionMode.ONE_SHOT
 
 
 @dataclass(eq=False)
@@ -481,7 +543,11 @@ class Fabric:
         return MessageEnvelope(topic=topic, payload=body, metadata=metadata)
 
     def _validate_metadata(self, metadata: dict[str, str], envelope_id: str) -> None:
-        """Reject what cannot be journaled as one well-formed record."""
+        """Reject what cannot be journaled as one well-formed record, or
+        matched: predicates and the `eq` index read values as strings."""
+        for key, value in metadata.items():
+            if not isinstance(value, str):
+                raise InvalidMetadata(f"metadata {key!r} is not a str: {value!r}")
         for key in REQUIRED_METADATA:
             if not metadata.get(key):
                 raise InvalidMetadata(f"missing required metadata key {key!r}")
@@ -489,9 +555,11 @@ class Fabric:
             raise InvalidMetadata(f"unknown message kind {metadata[KIND_KEY]!r}")
         for key in _JOURNALED_METADATA:
             value = metadata.get(key)
-            if value is not None and _RECORD_BREAK.search(str(value)):
+            if value is not None and _RECORD_BREAK.search(value):
                 raise InvalidMetadata(f"metadata {key!r} holds a record separator: {value!r}")
-        if _RECORD_BREAK.search(str(envelope_id)):
+        if not isinstance(envelope_id, str):
+            raise InvalidMetadata(f"message id {envelope_id!r} is not a str")
+        if _RECORD_BREAK.search(envelope_id):
             raise InvalidMetadata(f"message id {envelope_id!r} holds a record separator")
 
     def publish(self, envelope: MessageEnvelope) -> int:
@@ -501,9 +569,10 @@ class Fabric:
         envelope as the topic's latest, removes fired one-shot subscriptions
         before any handler runs, and settles tokens watching this topic.
         Before anything is journaled, raises InvalidMetadata for a payload
-        that is not `bytes`, for missing or unknown metadata and for a `|` or
-        a line break in the id, session, origin-node, model-id or detail,
-        which would split its trace line.
+        that is not `bytes`, for an id or a metadata value that is not a
+        `str`, for missing or unknown metadata and for a `|` or a line break
+        in the id, session, origin-node, model-id or detail, which would
+        split its trace line.
 
         Matches are found through the topic-segment index, so a publish
         costs the subscriptions its topic can reach, not every subscription.
@@ -536,32 +605,38 @@ class Fabric:
                 detail=envelope.metadata.get("detail"),
             )
         )
+        model_id = envelope.metadata.get("model-id")
         self.audit(
             AuditOp.PUBLISH,
             actor=envelope.metadata[ORIGIN_KEY],
             message_id=envelope.id,
-            model_id=envelope.metadata.get("model-id"),
+            model_id=model_id,
         )
 
+        # One pass over the matches: drop fired one-shots, fill mailboxes and
+        # journal the deliver records, each at the next seq and tick, as
+        # `audit` would.
         matched = self._matching(envelope.topic, envelope.metadata)
+        seq, now = self._audit_seq, self._now
+        journal = self.journal.events
+        handlers: list[Callable[[MessageEnvelope], None]] = []
         for entry in matched:
-            if entry.sub.mode is SubscriptionMode.ONE_SHOT:
-                del self._subs[entry.sub.id]
+            sub = entry.sub
+            if sub.mode is _ONE_SHOT:
+                del self._subs[sub.id]
                 self._unindex(entry)
-        callbacks: list[Callable[[], None]] = []
-        for entry in matched:
             entry.mailbox.append(envelope)
-            self.audit(
-                AuditOp.DELIVER,
-                actor=entry.sub.subscriber_node,
-                message_id=envelope.id,
-                model_id=envelope.metadata.get("model-id"),
+            seq += 1
+            now += 1
+            journal.append(
+                AuditEvent(seq, now, _DELIVER, sub.subscriber_node, envelope.id, model_id, "ok")
             )
             if entry.handler is not None:
-                handler = entry.handler
-                callbacks.append(lambda h=handler, e=envelope: h(e))
+                handlers.append(entry.handler)
+        self._audit_seq, self._now = seq, now
         self._retained[envelope.topic] = envelope
 
+        settled: list[tuple[Callable[[CompletionToken], None], CompletionToken]] = []
         watches = self._watches.pop(envelope.topic, None)
         if watches:
             still: list[_TokenWatch] = []
@@ -574,33 +649,36 @@ class Fabric:
                     continue
                 error = envelope.metadata.get("error")
                 if error:
-                    settled = watch.token._settle(TokenState.FAILED, envelope, error)
+                    callbacks = watch.token._settle(TokenState.FAILED, envelope, error)
                 else:
-                    settled = watch.token._settle(TokenState.NOTIFIED, envelope, None)
-                token = watch.token
-                callbacks.extend(lambda cb=cb, t=token: cb(t) for cb in settled)
+                    callbacks = watch.token._settle(TokenState.NOTIFIED, envelope, None)
+                settled.extend((callback, watch.token) for callback in callbacks)
             if still:
                 self._watches[envelope.topic] = still
 
-        for callback in callbacks:
-            callback()
+        for handler in handlers:
+            handler(envelope)
+        for callback, token in settled:
+            callback(token)
         return len(matched)
 
     def _matching(self, topic: str, metadata: dict[str, str]) -> list[_SubEntry]:
         """Subscriptions accepting `topic` and `metadata`, in creation order.
 
         Walks the index along the topic's segments, following the exact and
-        the `*` child at each level and collecting every `**` bucket passed;
-        only the patterns reached this way have their predicates checked.
+        the `*` child at each level and collecting every `**` bucket passed.
+        Each bucket yields its plain entries and the entries filed under the
+        `eq` values the metadata carries; only those candidates have their
+        predicates checked.
         """
         segments = topic.split("/")
         candidates: list[_SubEntry] = []
         frontier = [(self._index, 0)]
         while frontier:
             node, depth = frontier.pop()
-            candidates.extend(node.tail.values())
+            node.tail.collect(metadata, candidates)
             if depth == len(segments):
-                candidates.extend(node.here.values())
+                node.here.collect(metadata, candidates)
                 continue
             for key in (segments[depth], "*"):
                 child = node.children.get(key)
@@ -624,7 +702,7 @@ class Fabric:
             if child is None:
                 child = node.children[segment] = _TopicNode()
             node = child
-        (node.tail if tail else node.here)[entry.sub.id] = entry
+        (node.tail if tail else node.here).add(entry)
 
     def _unindex(self, entry: _SubEntry) -> None:
         """Remove an entry from the index, pruning nodes left empty."""
@@ -632,7 +710,7 @@ class Fabric:
         trail = [self._index]
         for segment in path:
             trail.append(trail[-1].children[segment])
-        del (trail[-1].tail if tail else trail[-1].here)[entry.sub.id]
+        (trail[-1].tail if tail else trail[-1].here).remove(entry)
         for depth in range(len(path), 0, -1):
             node = trail[depth]
             if node.children or node.here or node.tail:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -27,6 +26,7 @@ from .errors import DuplicateNode
 from .fabric import (
     KIND_DATA,
     KIND_INFERENCE_RESULT,
+    AuditOp,
     Fabric,
     MessageEnvelope,
     Selector,
@@ -35,10 +35,10 @@ from .fabric import (
     SubscriptionMode,
 )
 
-log = logging.getLogger(__name__)
-
 ADMISSION_KNOB = "admission-rate"
 RATE_LIMIT_KNOB = "rate-limit"
+# Metric suffix of the world total; no node may take it as its id.
+TOTAL = "total"
 
 DEFAULT_KNOB_RANGES: dict[str, tuple[Fraction, Fraction]] = {
     ADMISSION_KNOB: (Fraction(0), Fraction(1)),
@@ -147,7 +147,7 @@ class WorldState:
         for node_id in sorted(self.nodes):
             out[f"utilization.{node_id}"] = self.utilization(node_id)
             out[f"throughput.{node_id}"] = self.throughput(node_id)
-        out["throughput.total"] = self.total_throughput()
+        out[f"throughput.{TOTAL}"] = self.total_throughput()
         return out
 
     def config_hash(self) -> str:
@@ -207,9 +207,21 @@ class SimWorld:
         hosted_models: tuple[str, ...] = (),
         jitter: bool = False,
     ) -> None:
-        """Add a node; registers it with the fabric and wires its topics."""
+        """Add a node; registers it with the fabric and wires its topics.
+
+        The id must be one topic segment (see `Fabric.create_topic`) other
+        than `total`, whose metric keys would collide with the world total
+        in `WorldState.metrics()`. Raises DuplicateNode for an id already
+        spawned and ValueError for a bad one, before anything is added.
+        """
         if node_id in self._runtimes:
             raise DuplicateNode(f"node {node_id!r} already exists")
+        if node_id == TOTAL:
+            raise ValueError(f"node id {TOTAL!r} is reserved for the world total")
+        if "/" in node_id:
+            raise ValueError(f"node id {node_id!r} must be a single topic segment")
+        control_topic = f"managed/{node_id}/knobs"
+        self.fabric.create_topic(control_topic)  # rejects a bad segment
         ranges = dict(DEFAULT_KNOB_RANGES)
         if knob_ranges:
             ranges.update(knob_ranges)
@@ -223,8 +235,6 @@ class SimWorld:
         self.state.nodes[node_id] = node_state
         self._runtimes[node_id] = runtime
 
-        control_topic = f"managed/{node_id}/knobs"
-        self.fabric.create_topic(control_topic)
         self.fabric.subscribe(
             Subscription(
                 selector=Selector(control_topic),
@@ -252,7 +262,25 @@ class SimWorld:
     # -- control & stepping -----------------------------------------------------
 
     def _apply_control(self, node_id: str, envelope: MessageEnvelope) -> None:
-        for assignment in envelope.payload.decode("utf-8").split(";"):
+        """Apply `knob=value; ...` assignments. Each one naming no declared
+        knob or holding no exact number is skipped and audited as `execute`
+        with `error(BadControlAssignment)`, and so is a payload that is not
+        UTF-8, once; the other assignments still apply."""
+
+        def reject() -> None:
+            self.fabric.audit(
+                AuditOp.EXECUTE,
+                actor=node_id,
+                message_id=envelope.id,
+                outcome="error(BadControlAssignment)",
+            )
+
+        try:
+            text = envelope.payload.decode("utf-8")
+        except UnicodeDecodeError:
+            reject()
+            return
+        for assignment in text.split(";"):
             assignment = assignment.strip()
             if not assignment:
                 continue
@@ -260,7 +288,7 @@ class SimWorld:
             try:
                 self.state.set_knob(node_id, knob.strip(), Fraction(raw.strip()))
             except (KeyError, ValueError, ZeroDivisionError):
-                log.warning("ignored bad control assignment %r for %s", assignment, node_id)
+                reject()
 
     def step(self, ticks: int = 1) -> None:
         """Advance the world; handlers run per tick in node-id order."""
@@ -298,7 +326,13 @@ class SimWorld:
     def _reply(self, runtime: _NodeRuntime, model_id: str, request: MessageEnvelope) -> None:
         result_topic = request.metadata.get("result-topic")
         if not result_topic:
-            log.warning("request %s carries no result-topic; dropped", request.id)
+            self.fabric.audit(
+                AuditOp.PARTICIPATE_INFERENCE,
+                actor=runtime.node_id,
+                message_id=request.id,
+                model_id=model_id,
+                outcome="error(MissingResultTopic)",
+            )
             return
         self.fabric.create_topic(result_topic)
         session = request.metadata["session"]

@@ -8,7 +8,10 @@ serialize one record per line, pipe-separated, `-` for absent fields:
     M|<logicalTime>|<topic>|<kind>|<session>|<origin-node>|<id>|<detail>
 
 An `A` line is the fabric's audit record itself (`AuditEvent`); the audit
-flush format is the same line without its `A|` tag.
+flush format is the same line without its `A|` tag. Both record types are
+immutable named tuples: cheap to build on the publish path, compared and
+hashed by value, and the garbage collector stops tracking an `EnvelopeEvent`,
+which holds only strings, ints and `None`.
 
 Comparison is structural: message ids in both traces are canonicalized by
 order of first appearance before diffing, so id-assignment drift between
@@ -20,6 +23,7 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import GoldenParseError
 
@@ -57,8 +61,7 @@ class AuditOp(str, Enum):
 _OPS = {op.value: op for op in AuditOp}
 
 
-@dataclass(frozen=True)
-class AuditEvent:
+class AuditEvent(NamedTuple):
     """One audit record: the fabric's audit log and the trace's `A` line."""
 
     seq: int
@@ -91,8 +94,7 @@ class AuditEvent:
         return self.render()[2:]
 
 
-@dataclass(frozen=True)
-class EnvelopeEvent:
+class EnvelopeEvent(NamedTuple):
     """Summary of one accepted envelope."""
 
     logical_time: int

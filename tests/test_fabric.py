@@ -29,6 +29,7 @@ from interconnect.fabric import (
     parse_audit_line,
 )
 from interconnect.registry import ModelRegistry, parse_descriptor
+from interconnect.scenarios import run_scenario
 from interconnect.trace import AuditEvent, EnvelopeEvent, parse_trace
 
 
@@ -212,6 +213,26 @@ def test_publish_rejects_a_payload_that_is_not_bytes(topic):
     assert (rogue.id, handled, fabric.drain(sub_id)) == ("", [], [])
 
 
+@pytest.mark.parametrize("selector", ["a/b zone=n", "a/b zone~=n"])
+def test_publish_rejects_an_id_or_metadata_value_that_is_not_a_str(selector):
+    # Predicates and the eq index read values as strings: an int or a list
+    # would raise partway through the publish, after it was journaled.
+    fabric = make_fabric("node-a")
+    fabric.create_topic("a/b")
+    sub_id = fabric.subscribe(Subscription(Selector.parse(selector), "node-a"))
+    journaled = len(fabric.journal.events)
+    for value in (5, ["n"]):
+        with pytest.raises(InvalidMetadata, match="not a str"):
+            fabric.publish(data_envelope(fabric, "a/b", extra={"zone": value}))
+    # An int id would be journaled and then fail `journal.render()`.
+    bad_id = data_envelope(fabric, "a/b", extra={"zone": "n"})
+    bad_id.id = 5
+    with pytest.raises(InvalidMetadata, match="not a str"):
+        fabric.publish(bad_id)
+    assert len(fabric.journal.events) == journaled
+    assert fabric.drain(sub_id) == []
+
+
 def test_publish_retains_latest_envelope():
     fabric = make_fabric("node-a")
     fabric.create_topic("a/b")
@@ -318,12 +339,17 @@ _patterns = st.one_of(
     _pattern_segments.map(lambda segments: "/".join(segments + ["**"])),
     st.just("a/**/b"),
 )
+_NORTH = TagPredicate("zone", "eq", "north")
+_SOUTH = TagPredicate("zone", "eq", "south")
+_NOT_X = TagPredicate("kind", "neq", "x")
+_B_SOUTH = Selector("a/b", (_SOUTH,))
 _predicates = st.sampled_from(
     [
         TagPredicate("session", "eq", "s1"),
         TagPredicate("session", "neq", "s1"),
         TagPredicate("session", "prefix", "s"),
-        TagPredicate("zone", "eq", "north"),
+        _NORTH,
+        _SOUTH,
         TagPredicate("zone", "neq", "north"),
         TagPredicate("zone", "prefix", "no"),
         TagPredicate("kind", "eq", "data"),
@@ -332,7 +358,12 @@ _predicates = st.sampled_from(
 _selectors = st.builds(Selector, _patterns, st.lists(_predicates, max_size=2).map(tuple))
 _handler_actions = st.one_of(
     st.none(),
-    st.tuples(st.just("subscribe"), _selectors, st.booleans()),
+    st.tuples(
+        st.just("subscribe"),
+        _selectors,
+        st.booleans(),
+        st.none() | st.integers(min_value=0, max_value=50),
+    ),
     st.tuples(st.just("unsubscribe"), st.integers(min_value=0, max_value=50)),
 )
 _operations = st.lists(
@@ -366,11 +397,36 @@ _operations = st.lists(
         ("publish", "s1", None),
     ]
 )
+@example(
+    [
+        ("subscribe", Selector("a/*", (_NORTH, _SOUTH)), False, None, None),
+        ("subscribe", Selector("a/*", (_NOT_X, _SOUTH)), False, None, None),
+        ("subscribe", Selector("a/**", (_SOUTH,)), True, None, None),
+        ("subscribe", Selector("**", (_NORTH,)), False, None, None),
+        ("publish", "s1", "south"),
+        ("publish", "s1", "north"),
+    ]
+)
+@example(
+    [
+        ("subscribe", Selector("a/b", (_NORTH,)), False, None, None),
+        ("subscribe", Selector("a/b"), False, None, ("subscribe", _B_SOUTH, False, 0)),
+        ("subscribe", Selector("a/b"), False, None, ("unsubscribe", 0)),
+        ("publish", "s1", "north"),
+        ("publish", "s1", "south"),
+    ]
+)
 def test_indexed_dispatch_equals_reference_scan(operations):
     """Delivered ids and their order equal a Selector.matches scan over the
     live subscriptions in creation order (dict order, as re-subscribing under
     an existing id keeps its place), through one-shots, re-subscribes,
-    unsubscribes and (un)subscribes made from inside handlers."""
+    unsubscribes and (un)subscribes made from inside handlers. Unsubscribing
+    the rest afterwards empties the index.
+
+    The examples pin the `eq` filing: two values on one key, two `eq`
+    predicates on one key that no envelope satisfies, an `eq` after a
+    non-`eq` predicate, and an `eq`-filed subscription moved to another
+    value and then unsubscribed from inside handlers."""
     fabric = make_fabric("pub", "sub")
     for topic in _TOPICS:
         fabric.create_topic(topic)
@@ -385,8 +441,10 @@ def test_indexed_dispatch_equals_reference_scan(operations):
         def handler(envelope):
             events.append(("deliver", subscription.id))
             if action is not None and action[0] == "subscribe":
-                new_id = subscribe(action[1], action[2])
-                events.append(("subscribed", new_id, action[1], action[2]))
+                _, new_selector, new_one_shot, reuse = action
+                reused = issued[reuse % len(issued)] if reuse is not None else ""
+                new_id = subscribe(new_selector, new_one_shot, reused)
+                events.append(("subscribed", new_id, new_selector, new_one_shot))
             elif action is not None:
                 target = issued[action[1] % len(issued)]
                 try:
@@ -437,6 +495,31 @@ def test_indexed_dispatch_equals_reference_scan(operations):
                     elif event[0] == "unsubscribed":
                         assert event[2] is (event[1] in reference)
                         reference.pop(event[1], None)
+    # Once every subscription has left, nothing of the index is left behind.
+    for sub_id in list(reference):
+        fabric.unsubscribe(sub_id)
+    root = fabric._index
+    assert not (root.children or root.here or root.tail)
+
+
+def test_eq_filing_tests_only_the_subscriptions_filed_under_the_value(monkeypatch):
+    fabric = make_fabric("pub")
+    fabric.create_topic("telemetry/n1/load")
+    for k in range(32):
+        fabric.register_node(f"alarm-{k}")
+        fabric.subscribe(
+            Subscription(Selector.parse(f"telemetry/*/load origin-node=n{k}"), f"alarm-{k}")
+        )
+    calls = []
+    holds = TagPredicate.holds
+
+    def counted(self, metadata):
+        calls.append(self)
+        return holds(self, metadata)
+
+    monkeypatch.setattr(TagPredicate, "holds", counted)
+    assert fabric.publish(data_envelope(fabric, "telemetry/n1/load", origin="n1")) == 1
+    assert calls == [TagPredicate("origin-node", "eq", "n1")]
 
 
 def test_selector_is_read_once_at_subscribe():
@@ -504,6 +587,31 @@ def test_audit_line_round_trip():
         parse_audit_line("1|2|publish|node-a|-|-")
     with pytest.raises(ValueError):
         parse_audit_line("1|2|frobnicate|node-a|-|-|ok")
+
+
+def test_audit_line_round_trip_over_a_packaged_scenario():
+    records = run_scenario("agri-inference").audit_events()
+    assert len({r.op for r in records}) > 4
+    for record in records:
+        parsed = parse_audit_line(record.to_line())
+        assert type(parsed) is AuditEvent and parsed == record
+
+
+def test_journal_records_are_immutable():
+    fabric = make_fabric("node-a", "node-b")
+    fabric.create_topic("a/b")
+    fabric.subscribe(Subscription(Selector.parse("a/b"), "node-b"))
+    fabric.publish(data_envelope(fabric, "a/b"))
+    events = fabric.journal.events
+    assert [type(e).__name__ for e in events] == [
+        "AuditEvent", "EnvelopeEvent", "AuditEvent", "AuditEvent"
+    ]
+    for event in events:
+        with pytest.raises(AttributeError):
+            event.logical_time = 0
+        with pytest.raises(AttributeError):
+            event.extra = "x"
+    assert [e.logical_time for e in events] == [1, 2, 3, 4]
 
 
 def test_parse_audit_line_rejects_more_than_one_record():

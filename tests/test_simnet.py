@@ -9,6 +9,7 @@ from interconnect.errors import DuplicateNode
 from interconnect.fabric import Fabric, Selector, Subscription, TokenState
 from interconnect.registry import ModelRegistry, parse_descriptor
 from interconnect.simnet import LoadModel, NodeKind, SimWorld, WorldState
+from interconnect.trace import AuditOp
 
 
 def make_world():
@@ -39,6 +40,25 @@ def test_spawn_rejects_duplicate_ids():
     loaded_node(world)
     with pytest.raises(DuplicateNode):
         loaded_node(world)
+
+
+@pytest.mark.parametrize("node_id", ["total", "ran/1", "Ran-1", ""])
+def test_spawn_rejects_a_bad_node_id_before_adding_anything(node_id):
+    # `total` would put its throughput under the world total's metric key;
+    # `ran/1` would publish where `telemetry/*/load` never looks; `Ran-1`
+    # and `` are no topic segment, and a half-added node would make every
+    # later step raise UnknownTopic.
+    world = make_world()
+    with pytest.raises(ValueError):
+        world.spawn_node(
+            node_id, NodeKind.UE_GEN, load=LoadModel(offered_load=Fraction(1, 2))
+        )
+    assert world.node_ids() == [] and world.fabric.topics() == []
+    world.step(1)
+    loaded_node(world, "ran-1", offered="1/4")
+    metrics = world.state.metrics()
+    assert metrics["throughput.total"] == Fraction(1, 4)
+    assert sorted(metrics) == ["throughput.ran-1", "throughput.total", "utilization.ran-1"]
 
 
 def test_spawn_wires_control_and_telemetry_topics():
@@ -154,6 +174,40 @@ def test_bad_control_assignments_are_ignored():
         )
     )
     assert world.state.get_knob("cell-1", "admission-rate") == Fraction(1, 2)
+
+
+def test_bad_control_assignments_are_audited():
+    world = make_world()
+    loaded_node(world)
+    envelope = world.fabric.envelope(
+        "managed/cell-1/knobs",
+        "ghost-knob=1; admission-rate=not-a-number; admission-rate=1/2",
+        kind="control",
+        session="ops",
+        origin="operator",
+    )
+    world.fabric.publish(envelope)
+    errors = world.fabric.audit_log.query(ops=[AuditOp.EXECUTE])
+    assert [(r.actor, r.message_id, r.outcome) for r in errors] == [
+        ("cell-1", envelope.id, "error(BadControlAssignment)")
+    ] * 2
+    assert world.state.get_knob("cell-1", "admission-rate") == Fraction(1, 2)
+
+
+def test_control_payload_that_is_not_utf8_is_audited():
+    world = make_world()
+    loaded_node(world)
+    envelope = world.fabric.envelope(
+        "managed/cell-1/knobs", b"\xff\xfe", kind="control", session="ops", origin="operator"
+    )
+    assert world.fabric.publish(envelope) == 1
+    record = world.fabric.journal.events[-1]
+    assert (record.op, record.message_id, record.outcome) == (
+        AuditOp.EXECUTE,
+        envelope.id,
+        "error(BadControlAssignment)",
+    )
+    assert world.state.get_knob("cell-1", "admission-rate") == Fraction(1)
 
 
 # -- world state accounting ----------------------------------------------------------
@@ -283,6 +337,27 @@ def test_fail_next_requests_produces_error_replies():
     assert first.failure == "model-unavailable"
     second = ask()
     assert second.state is TokenState.NOTIFIED
+
+
+def test_request_without_result_topic_is_audited_and_dropped():
+    world = make_world()
+    host_forecaster(world)
+    request_topic = "models/forecaster/requests"
+    request = world.fabric.envelope(
+        request_topic, b"x", kind="data", session="s1", origin="edge-1", model_id="forecaster"
+    )
+    world.fabric.publish(request)
+    published = len(world.fabric.journal.envelope_events())
+    world.step(1)
+    assert len(world.fabric.journal.envelope_events()) == published
+    record = world.fabric.journal.events[-1]
+    assert (record.op, record.actor, record.message_id, record.model_id, record.outcome) == (
+        AuditOp.PARTICIPATE_INFERENCE,
+        "edge-1",
+        request.id,
+        "forecaster",
+        "error(MissingResultTopic)",
+    )
 
 
 # -- snapshots ------------------------------------------------------------------------------
