@@ -20,6 +20,7 @@ from .errors import (
     MissingField,
     ScenarioAssertionFailed,
     TicketClosed,
+    TicketStoreCorrupt,
     UnknownScenario,
     UnknownTicket,
 )
@@ -189,24 +190,26 @@ def guard_main(argv: list[str] | None = None) -> int:
         return 2
 
     book = TicketBook(args.store)
-    if args.action == "list":
-        tickets = book.load()
-        for ticket_id in sorted(tickets):
-            ticket = tickets[ticket_id]
-            note = f" note={ticket.note}" if ticket.note else ""
-            print(
-                f"{ticket.ticket_id} {ticket.state.value} "
-                f"reason={ticket.reason} subject={ticket.subject}{note}"
-            )
-        return 0
-
     decision = TicketState.APPROVED if args.action == "approve" else TicketState.DENIED
     try:
-        ticket = book.resolve(args.ticket_id, decision, note=args.note)
+        if args.action != "list":
+            ticket = book.resolve(args.ticket_id, decision, note=args.note)
+            print(f"{ticket.ticket_id} {ticket.state.value}")
+            return 0
+        tickets = book.load()
+    except TicketStoreCorrupt as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (UnknownTicket, TicketClosed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"{ticket.ticket_id} {ticket.state.value}")
+    for ticket_id in sorted(tickets):
+        ticket = tickets[ticket_id]
+        note = f" note={ticket.note}" if ticket.note else ""
+        print(
+            f"{ticket.ticket_id} {ticket.state.value} "
+            f"reason={ticket.reason} subject={ticket.subject}{note}"
+        )
     return 0
 
 

@@ -39,10 +39,6 @@ class EmptyObjective(InterconnectError):
     """participateLearning called with an empty objective."""
 
 
-class NoSatisfyingBackend(InterconnectError):
-    """No backend profile satisfies the requested guarantees."""
-
-
 # --- registry -------------------------------------------------------------
 
 
@@ -174,6 +170,10 @@ class TicketClosed(InterconnectError):
 
 class UnknownTicket(InterconnectError):
     """No ticket with that id."""
+
+
+class TicketStoreCorrupt(InterconnectError):
+    """A ticket store line is not a well-formed ticket event."""
 
 
 # --- simnet ---------------------------------------------------------------

@@ -40,7 +40,6 @@ from .errors import (
     GoldenParseError,
     InvalidMetadata,
     NoEligibleModel,
-    NoSatisfyingBackend,
     SelectorSyntax,
     UnknownNode,
     UnknownTopic,
@@ -55,6 +54,8 @@ REQUIRED_METADATA = (KIND_KEY, SESSION_KEY, ORIGIN_KEY)
 # Metadata copied into journal records, which are `|`-separated lines.
 _JOURNALED_METADATA = (SESSION_KEY, ORIGIN_KEY, "model-id", "detail")
 _RECORD_BREAK = re.compile(r"[|\r\n]")
+# The ids publish mints; a caller-set id may not take one.
+_MINTED_ID = re.compile(r"m[0-9]+")
 
 KIND_DATA = "data"
 KIND_PROMPT = "prompt"
@@ -289,31 +290,6 @@ def parse_audit_line(line: str) -> AuditEvent:
     return events[0]
 
 
-@dataclass(frozen=True)
-class BackendProfile:
-    """One transport option in the backend table."""
-
-    name: str
-    guarantees: frozenset[str]
-    max_latency_budget: int  # ticks
-
-
-@dataclass(frozen=True)
-class InteractionSpec:
-    """What a flow needs from its transport."""
-
-    participants: tuple[str, ...]
-    realtime: bool = False
-    guarantees: frozenset[str] = frozenset()
-
-
-DEFAULT_PROFILES = (
-    BackendProfile("mesh-rt", frozenset({"ordered", "at-most-once"}), 2),
-    BackendProfile("stream-log", frozenset({"ordered", "at-least-once", "durable"}), 8),
-    BackendProfile("batch-queue", frozenset({"at-least-once", "durable"}), 20),
-)
-
-
 @dataclass
 class _SubEntry:
     sub: Subscription
@@ -421,7 +397,7 @@ class _TokenWatch:
 class Fabric:
     """The message fabric: topics, subscriptions, tokens, audit, journal."""
 
-    def __init__(self, profiles: tuple[BackendProfile, ...] | None = None):
+    def __init__(self) -> None:
         self._topics: set[str] = set()
         self._nodes: set[str] = set()
         self._subs: dict[str, _SubEntry] = {}
@@ -430,11 +406,10 @@ class Fabric:
         self._now = 0
         self._audit_seq = 0
         self._counters = {"m": 0, "s": 0, "tok": 0}
-        self._seen_ids: set[str] = set()
+        self._seen_ids: set[str] = set()  # caller-set ids already published
         self._retained: dict[str, MessageEnvelope] = {}
         self._watches: dict[str, list[_TokenWatch]] = {}
         self._model_hosts: dict[str, str] = {}
-        self._profiles = tuple(profiles) if profiles is not None else DEFAULT_PROFILES
         self.journal = Trace()
         self.audit_log = AuditLog(self.journal)
         self.registry = None  # attached by ModelRegistry
@@ -572,7 +547,10 @@ class Fabric:
         that is not `bytes`, for an id or a metadata value that is not a
         `str`, for missing or unknown metadata and for a `|` or a line break
         in the id, session, origin-node, model-id or detail, which would
-        split its trace line.
+        split its trace line. A caller-set id of the form `m<digits>` is
+        rejected as reserved, and one already published as a duplicate;
+        minted ids are unique by their counter, so only caller-set ids are
+        remembered.
 
         Matches are found through the topic-segment index, so a publish
         costs the subscriptions its topic can reach, not every subscription.
@@ -589,9 +567,12 @@ class Fabric:
         self._validate_metadata(envelope.metadata, envelope.id)
         if not envelope.id:
             envelope.id = self._next_id("m")
-        if envelope.id in self._seen_ids:
+        elif _MINTED_ID.fullmatch(envelope.id):
+            raise InvalidMetadata(f"message id {envelope.id!r} is reserved for minted ids")
+        elif envelope.id in self._seen_ids:
             raise InvalidMetadata(f"duplicate message id {envelope.id!r}")
-        self._seen_ids.add(envelope.id)
+        else:
+            self._seen_ids.add(envelope.id)
         envelope.logical_time = self._tick()
 
         self.journal.append(
@@ -903,22 +884,3 @@ class Fabric:
         )
         self.registry.contribute_learning(model_id, data, objective)
         return token
-
-    # -- backend selection ---------------------------------------------------
-
-    def select_backend(self, interaction: InteractionSpec) -> BackendProfile:
-        """Pick the lowest-latency profile covering the requested guarantees.
-
-        Ranking is (maxLatencyBudget, name); the realtime flag rides along in
-        the interaction spec but adds nothing beyond the latency-first order.
-        """
-        if not interaction.participants:
-            raise ValueError("interaction spec needs at least one participant")
-        candidates = [
-            p for p in self._profiles if interaction.guarantees <= p.guarantees
-        ]
-        if not candidates:
-            raise NoSatisfyingBackend(
-                f"no profile satisfies guarantees {sorted(interaction.guarantees)}"
-            )
-        return min(candidates, key=lambda p: (p.max_latency_budget, p.name))

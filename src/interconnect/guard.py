@@ -34,6 +34,7 @@ from .errors import (
     DeployWithoutVerdict,
     ExecutionFailed,
     TicketClosed,
+    TicketStoreCorrupt,
     UnknownDeployment,
     UnknownTicket,
 )
@@ -237,54 +238,91 @@ class HitlTicket:
     note: str = ""
 
 
-class TicketBook:
-    """Append-only ndjson persistence for tickets, shared with the CLI."""
+# event -> the str fields its record must carry
+_TICKET_EVENT_FIELDS = {
+    "open": ("ticket", "reason", "subject"),
+    "resolve": ("ticket", "decision", "note"),
+}
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+
+class TicketBook:
+    """The append-only ticket event log, the one place tickets live.
+
+    With a path, the log is an ndjson file shared with the `guard tickets`
+    CLI and every guard on the same store, and each read folds the file
+    afresh, so a ticket opened or resolved elsewhere counts at the next
+    read. Without one, the log is an in-memory list and no read touches a
+    file.
+    """
+
+    def __init__(self, path: str | Path | None = None):
+        self.path = Path(path) if path else None
+        self._lines: list[str] = []
 
     def append(self, event: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+        line = json.dumps(event, sort_keys=True)
+        if self.path is None:
+            self._lines.append(line)
+        else:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
 
     def load(self) -> dict[str, HitlTicket]:
-        """Fold the event log into current ticket states."""
+        """Fold the event log into current ticket states.
+
+        Raises TicketStoreCorrupt, naming the line, for a line that is not
+        an open or resolve event with its fields as strings, and for a
+        resolve of a ticket no earlier line opened.
+        """
+        lines: list[str | bytes] = self._lines  # empty when the log is a file
+        if self.path is not None and self.path.exists():
+            lines = self.path.read_bytes().split(b"\n")
         tickets: dict[str, HitlTicket] = {}
-        if not self.path.exists():
-            return tickets
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
                 event = json.loads(line)
-                if event["event"] == "open":
-                    tickets[event["ticket"]] = HitlTicket(
-                        ticket_id=event["ticket"],
-                        reason=event["reason"],
-                        subject=event["subject"],
-                    )
-                elif event["event"] == "resolve":
-                    ticket = tickets.get(event["ticket"])
-                    if ticket is not None:
-                        ticket.state = TicketState(event["decision"])
-                        ticket.note = event.get("note", "")
+            except ValueError:  # not JSON, or not UTF-8
+                event = None
+            kind = event.get("event") if isinstance(event, dict) else None
+            fields = _TICKET_EVENT_FIELDS.get(kind)
+            ok = fields is not None and all(isinstance(event.get(f), str) for f in fields)
+            if ok and kind == "resolve":
+                ok = event["ticket"] in tickets and event["decision"] in ("Approved", "Denied")
+            if not ok:
+                raise TicketStoreCorrupt(f"{self.path} line {line_no}: not a ticket event")
+            ticket_id = event["ticket"]
+            if kind == "open":
+                tickets[ticket_id] = HitlTicket(ticket_id, event["reason"], event["subject"])
+            else:
+                tickets[ticket_id].state = TicketState(event["decision"])
+                tickets[ticket_id].note = event["note"]
         return tickets
 
-    def resolve(self, ticket_id: str, decision: TicketState, note: str = "") -> HitlTicket:
-        """Resolve a ticket through the book alone (operator CLI path)."""
+    def open_ticket(self, reason: str, subject: str) -> HitlTicket:
+        """Open a ticket under the next `ticket-<n>` id the log does not hold."""
         tickets = self.load()
-        if ticket_id not in tickets:
+        n = len(tickets) + 1
+        while f"ticket-{n}" in tickets:
+            n += 1
+        event = {"event": "open", "ticket": f"ticket-{n}", "reason": reason, "subject": subject}
+        self.append(event)
+        return HitlTicket(f"ticket-{n}", reason, subject)
+
+    def resolve(self, ticket_id: str, decision: TicketState, note: str = "") -> HitlTicket:
+        """Resolve an open ticket exactly once, as Approved or Denied."""
+        if decision is TicketState.OPEN:
+            raise ValueError("a ticket resolves to Approved or Denied, not Open")
+        ticket = self.load().get(ticket_id)
+        if ticket is None:
             raise UnknownTicket(f"no ticket {ticket_id!r}")
-        if tickets[ticket_id].state is not TicketState.OPEN:
-            raise TicketClosed(f"ticket {ticket_id} already {tickets[ticket_id].state.value}")
+        if ticket.state is not TicketState.OPEN:
+            raise TicketClosed(f"ticket {ticket_id} already {ticket.state.value}")
         self.append(
             {"event": "resolve", "ticket": ticket_id, "decision": decision.value, "note": note}
         )
-        ticket = tickets[ticket_id]
-        ticket.state = decision
-        ticket.note = note
-        return ticket
+        return self.load()[ticket_id]
 
 
 @dataclass
@@ -317,9 +355,7 @@ class Guard:
         self._verdicts: dict[str, tuple[SandboxVerdict, list[Instruction] | None]] = {}
         self._deployments: dict[str, DeploymentRecord] = {}
         self._dep_count = 0
-        self._book = TicketBook(ticket_store) if ticket_store else None
-        self._tickets: dict[str, HitlTicket] = self._book.load() if self._book else {}
-        self._ticket_count = len(self._tickets)
+        self._book = TicketBook(ticket_store)
 
     # -- sandbox -----------------------------------------------------------
 
@@ -399,21 +435,17 @@ class Guard:
             self._feedback(program, reason or "rejected")
         return verdict
 
-    def verdict_for(self, program_id: str) -> SandboxVerdict | None:
-        recorded = self._verdicts.get(program_id)
-        return recorded[0] if recorded else None
-
     # -- deploy / rollback ---------------------------------------------------
 
     def _hitl_gate(self, subject: str) -> None:
+        """Read the ticket book now, so a resolution made through the CLI or
+        another guard on the same store counts."""
         if self.policy == "off":
             return
-        subject_tickets = [t for t in self._tickets.values() if t.subject == subject]
-        if any(t.state is TicketState.DENIED for t in subject_tickets):
+        states = {t.state for t in self._book.load().values() if t.subject == subject}
+        if TicketState.DENIED in states:
             raise DeployWithoutVerdict(f"subject {subject!r} denied by ticket")
-        if self.policy == "strict" and not any(
-            t.state is TicketState.APPROVED for t in subject_tickets
-        ):
+        if self.policy == "strict" and TicketState.APPROVED not in states:
             raise DeployWithoutVerdict(
                 f"strict policy requires an approved ticket for {subject!r}"
             )
@@ -469,9 +501,6 @@ class Guard:
         self._fabric.audit(AuditOp.ROLLBACK, actor=record.target)
         return record
 
-    def deployment(self, deployment_id: str) -> DeploymentRecord | None:
-        return self._deployments.get(deployment_id)
-
     # -- consensus -------------------------------------------------------------
 
     def consensus_check(self, outputs: list[GuardedProgram]) -> ConsensusResult:
@@ -501,44 +530,19 @@ class Guard:
 
     def open_ticket(self, reason: str, subject: str) -> HitlTicket:
         """Queue a decision for a human operator."""
-        self._ticket_count += 1
-        ticket = HitlTicket(f"ticket-{self._ticket_count}", reason, subject)
-        self._tickets[ticket.ticket_id] = ticket
-        if self._book:
-            self._book.append(
-                {
-                    "event": "open",
-                    "ticket": ticket.ticket_id,
-                    "reason": reason,
-                    "subject": subject,
-                }
-            )
-        return ticket
+        return self._book.open_ticket(reason, subject)
 
     def hitl_resolve(
         self, ticket_id: str, decision: str, note: str = "", resolver: str = "operator"
     ) -> HitlTicket:
         """Resolve a ticket exactly once; denial permanently blocks the subject."""
-        ticket = self._tickets.get(ticket_id)
-        if ticket is None:
-            raise UnknownTicket(f"no ticket {ticket_id!r}")
-        if ticket.state is not TicketState.OPEN:
-            raise TicketClosed(f"ticket {ticket_id} already {ticket.state.value}")
         if decision not in ("approve", "deny"):
             raise ValueError(f"decision must be approve or deny, got {decision!r}")
-        ticket.state = TicketState.APPROVED if decision == "approve" else TicketState.DENIED
-        ticket.note = note
-        if self._book:
-            self._book.append(
-                {
-                    "event": "resolve",
-                    "ticket": ticket_id,
-                    "decision": ticket.state.value,
-                    "note": note,
-                }
-            )
+        state = TicketState.APPROVED if decision == "approve" else TicketState.DENIED
+        ticket = self._book.resolve(ticket_id, state, note)
         self._fabric.audit(AuditOp.HITL, actor=resolver, outcome="ok")
         return ticket
 
     def tickets(self) -> list[HitlTicket]:
-        return [self._tickets[t] for t in sorted(self._tickets)]
+        tickets = self._book.load()
+        return [tickets[t] for t in sorted(tickets)]

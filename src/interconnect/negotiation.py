@@ -143,19 +143,8 @@ class NegotiationSession:
     adapter: AdapterSpec | None = None
     failure_reason: str | None = None
 
-    def peers(self) -> tuple[str, str]:
-        return (self.peer_a.model_id, self.peer_b.model_id)
-
     def agreed_capability_names(self) -> list[str]:
         return sorted(c.name for c in self.agreed_capabilities)
-
-    def transcript_document(self) -> bytes:
-        """Transcript as a JSON document, same format family as descriptors."""
-        doc = [
-            {"phase": e.phase, "logicalTime": e.logical_time, "detail": e.detail}
-            for e in self.transcript
-        ]
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _parse_scale_declaration(raw: str) -> tuple[str, Fraction, Fraction]:

@@ -387,10 +387,6 @@ class SimWorld:
             raise ValueError(f"unknown snapshot {snapshot_id!r}")
         self.state = self._snapshots[snapshot_id].clone()
 
-    def state_view(self) -> WorldState:
-        """Detached clone of the state for sandbox runs."""
-        return self.state.clone()
-
     def config_hash(self) -> str:
         return self.state.config_hash()
 

@@ -375,7 +375,8 @@ def test_synthesize_tool_catalogs_accepted_programs():
     assert broker.catalog == [tool]
     assert broker.select_tool(tool_task()) is tool
     assert fabric.last_envelope("broker/insights").metadata["detail"].startswith("tool ")
-    assert guard.verdict_for(tool.body.program_id).accepted
+    (sandbox,) = fabric.audit_log.query(ops=["sandbox"])
+    assert sandbox.outcome == "ok"
 
 
 def test_synthesize_tool_caches_by_task_shape():

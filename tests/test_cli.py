@@ -6,15 +6,17 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import interconnect
 from interconnect.cli import golden_path, guard_main, main
-from interconnect.errors import ScenarioAssertionFailed
+from interconnect.errors import DeployWithoutVerdict, ScenarioAssertionFailed
 from interconnect.fabric import Fabric, Selector, Subscription
-from interconnect.guard import TicketBook
+from interconnect.guard import Guard, GuardedProgram, TicketBook
+from interconnect.simnet import NodeKind, SimWorld
 from interconnect.trace import parse_trace
 
 
@@ -266,6 +268,38 @@ def test_guard_unknown_ticket_fails(tmp_path, capsys):
     store = seed_store(tmp_path)
     assert guard_main(["tickets", "approve", "ticket-9", "--store", str(store)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "action", [["list"], ["approve", "ticket-1"], ["deny", "ticket-1"]], ids=lambda a: a[0]
+)
+@pytest.mark.parametrize("line", ["not json", '{"event": "open"}'], ids=["not-json", "missing-fields"])
+def test_guard_tickets_on_a_malformed_store_is_an_input_error(tmp_path, capsys, action, line):
+    store = seed_store(tmp_path)
+    with open(store, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    before = store.read_bytes()
+    assert guard_main(["tickets", *action, "--store", str(store)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "line 3" in captured.err
+    assert store.read_bytes() == before
+
+
+def test_a_running_guard_sees_a_cli_denial(tmp_path):
+    store = tmp_path / "tickets.ndjson"
+    fabric = Fabric()
+    world = SimWorld(fabric, seed=0)
+    world.spawn_node("ran-1", NodeKind.RIC, knobs={"admission-rate": Fraction(1)})
+    guard = Guard(fabric, world, policy="escalate-only", ticket_store=store)
+    good = GuardedProgram("prog-1", "set ran-1 admission-rate 1/2", (), "planner-0")
+    assert guard.sandbox_run(good).accepted
+    ticket = guard.open_ticket("Challenge", good.program_id)
+    assert guard_main(["tickets", "deny", ticket.ticket_id, "--store", str(store)]) == 0
+    before = world.state_hash()
+    with pytest.raises(DeployWithoutVerdict, match="denied"):
+        guard.deploy(good, "ran-1")
+    assert world.state_hash() == before
 
 
 def test_guard_list_on_fresh_store_is_empty(tmp_path, capsys):

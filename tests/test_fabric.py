@@ -1,4 +1,4 @@
-"""Fabric behavior: selectors, delivery, tokens, audit, backend choice."""
+"""Fabric behavior: selectors, delivery, tokens, audit."""
 
 import itertools
 import json
@@ -11,16 +11,13 @@ from interconnect.errors import (
     EmptyObjective,
     InvalidMetadata,
     NoEligibleModel,
-    NoSatisfyingBackend,
     SelectorSyntax,
     UnknownNode,
     UnknownTopic,
 )
 from interconnect.fabric import (
     AuditOp,
-    BackendProfile,
     Fabric,
-    InteractionSpec,
     Selector,
     Subscription,
     SubscriptionMode,
@@ -174,6 +171,32 @@ def test_publish_assigns_sequential_ids_and_rejects_reuse():
     stale.id = "m1"
     with pytest.raises(InvalidMetadata):
         fabric.publish(stale)
+
+
+def test_caller_set_ids_cannot_claim_the_fabrics_own_ids():
+    # A caller id `m1` used to be accepted and then made the next unnamed
+    # publish fail as a duplicate of it.
+    fabric = make_fabric("node-a")
+    fabric.create_topic("a/b")
+    for reserved in ("m1", "m2", "m10"):
+        claimed = data_envelope(fabric, "a/b")
+        claimed.id = reserved
+        with pytest.raises(InvalidMetadata, match="reserved"):
+            fabric.publish(claimed)
+    assert fabric.journal.events == []
+    named = data_envelope(fabric, "a/b")
+    named.id = "msg-1"
+    fabric.publish(named)
+    unnamed = [data_envelope(fabric, "a/b") for _ in range(3)]
+    for envelope in unnamed:
+        fabric.publish(envelope)
+    assert [e.id for e in unnamed] == ["m1", "m2", "m3"]
+    again = data_envelope(fabric, "a/b")
+    again.id = "msg-1"
+    with pytest.raises(InvalidMetadata, match="duplicate"):
+        fabric.publish(again)
+    # Minted ids are unique by their counter; only caller ids are kept.
+    assert fabric._seen_ids == {"msg-1"}
 
 
 @pytest.mark.parametrize("separator", ["|", "\n", "\r"])
@@ -807,35 +830,3 @@ def test_host_model_requires_registered_node():
     fabric = make_fabric()
     with pytest.raises(UnknownNode):
         fabric.host_model("forecaster", "ghost")
-
-
-# -- backend selection ----------------------------------------------------------
-
-
-def test_select_backend_prefers_lowest_latency():
-    fabric = make_fabric()
-    spec = InteractionSpec(("a", "b"), realtime=True, guarantees=frozenset({"ordered"}))
-    assert fabric.select_backend(spec).name == "mesh-rt"
-
-
-def test_select_backend_respects_guarantees():
-    fabric = make_fabric()
-    spec = InteractionSpec(("a",), guarantees=frozenset({"ordered", "durable"}))
-    assert fabric.select_backend(spec).name == "stream-log"
-
-
-def test_select_backend_failure_modes():
-    fabric = make_fabric()
-    with pytest.raises(NoSatisfyingBackend):
-        fabric.select_backend(InteractionSpec(("a",), guarantees=frozenset({"exactly-once"})))
-    with pytest.raises(ValueError):
-        fabric.select_backend(InteractionSpec(()))
-
-
-def test_select_backend_breaks_latency_ties_by_name():
-    profiles = (
-        BackendProfile("zeta", frozenset({"ordered"}), 3),
-        BackendProfile("alpha", frozenset({"ordered"}), 3),
-    )
-    fabric = Fabric(profiles=profiles)
-    assert fabric.select_backend(InteractionSpec(("a",))).name == "alpha"

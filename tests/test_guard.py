@@ -10,6 +10,7 @@ from interconnect.errors import (
     DeployWithoutVerdict,
     ExecutionFailed,
     TicketClosed,
+    TicketStoreCorrupt,
     UnknownDeployment,
     UnknownTicket,
 )
@@ -207,7 +208,7 @@ def test_sandbox_deltas_equal_full_metrics_of_a_brute_force_clone(case):
         )
     model = None
     if use_model:
-        model = world.state_view()
+        model = world.state.clone()
         for node in model.nodes.values():
             if node.load is not None:
                 node.load.offered_load *= 2
@@ -336,9 +337,9 @@ def test_deploy_applies_and_rollback_restores():
     assert record.config_hash_before == before
     assert record.config_hash_after == world.config_hash() != before
     assert world.state.get_knob("ran-1", "admission-rate") == Fraction(1, 2)
-    assert guard.deployment(record.deployment_id) is record
 
     rolled = guard.rollback(record.deployment_id)
+    assert rolled is record
     assert rolled.status == "RolledBack"
     assert world.config_hash() == before
     assert world.state.get_knob("ran-1", "admission-rate") == Fraction(1)
@@ -379,7 +380,7 @@ def test_failed_live_execution_restores_snapshot():
     # A program can pass the sandbox against a permissive model and still
     # fail against the live world; the deploy must then leave no trace.
     fabric, world, guard = make_rig()
-    richer = world.state_view()
+    richer = world.state.clone()
     richer.nodes["ran-1"].knobs["tilt"] = Fraction(0)
     prog = program("set ran-1 tilt 1/2")
     assert guard.sandbox_run(prog, model=richer).accepted
@@ -387,7 +388,8 @@ def test_failed_live_execution_restores_snapshot():
     with pytest.raises(ExecutionFailed):
         guard.deploy(prog, "ran-1")
     assert world.config_hash() == before
-    assert guard.deployment("dep-1") is None
+    with pytest.raises(UnknownDeployment):
+        guard.rollback("dep-1")
 
 
 # -- consensus -----------------------------------------------------------------------------
@@ -518,6 +520,8 @@ def test_ticket_book_resolve_is_the_operator_path(tmp_path):
     ticket = guard.open_ticket("ConsensusDisagreement", "prog-1")
 
     book = TicketBook(store)
+    with pytest.raises(ValueError):
+        book.resolve(ticket.ticket_id, TicketState.OPEN)
     resolved = book.resolve(ticket.ticket_id, TicketState.DENIED, note="too risky")
     assert resolved.state is TicketState.DENIED
     with pytest.raises(TicketClosed):
@@ -540,3 +544,97 @@ def test_ticket_numbering_continues_after_reload(tmp_path):
     guard2 = Guard(fabric, world, ticket_store=store)
     ticket = guard2.open_ticket("Second", "prog-2")
     assert ticket.ticket_id == "ticket-2"
+
+
+def test_a_running_strict_guard_sees_an_approval_made_through_the_book(tmp_path):
+    store = tmp_path / "tickets.ndjson"
+    fabric, world, guard = make_rig(policy="strict", ticket_store=store)
+    good = program("set ran-1 admission-rate 1/2")
+    guard.sandbox_run(good)
+    ticket = guard.open_ticket("ManualGate", good.program_id)
+    TicketBook(store).resolve(ticket.ticket_id, TicketState.APPROVED, note="reviewed")
+    assert guard.deploy(good, "ran-1").status == "Applied"
+    assert [t.state for t in guard.tickets()] == [TicketState.APPROVED]
+
+
+def test_two_guards_on_one_store_mint_distinct_ticket_ids(tmp_path):
+    store = tmp_path / "tickets.ndjson"
+    fabric, world, first = make_rig(ticket_store=store)
+    second = Guard(fabric, world, ticket_store=store)
+    assert first.open_ticket("First", "prog-1").ticket_id == "ticket-1"
+    assert second.open_ticket("Second", "prog-2").ticket_id == "ticket-2"
+    assert [t.subject for t in first.tickets()] == ["prog-1", "prog-2"]
+
+
+def test_minting_skips_an_id_the_store_already_holds(tmp_path):
+    # A ticket opened twice would come back Open and so undo a denial.
+    store = tmp_path / "tickets.ndjson"
+    book = TicketBook(store)
+    book.append({"event": "open", "ticket": "ticket-2", "reason": "r", "subject": "prog-2"})
+    book.resolve("ticket-2", TicketState.DENIED)
+    fabric, world, guard = make_rig(ticket_store=store)
+    assert guard.open_ticket("Other", "prog-1").ticket_id == "ticket-3"
+    assert book.load()["ticket-2"].state is TicketState.DENIED
+
+
+_OPENED = '{"event": "open", "reason": "r", "subject": "prog-1", "ticket": "ticket-1"}\n'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        b"not json",
+        b"\xff\xfe not utf-8",
+        b'{"event": "open"}',
+        b"[1, 2]",
+        b'{"event": "close", "ticket": "ticket-1"}',
+        b'{"event": "resolve", "ticket": "ticket-1", "decision": "Maybe", "note": ""}',
+        b'{"event": "open", "ticket": 7, "reason": "r", "subject": "s"}',
+        b'{"event": "resolve", "ticket": "ticket-1", "decision": "Denied", "note": 5}',
+        b'{"event": "resolve", "ticket": "ticket-9", "decision": "Denied", "note": ""}',
+    ],
+    ids=[
+        "not-json",
+        "not-utf8",
+        "missing-fields",
+        "not-an-object",
+        "unknown-event",
+        "bad-decision",
+        "int-id",
+        "int-note",
+        "resolve-before-open",
+    ],
+)
+def test_a_malformed_store_raises_a_typed_error_naming_the_line(tmp_path, line):
+    store = tmp_path / "tickets.ndjson"
+    store.write_bytes(_OPENED.encode() + b"\n" + line + b"\n")
+    with pytest.raises(TicketStoreCorrupt, match="line 3: "):
+        TicketBook(store).load()
+
+
+def test_a_malformed_store_blocks_deploy_and_leaves_live_state(tmp_path):
+    store = tmp_path / "tickets.ndjson"
+    fabric, world, guard = make_rig(ticket_store=store)
+    good = program("set ran-1 admission-rate 1/2")
+    assert guard.sandbox_run(good).accepted
+    store.write_text(_OPENED + "not json\n", encoding="utf-8")
+    before = world.state_hash()
+    with pytest.raises(TicketStoreCorrupt):
+        guard.deploy(good, "ran-1")
+    assert world.state_hash() == before
+    assert fabric.audit_log.query(ops=["execute"]) == []
+
+
+def test_a_guard_without_a_store_opens_no_file(monkeypatch):
+    fabric, world, guard = make_rig(policy="strict")
+    good = program("set ran-1 admission-rate 1/2")
+    guard.sandbox_run(good)
+
+    def no_file(*args, **kwargs):
+        raise AssertionError("file I/O without a ticket store")
+
+    monkeypatch.setattr("builtins.open", no_file)
+    ticket = guard.open_ticket("ManualGate", good.program_id)
+    guard.hitl_resolve(ticket.ticket_id, "approve")
+    assert guard.deploy(good, "ran-1").status == "Applied"
+    assert [t.ticket_id for t in guard.tickets()] == ["ticket-1"]

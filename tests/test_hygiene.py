@@ -1,7 +1,8 @@
-"""Source hygiene: no module under src/interconnect/ imports a name it never uses.
+"""Source hygiene: no module under src/interconnect/ imports a name it never
+uses, and the package exports each public name once.
 
-The check reads each module with the standard-library `ast` parser, so it
-needs nothing beyond the interpreter. `from __future__` imports and the
+The import check reads each module with the standard-library `ast` parser, so
+it needs nothing beyond the interpreter. `from __future__` imports and the
 package `__init__.py` (whose imports are its public re-exports) are exempt.
 """
 
@@ -11,6 +12,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import interconnect
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "interconnect"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -48,3 +51,9 @@ def test_checker_flags_an_unused_import_and_spares_used_ones():
         "    return F(os.path.sep)\n"
     )
     assert unused_imports(source) == ["2: json"]
+
+
+def test_every_exported_name_resolves_once():
+    exported = interconnect.__all__
+    assert [n for n in exported if not hasattr(interconnect, n)] == []
+    assert sorted(n for n in set(exported) if exported.count(n) > 1) == []

@@ -378,14 +378,6 @@ def test_snapshot_restore_round_trip():
         world.restore("snap-99")
 
 
-def test_state_view_is_detached():
-    world = make_world()
-    loaded_node(world)
-    view = world.state_view()
-    view.set_knob("cell-1", "admission-rate", Fraction(0))
-    assert world.state.get_knob("cell-1", "admission-rate") == Fraction(1)
-
-
 def two_node_world():
     world = make_world()
     loaded_node(world, "cell-1")
