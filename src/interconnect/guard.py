@@ -21,14 +21,16 @@ authoring planner's feedback topic, closing the loop.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import (
     DeployWithoutVerdict,
@@ -251,8 +253,10 @@ class TicketBook:
     With a path, the log is an ndjson file shared with the `guard tickets`
     CLI and every guard on the same store, and each read folds the file
     afresh, so a ticket opened or resolved elsewhere counts at the next
-    read. Without one, the log is an in-memory list and no read touches a
-    file.
+    read. `open_ticket` and `resolve` hold an exclusive `flock` on the file
+    from their read to their append, so processes sharing a store mint
+    distinct ids and resolve a ticket once. Without a path, the log is an
+    in-memory list, no read touches a file and nothing is locked.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -270,9 +274,12 @@ class TicketBook:
     def load(self) -> dict[str, HitlTicket]:
         """Fold the event log into current ticket states.
 
-        Raises TicketStoreCorrupt, naming the line, for a line that is not
-        an open or resolve event with its fields as strings, and for a
-        resolve of a ticket no earlier line opened.
+        A denial is final: a resolve after one is ignored, so a store
+        holding `Denied` then `Approved` for a ticket (two resolutions
+        racing without the lock) keeps it Denied. Raises
+        TicketStoreCorrupt, naming the line, for a line that is not an open
+        or resolve event with its fields as strings, and for a resolve of a
+        ticket no earlier line opened.
         """
         lines: list[str | bytes] = self._lines  # empty when the log is a file
         if self.path is not None and self.path.exists():
@@ -295,34 +302,46 @@ class TicketBook:
             ticket_id = event["ticket"]
             if kind == "open":
                 tickets[ticket_id] = HitlTicket(ticket_id, event["reason"], event["subject"])
-            else:
+            elif tickets[ticket_id].state is not TicketState.DENIED:
                 tickets[ticket_id].state = TicketState(event["decision"])
                 tickets[ticket_id].note = event["note"]
         return tickets
 
+    @contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold the store's exclusive lock, creating the file if needed."""
+        if self.path is None:
+            yield
+            return
+        with open(self.path, "a", encoding="utf-8") as fh:  # closing releases the lock
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            yield
+
     def open_ticket(self, reason: str, subject: str) -> HitlTicket:
         """Open a ticket under the next `ticket-<n>` id the log does not hold."""
-        tickets = self.load()
-        n = len(tickets) + 1
-        while f"ticket-{n}" in tickets:
-            n += 1
-        event = {"event": "open", "ticket": f"ticket-{n}", "reason": reason, "subject": subject}
-        self.append(event)
+        with self._locked():
+            tickets = self.load()
+            n = len(tickets) + 1
+            while f"ticket-{n}" in tickets:
+                n += 1
+            event = {"event": "open", "ticket": f"ticket-{n}", "reason": reason, "subject": subject}
+            self.append(event)
         return HitlTicket(f"ticket-{n}", reason, subject)
 
     def resolve(self, ticket_id: str, decision: TicketState, note: str = "") -> HitlTicket:
         """Resolve an open ticket exactly once, as Approved or Denied."""
         if decision is TicketState.OPEN:
             raise ValueError("a ticket resolves to Approved or Denied, not Open")
-        ticket = self.load().get(ticket_id)
-        if ticket is None:
-            raise UnknownTicket(f"no ticket {ticket_id!r}")
-        if ticket.state is not TicketState.OPEN:
-            raise TicketClosed(f"ticket {ticket_id} already {ticket.state.value}")
-        self.append(
-            {"event": "resolve", "ticket": ticket_id, "decision": decision.value, "note": note}
-        )
-        return self.load()[ticket_id]
+        with self._locked():
+            ticket = self.load().get(ticket_id)
+            if ticket is None:
+                raise UnknownTicket(f"no ticket {ticket_id!r}")
+            if ticket.state is not TicketState.OPEN:
+                raise TicketClosed(f"ticket {ticket_id} already {ticket.state.value}")
+            self.append(
+                {"event": "resolve", "ticket": ticket_id, "decision": decision.value, "note": note}
+            )
+            return self.load()[ticket_id]
 
 
 @dataclass

@@ -11,21 +11,23 @@ All arithmetic is exact: loads, thresholds, and severities are Fractions, so
 convergence counts can be checked against a symbolic oracle with no
 tolerance. Severity of a congestion finding is clamp((mean - theta) /
 (1 - theta), 0, 1). The knowledge base indexes values by key, so a windowed
-read costs O(window) however long the loop has run.
+read costs O(window) however long the loop has run. `monitor` parses each
+distinct payload of a batch once; envelopes that repeat a payload share its
+`Fraction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ExecutionFailed, InsufficientData, NoApplicableAction
 from .fabric import KIND_CONTROL, AuditOp, Fabric, MessageEnvelope, Selector, Subscription
 from .simnet import ADMISSION_KNOB, SimWorld
 
 
-@dataclass(frozen=True)
-class KnowledgeRecord:
+class KnowledgeRecord(NamedTuple):
     """One immutable fact; source names the stage that produced it."""
 
     key: str
@@ -112,6 +114,17 @@ class LoopReport:
     reports: tuple[ExecutionReport, ...] = ()
 
 
+def _parse_reading(payload: bytes) -> Fraction | None:
+    """The exact number a telemetry payload holds, or None if it holds none."""
+    try:
+        text = payload.decode("utf-8")
+        if "e" in text or "E" in text:
+            return None
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # UnicodeDecodeError is a ValueError
+        return None
+
+
 def convergence_oracle(u0: Fraction, theta: Fraction, step: Fraction) -> int:
     """Least n with u0 * step**n <= theta, by exact iteration.
 
@@ -173,19 +186,20 @@ class MapeKLoop:
         audited as `error(MalformedTelemetry)` and skipped; the rest of the
         batch is still read. Exponent notation counts as malformed: simnet
         never emits it, and `1e60000` would build a 60,000-digit integer.
+        Each distinct payload is parsed once per call.
         """
         batch = envelopes if envelopes is not None else self._fabric.drain(self._sub_id)
+        parsed: dict[bytes, Fraction | None] = {}  # payload -> value, None if malformed
         ingested = 0
         for envelope in batch:
             if self.knowledge.seen(envelope.id):
                 continue
             self.knowledge.mark_seen(envelope.id)
-            try:
-                text = envelope.payload.decode("utf-8")
-                if "e" in text or "E" in text:
-                    raise ValueError(f"exponent notation in {text!r}")
-                value = Fraction(text)
-            except (ValueError, ZeroDivisionError):  # UnicodeDecodeError is a ValueError
+            payload = envelope.payload
+            if payload not in parsed:
+                parsed[payload] = _parse_reading(payload)
+            value = parsed[payload]
+            if value is None:
                 self._fabric.audit(
                     AuditOp.MONITOR,
                     actor=self.actor,
@@ -195,12 +209,7 @@ class MapeKLoop:
                 continue
             origin = envelope.metadata["origin-node"]
             self.knowledge.add(
-                KnowledgeRecord(
-                    key=f"load.{origin}",
-                    value=value,
-                    logical_time=envelope.logical_time,
-                    source="monitor",
-                )
+                KnowledgeRecord(f"load.{origin}", value, envelope.logical_time, "monitor")
             )
             self._origins.add(origin)
             ingested += 1

@@ -11,6 +11,13 @@ All trace-visible values are integers or exact rationals rendered as
 fraction strings; there are no floats anywhere in the state. The optional
 telemetry jitter draws from the world's single seeded generator and is off
 by default.
+
+A node's telemetry reading is recomputed only when it changed: each node
+keeps its last `(offered load, admission knob, service rate)` with the
+utilization and its text, and a tick whose tuple compares equal reuses them.
+Every write replaces an immutable `Fraction` (knob writes, `shift_load`,
+restore, direct assignment), so the memo cannot go stale and needs no
+invalidation. A jittered node still draws from the generator every tick.
 """
 
 from __future__ import annotations
@@ -39,11 +46,13 @@ ADMISSION_KNOB = "admission-rate"
 RATE_LIMIT_KNOB = "rate-limit"
 # Metric suffix of the world total; no node may take it as its id.
 TOTAL = "total"
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 DEFAULT_KNOB_RANGES: dict[str, tuple[Fraction, Fraction]] = {
-    ADMISSION_KNOB: (Fraction(0), Fraction(1)),
-    RATE_LIMIT_KNOB: (Fraction(0), Fraction(1000)),
-    "probe-rate": (Fraction(0), Fraction(1)),
+    ADMISSION_KNOB: (_ZERO, _ONE),
+    RATE_LIMIT_KNOB: (_ZERO, Fraction(1000)),
+    "probe-rate": (_ZERO, _ONE),
 }
 
 
@@ -115,7 +124,7 @@ class WorldState:
         source, target = self.nodes[src], self.nodes[dst]
         if source.load is None or target.load is None:
             raise KeyError("both reroute endpoints need a load model")
-        fraction = max(Fraction(0), min(Fraction(1), fraction))
+        fraction = max(_ZERO, min(_ONE, fraction))
         moved = source.load.offered_load * fraction
         source.load.offered_load -= moved
         target.load.offered_load += moved
@@ -124,22 +133,22 @@ class WorldState:
     def utilization(self, node_id: str) -> Fraction:
         node = self.nodes[node_id]
         if node.load is None:
-            return Fraction(0)
-        admission = node.knobs.get(ADMISSION_KNOB, Fraction(1))
+            return _ZERO
+        admission = node.knobs.get(ADMISSION_KNOB, _ONE)
         return node.load.offered_load * admission / node.load.service_rate
 
     def throughput(self, node_id: str) -> Fraction:
         node = self.nodes[node_id]
         if node.load is None:
-            return Fraction(0)
-        admission = node.knobs.get(ADMISSION_KNOB, Fraction(1))
+            return _ZERO
+        admission = node.knobs.get(ADMISSION_KNOB, _ONE)
         served = min(node.load.offered_load * admission, node.load.service_rate)
         if RATE_LIMIT_KNOB in node.knobs:
             served = min(served, node.knobs[RATE_LIMIT_KNOB])
         return served
 
     def total_throughput(self) -> Fraction:
-        return sum((self.throughput(n) for n in self.nodes), Fraction(0))
+        return sum((self.throughput(n) for n in self.nodes), _ZERO)
 
     def metrics(self) -> dict[str, Fraction]:
         """Named rational metrics for sandbox delta reporting."""
@@ -180,6 +189,9 @@ class _NodeRuntime:
     hosted: dict[str, str] = field(default_factory=dict)  # model id -> request sub id
     jitter: bool = False
     fail_requests: int = 0
+    # Last telemetry reading: its inputs (offered load, admission knob or
+    # None, service rate), the utilization they give and that value's text.
+    reading: tuple = (None, None, None)
 
 
 class SimWorld:
@@ -298,23 +310,30 @@ class SimWorld:
                 runtime = self._runtimes[node_id]
                 node = self.state.nodes[node_id]
                 if node.load is not None:
-                    self._emit_telemetry(node_id, runtime)
+                    self._emit_telemetry(node_id, runtime, node)
                 if runtime.hosted:
                     self._serve_requests(runtime)
 
-    def _emit_telemetry(self, node_id: str, runtime: _NodeRuntime) -> None:
-        value = self.state.utilization(node_id)
+    def _emit_telemetry(self, node_id: str, runtime: _NodeRuntime, node: NodeState) -> None:
+        """Publish the node's utilization, recomputed only when its inputs
+        compare unequal to the last reading's (see the module docstring)."""
+        inputs = (node.load.offered_load, node.knobs.get(ADMISSION_KNOB), node.load.service_rate)
+        if inputs != runtime.reading[0]:
+            value = self.state.utilization(node_id)
+            runtime.reading = (inputs, value, str(value))
+        _, value, text = runtime.reading
         if runtime.jitter:
             value *= 1 + Fraction(self.rng.randint(-10, 10), 1000)
+            text = str(value)
         self.fabric.publish(
             self.fabric.envelope(
                 f"telemetry/{node_id}/load",
-                str(value),
+                text,
                 kind=KIND_DATA,
                 session="telemetry",
                 origin=node_id,
                 tags="load",
-                detail=str(value),
+                detail=text,
             )
         )
 

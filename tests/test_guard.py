@@ -1,6 +1,10 @@
 """Guarded deployment: DSL, sandbox, deploy/rollback, consensus, tickets."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +31,7 @@ from interconnect.guard import (
     parse_program,
     structural_hash,
 )
+import interconnect
 from interconnect.simnet import LoadModel, NodeKind, SimWorld
 
 
@@ -575,6 +580,58 @@ def test_minting_skips_an_id_the_store_already_holds(tmp_path):
     fabric, world, guard = make_rig(ticket_store=store)
     assert guard.open_ticket("Other", "prog-1").ticket_id == "ticket-3"
     assert book.load()["ticket-2"].state is TicketState.DENIED
+
+
+@pytest.mark.parametrize("decisions", [("Denied", "Approved"), ("Approved", "Denied")])
+def test_a_denial_wins_over_any_other_resolution(tmp_path, decisions):
+    # Two operators resolving at once could write both lines; the one
+    # that denies must hold whichever came first.
+    store = tmp_path / "tickets.ndjson"
+    book = TicketBook(store)
+    book.append({"event": "open", "ticket": "ticket-1", "reason": "r", "subject": "prog-1"})
+    for decision in decisions:
+        book.append(
+            {"event": "resolve", "ticket": "ticket-1", "decision": decision, "note": decision}
+        )
+    ticket = book.load()["ticket-1"]
+    assert (ticket.state, ticket.note) == (TicketState.DENIED, "Denied")
+    fabric, world, guard = make_rig(ticket_store=store)
+    good = program("set ran-1 admission-rate 1/2")
+    guard.sandbox_run(good)
+    before = world.state_hash()
+    with pytest.raises(DeployWithoutVerdict, match="denied by ticket"):
+        guard.deploy(good, "ran-1")
+    assert world.state_hash() == before
+
+
+_OPEN_25 = """
+import os, sys, time
+from interconnect.guard import TicketBook
+store, go = sys.argv[1], sys.argv[2]
+deadline = time.monotonic() + 30
+while not os.path.exists(go) and time.monotonic() < deadline:
+    time.sleep(0.001)
+book = TicketBook(store)
+for i in range(25):
+    book.open_ticket("Load", f"prog-{os.getpid()}-{i}")
+"""
+
+
+def test_two_processes_opening_tickets_on_one_store_mint_distinct_ids(tmp_path):
+    store, go = tmp_path / "tickets.ndjson", tmp_path / "go"
+    src = str(Path(interconnect.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    workers = [
+        subprocess.Popen([sys.executable, "-c", _OPEN_25, str(store), str(go)], env=env)
+        for _ in range(2)
+    ]
+    go.touch()
+    for worker in workers:
+        assert worker.wait(timeout=60) == 0
+    lines = store.read_text(encoding="utf-8").splitlines()
+    tickets = TicketBook(store).load()
+    assert len(lines) == len(tickets) == 50
+    assert sorted(tickets) == sorted(f"ticket-{n}" for n in range(1, 51))
 
 
 _OPENED = '{"event": "open", "reason": "r", "subject": "prog-1", "ticket": "ticket-1"}\n'

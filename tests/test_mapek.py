@@ -123,6 +123,45 @@ def test_monitor_skips_malformed_telemetry_and_audits_it(payload):
     assert len(fabric.audit_log.query(ops=["monitor"])) == 1
 
 
+def test_monitor_reads_repeated_payloads_and_audits_each_malformed_envelope():
+    fabric, world, loop = make_loop()
+    fabric.register_node("rogue")
+    fabric.create_topic("telemetry/rogue/load")
+    payloads = ["1/2", "bad", "1/2", "3/4", "bad", "1/2", b"\xff", b"\xff"]
+    envelopes = [
+        fabric.envelope(
+            "telemetry/rogue/load", p, kind=KIND_DATA, session="telemetry", origin="rogue"
+        )
+        for p in payloads
+    ]
+    for envelope in envelopes:
+        fabric.publish(envelope)
+    world.step(3)
+    assert loop.monitor() == 4 + 3
+    series = loop.knowledge.series("load.rogue", 10)
+    assert series == [Fraction(1, 2), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2)]
+    # One parse per distinct payload: repeats share the parsed value.
+    assert series[0] is series[1] is series[3]
+    assert loop.knowledge.series("load.core-1", 10) == [Fraction(19, 20)] * 3
+    assert all(loop.knowledge.seen(e.id) for e in envelopes)
+    audits = fabric.audit_log.query(ops=["monitor"])
+    assert [a.message_id for a in audits] == [envelopes[i].id for i in (1, 4, 6, 7)]
+    assert {a.outcome for a in audits} == {"error(MalformedTelemetry)"}
+
+
+def test_knowledge_records_are_immutable_values():
+    record = KnowledgeRecord("load.a", Fraction(1, 2), 3, "monitor")
+    assert (record.key, record.value, record.logical_time, record.source) == (
+        "load.a",
+        Fraction(1, 2),
+        3,
+        "monitor",
+    )
+    assert record == KnowledgeRecord("load.a", Fraction(1, 2), 3, "monitor")
+    with pytest.raises(AttributeError):
+        record.value = Fraction(1)
+
+
 def test_run_loop_survives_malformed_telemetry():
     fabric, world, loop = make_loop()
     fabric.register_node("rogue")

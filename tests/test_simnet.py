@@ -1,9 +1,12 @@
 """Simulated network: stepping, telemetry, control, serving, snapshots."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interconnect.errors import DuplicateNode
 from interconnect.fabric import Fabric, Selector, Subscription, TokenState
@@ -141,6 +144,86 @@ def test_jitter_draws_from_the_world_seed():
 
     assert run(7) == run(7)
     assert run(7) != run(8)
+
+
+_ORACLE_NODES = ("n0", "n1", "n2")  # n2 declares no admission knob
+_exact = st.fractions(min_value=0, max_value=2, max_denominator=12)
+_write = st.one_of(
+    st.tuples(st.just("control"), st.sampled_from(_ORACLE_NODES), _exact),
+    st.tuples(
+        st.just("shift"), st.sampled_from(_ORACLE_NODES), st.sampled_from(_ORACLE_NODES), _exact
+    ),
+    st.tuples(st.just("offered"), st.sampled_from(_ORACLE_NODES), _exact),
+    st.tuples(
+        st.just("service"),
+        st.sampled_from(_ORACLE_NODES),
+        st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=12),
+    ),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore"), st.integers(0, 3)),
+    st.tuples(st.just("step"), st.integers(0, 3)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(st.booleans(), st.booleans(), st.booleans()), st.lists(_write, max_size=25))
+def test_telemetry_is_a_fresh_reading_after_any_write(jitters, writes):
+    """After every step, each payload (and its detail) is str() of the
+    node's utilization computed afresh, times the jitter factor a mirror of
+    the world's generator draws, whichever writes came before it. Every
+    write is followed by a checked tick."""
+    world = SimWorld(Fabric(), seed=11)
+    mirror = random.Random(11)
+    for node_id, jitter in zip(_ORACLE_NODES, jitters):
+        world.spawn_node(
+            node_id,
+            NodeKind.UE_GEN,
+            knobs={} if node_id == "n2" else {"admission-rate": Fraction(1)},
+            load=LoadModel(offered_load=Fraction(4, 5)),
+            jitter=jitter,
+        )
+    world.fabric.register_node("watcher")
+    sub_id = world.fabric.subscribe(Subscription(Selector.parse("telemetry/*/load"), "watcher"))
+    snapshots = []
+
+    def step_and_check(ticks):
+        world.step(ticks)
+        expected = []
+        for _ in range(ticks):
+            for node_id, jitter in zip(_ORACLE_NODES, jitters):
+                value = world.state.utilization(node_id)
+                if jitter:
+                    value *= 1 + Fraction(mirror.randint(-10, 10), 1000)
+                expected.append(str(value))
+        samples = world.fabric.drain(sub_id)
+        assert [s.payload.decode() for s in samples] == expected
+        assert [s.metadata["detail"] for s in samples] == expected
+
+    for write in writes:
+        kind, args = write[0], write[1:]
+        if kind == "control":
+            world.fabric.publish(
+                world.fabric.envelope(
+                    f"managed/{args[0]}/knobs",
+                    f"admission-rate={args[1]}",
+                    kind="control",
+                    session="ops",
+                    origin="operator",
+                )
+            )
+        elif kind == "shift":
+            world.state.shift_load(*args)
+        elif kind == "offered":
+            world.state.nodes[args[0]].load.offered_load = args[1]
+        elif kind == "service":
+            world.state.nodes[args[0]].load.service_rate = args[1]
+        elif kind == "snapshot":
+            snapshots.append(world.snapshot())
+        elif kind == "restore" and snapshots:
+            world.restore(snapshots[args[0] % len(snapshots)])
+        elif kind == "step":
+            step_and_check(args[0])
+        step_and_check(1)  # so the next write meets a memoised reading
 
 
 # -- control envelopes -------------------------------------------------------------
