@@ -4,11 +4,9 @@ The broker turns a natural-language intent into a small task graph: one
 ingest task per named stream, an inference task bound to a registered model,
 an aggregation task when several streams feed it, and a durable subscription
 on the plan's result topic. Planning is driven by a deterministic mock
-planner so that identical intents under the same seed produce byte-identical
-plan documents.
+planner so that identical intents under the same seed produce equal plans.
 
-The planner also expands metaprompts into bounded trees of focused
-sub-prompts and emits small knob programs for tool synthesis; synthesized
+The planner also emits small knob programs for tool synthesis; synthesized
 tools only enter the catalog after the deployment guard accepts them in a
 sandbox.
 """
@@ -23,7 +21,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import (
-    DepthExceeded,
     NoEligibleModel,
     PlanningFailed,
     SandboxRejected,
@@ -55,8 +52,6 @@ VERB_STEMS = (
     ("optimi", "optimize"),
     ("predict", "predict"),
 )
-
-ASPECTS = ("signal-quality", "resource-utilization", "configuration-drift")
 
 
 @dataclass(frozen=True)
@@ -94,54 +89,6 @@ class TaskPlan:
     issuer: str
     domain_hint: str | None = None
 
-    def to_document(self) -> bytes:
-        doc = {
-            "planId": self.plan_id,
-            "provenance": self.provenance,
-            "resultTopic": self.result_topic,
-            "issuer": self.issuer,
-            "domainHint": self.domain_hint,
-            "tasks": [
-                {
-                    "taskId": t.task_id,
-                    "kind": t.kind.value,
-                    "inputs": list(t.inputs),
-                    "capability": t.capability,
-                    "assignedModel": t.assigned_model,
-                    "params": dict(sorted(t.params.items())),
-                }
-                for t in self.tasks
-            ],
-            "subscriptions": list(self.subscriptions),
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-    @staticmethod
-    def from_document(raw: bytes) -> "TaskPlan":
-        doc = json.loads(raw.decode("utf-8"))
-        tasks = tuple(
-            Task(
-                task_id=entry["taskId"],
-                kind=TaskKind(entry["kind"]),
-                inputs=tuple(entry["inputs"]),
-                capability=entry["capability"],
-                assigned_model=entry["assignedModel"],
-                params=dict(entry["params"]),
-            )
-            for entry in doc["tasks"]
-        )
-        plan = TaskPlan(
-            plan_id=doc["planId"],
-            tasks=tasks,
-            subscriptions=tuple(doc["subscriptions"]),
-            provenance=doc["provenance"],
-            result_topic=doc["resultTopic"],
-            issuer=doc["issuer"],
-            domain_hint=doc["domainHint"],
-        )
-        validate_plan(plan)
-        return plan
-
 
 def validate_plan(plan: TaskPlan) -> None:
     """Tasks must form a forward-referencing DAG over known inputs."""
@@ -168,12 +115,6 @@ class PlannerAction:
 
 
 @dataclass(frozen=True)
-class Metaprompt:
-    text: str
-    parent: int | None  # index of the parent in the returned list, None at roots
-
-
-@dataclass(frozen=True)
 class ToolSpec:
     tool_id: str
     interface_signature: str
@@ -192,17 +133,14 @@ class MockPlanner:
     """Deterministic stand-in for a reasoning model.
 
     Every output is a pure function of (seed, inputs): episodes enumerate
-    planner actions, metaprompt expansion walks a fixed aspect list, and
-    tool programs come from a template. The seed only feeds provenance
-    strings and plan ids, never control flow, so replays are stable.
+    planner actions and tool programs come from a template. The seed only
+    feeds provenance strings and plan ids, never control flow, so replays
+    are stable.
     """
 
-    def __init__(self, seed: int = 0, *, max_steps: int = 64, fanout: int = 3,
-                 max_depth: int = 5):
+    def __init__(self, seed: int = 0, *, max_steps: int = 64):
         self.seed = seed
         self.max_steps = max_steps
-        self.fanout = fanout
-        self.max_depth = max_depth
 
     def detect_verb(self, text: str) -> str | None:
         lowered = text.lower()
@@ -229,24 +167,6 @@ class MockPlanner:
                 f"episode needs {len(actions)} steps, budget is {self.max_steps}"
             )
         return actions
-
-    def expand_metaprompt(self, prompt: str, depth: int) -> list[Metaprompt]:
-        """Breadth-first aspect tree under the prompt; bounded depth."""
-        if depth < 1 or depth > self.max_depth:
-            raise DepthExceeded(f"depth {depth} outside 1..{self.max_depth}")
-        nodes: list[Metaprompt] = []
-        frontier: list[tuple[int | None, str]] = [(None, prompt)]
-        for _ in range(depth):
-            next_frontier: list[tuple[int, str]] = []
-            for parent_index, parent_text in frontier:
-                for aspect in ASPECTS[: self.fanout]:
-                    node = Metaprompt(
-                        text=f"{parent_text} / focus:{aspect}", parent=parent_index
-                    )
-                    nodes.append(node)
-                    next_frontier.append((len(nodes) - 1, node.text))
-            frontier = next_frontier
-        return nodes
 
     def emit_tool_program(self, target_node: str, purpose: str) -> str:
         return "\n".join(

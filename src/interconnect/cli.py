@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-`interconnect` drives scenario replay, audit-log inspection, and descriptor
-validation; `guard` operates the human-in-the-loop ticket queue against a
-shared ticket store. Exit codes: 0 success/match, 1 assertion or comparison
+`interconnect` drives scenario replay, audit inspection of a trace file, and
+descriptor validation; `guard` operates the human-in-the-loop ticket queue
+against a shared ticket store. Exit codes: 0 success/match, 1 assertion or comparison
 failure, 2 usage or input error.
 """
 
@@ -24,16 +24,29 @@ from .errors import (
     UnknownScenario,
     UnknownTicket,
 )
-from .fabric import AuditLog, AuditOp, parse_audit_line
+from .fabric import AuditLog, AuditOp
 from .guard import TicketBook, TicketState
 from .registry import parse_descriptor
 from .scenarios import run_scenario
-from .trace import Trace, compare_traces, parse_trace
+from .trace import compare_traces, parse_trace
 
 
 def golden_path(name: str):
     """Packaged golden fixture for a scenario name."""
     return resources.files("interconnect").joinpath("goldens", f"{name}.trace")
+
+
+def _read(path: str, missing: str, *, binary: bool = False) -> str | bytes | None:
+    """A file's bytes, or its UTF-8 text; None once `error: ...` is printed."""
+    try:
+        raw = Path(path).read_bytes()
+        return raw if binary else raw.decode("utf-8")
+    except FileNotFoundError:
+        message = missing
+    except (OSError, UnicodeDecodeError) as exc:
+        message = f"cannot read {path}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -56,11 +69,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             target.write_text(trace.render(), encoding="utf-8")
             print(f"blessed {target} ({len(trace.events)} records)")
             return 0
-        try:
-            golden = parse_trace(target.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            print(f"error: golden file {target} not found", file=sys.stderr)
+        text = _read(args.golden, f"golden file {target} not found")
+        if text is None:
             return 2
+        try:
+            golden = parse_trace(text)
         except GoldenParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -80,10 +93,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.log).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        print(f"error: no audit log at {args.log}", file=sys.stderr)
+    text = _read(args.log, f"no audit log at {args.log}")
+    if text is None:
         return 2
     ops = None
     if args.op:
@@ -93,27 +104,21 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             known = ", ".join(op.value for op in AuditOp)
             print(f"error: unknown op (known: {known})", file=sys.stderr)
             return 2
-    records = Trace()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            records.append(parse_audit_line(line))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    shown = AuditLog(records).query(ops=ops, actor=args.actor)
+    try:
+        trace = parse_trace(text)
+    except GoldenParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    shown = AuditLog(trace).query(ops=ops, actor=args.actor)
     for record in shown:
-        print(record.to_line())
+        print(record.render())
     print(f"{len(shown)} records", file=sys.stderr)
     return 0
 
 
 def _cmd_registry_validate(args: argparse.Namespace) -> int:
-    try:
-        raw = Path(args.file).read_bytes()
-    except FileNotFoundError:
-        print(f"error: no such file {args.file}", file=sys.stderr)
+    raw = _read(args.file, f"no such file {args.file}", binary=True)
+    if raw is None:
         return 2
     try:
         descriptor = parse_descriptor(raw)
@@ -144,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         "--bless", action="store_true", help="overwrite the golden file instead of comparing"
     )
 
-    audit_p = commands.add_parser("audit", help="filter a flushed audit log")
+    audit_p = commands.add_parser("audit", help="filter the audit records of a trace file")
     audit_p.add_argument("--log", required=True, metavar="PATH")
     audit_p.add_argument("--op", action="append", metavar="OP")
     audit_p.add_argument("--actor", metavar="NODE")

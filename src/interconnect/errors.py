@@ -108,10 +108,6 @@ class PlanningFailed(InterconnectError):
     """Planner could not produce a plan for the intent."""
 
 
-class DepthExceeded(InterconnectError):
-    """Metaprompt expansion depth outside the allowed range."""
-
-
 class SandboxRejected(InterconnectError):
     """Synthesized program failed sandbox validation."""
 

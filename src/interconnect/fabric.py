@@ -37,14 +37,13 @@ from typing import Callable, Iterable
 
 from .errors import (
     EmptyObjective,
-    GoldenParseError,
     InvalidMetadata,
     NoEligibleModel,
     SelectorSyntax,
     UnknownNode,
     UnknownTopic,
 )
-from .trace import AuditEvent, AuditOp, EnvelopeEvent, Trace, parse_trace
+from .trace import AuditEvent, AuditOp, EnvelopeEvent, Trace
 
 # Required metadata on every envelope.
 KIND_KEY = "kind"
@@ -252,9 +251,8 @@ class AuditLog:
         self,
         ops: Iterable[AuditOp | str] | None = None,
         actor: str | None = None,
-        time_range: tuple[int, int] | None = None,
     ) -> list[AuditEvent]:
-        """Filter by op set, actor, and inclusive logical-time range."""
+        """Filter by op set and actor."""
         wanted = None
         if ops is not None:
             wanted = {AuditOp(o) for o in ops}
@@ -264,30 +262,8 @@ class AuditLog:
                 continue
             if actor is not None and rec.actor != actor:
                 continue
-            if time_range is not None and not (time_range[0] <= rec.logical_time <= time_range[1]):
-                continue
             out.append(rec)
         return out
-
-    def flush(self, path) -> int:
-        """Write all records to a file, one `to_line` each; returns the count."""
-        records = self._journal.audit_events()
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(rec.to_line() + "\n")
-        return len(records)
-
-
-def parse_audit_line(line: str) -> AuditEvent:
-    """Inverse of AuditEvent.to_line; raises ValueError on malformed input,
-    including input that holds more than one record."""
-    try:
-        events = parse_trace("A|" + line).events
-    except GoldenParseError as exc:
-        raise ValueError(f"bad audit line {line!r}: {exc}") from None
-    if len(events) != 1:
-        raise ValueError(f"expected one audit record, got {len(events)}: {line!r}")
-    return events[0]
 
 
 @dataclass

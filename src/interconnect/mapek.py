@@ -10,53 +10,41 @@ the settle window, the managed configuration is restored.
 All arithmetic is exact: loads, thresholds, and severities are Fractions, so
 convergence counts can be checked against a symbolic oracle with no
 tolerance. Severity of a congestion finding is clamp((mean - theta) /
-(1 - theta), 0, 1). The knowledge base indexes values by key, so a windowed
-read costs O(window) however long the loop has run. `monitor` parses each
-distinct payload of a batch once; envelopes that repeat a payload share its
-`Fraction`.
+(1 - theta), 0, 1). Knowledge holds only what a stage reads: each origin's
+load readings, indexed by key so a windowed read costs O(window) however
+long the loop has run, and the ids of the envelopes already monitored. Plans,
+executions and rollbacks are recorded in the fabric's audit log. `monitor`
+parses each distinct payload of a batch once; envelopes that repeat a payload
+share its `Fraction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ExecutionFailed, InsufficientData, NoApplicableAction
 from .fabric import KIND_CONTROL, AuditOp, Fabric, MessageEnvelope, Selector, Subscription
 from .simnet import ADMISSION_KNOB, SimWorld
 
 
-class KnowledgeRecord(NamedTuple):
-    """One immutable fact; source names the stage that produced it."""
-
-    key: str
-    value: object
-    logical_time: int
-    source: str  # monitor | analyze | plan | execute
-
-
 class KnowledgeBase:
     """Append-only store shared by all loop stages.
 
-    Besides the full history it keeps each key's values in insertion order,
-    so `series` is one lookup and a tail slice: O(window), not O(history).
+    It keeps each key's values in insertion order, so `series` is one lookup
+    and a tail slice: O(window), not O(history).
     """
 
     def __init__(self) -> None:
-        self._records: list[KnowledgeRecord] = []
         self._values: dict[str, list] = {}
         self._seen_envelopes: set[str] = set()
 
-    def add(self, record: KnowledgeRecord) -> None:
-        self._records.append(record)
-        self._values.setdefault(record.key, []).append(record.value)
-
-    def records(self) -> tuple[KnowledgeRecord, ...]:
-        return tuple(self._records)
+    def add(self, key: str, value: object) -> None:
+        self._values.setdefault(key, []).append(value)
 
     def __len__(self) -> int:
-        return len(self._records)
+        """Number of values held, over all keys."""
+        return sum(len(values) for values in self._values.values())
 
     def seen(self, envelope_id: str) -> bool:
         return envelope_id in self._seen_envelopes
@@ -208,9 +196,7 @@ class MapeKLoop:
                 )
                 continue
             origin = envelope.metadata["origin-node"]
-            self.knowledge.add(
-                KnowledgeRecord(f"load.{origin}", value, envelope.logical_time, "monitor")
-            )
+            self.knowledge.add(f"load.{origin}", value)
             self._origins.add(origin)
             ingested += 1
         return ingested
@@ -239,15 +225,6 @@ class MapeKLoop:
         findings.sort(key=lambda f: (-f.severity, f.target))
         if not findings:
             findings = [Finding(kind="none", target="", severity=Fraction(0))]
-        for finding in findings:
-            self.knowledge.add(
-                KnowledgeRecord(
-                    key=f"finding.{finding.target or 'none'}",
-                    value=finding.severity,
-                    logical_time=self._fabric.now,
-                    source="analyze",
-                )
-            )
         return findings
 
     def plan(self, findings: list[Finding]) -> AdaptationPlan:
@@ -276,14 +253,6 @@ class MapeKLoop:
             rollback_ref=rollback_ref,
         )
         self._fabric.audit(AuditOp.PLAN, actor=self.actor)
-        self.knowledge.add(
-            KnowledgeRecord(
-                key=f"plan.{plan.plan_id}",
-                value=len(actions),
-                logical_time=self._fabric.now,
-                source="plan",
-            )
-        )
         return plan
 
     def _windowed_mean(self, origin: str) -> tuple[Fraction, int] | None:
@@ -324,14 +293,6 @@ class MapeKLoop:
             self._world.restore(plan.rollback_ref)
             self._fabric.audit(AuditOp.ROLLBACK, actor=self.actor)
             rolled_back = True
-        self.knowledge.add(
-            KnowledgeRecord(
-                key=f"exec.{plan.plan_id}",
-                value="held" if held else "rolled-back",
-                logical_time=self._fabric.now,
-                source="execute",
-            )
-        )
         self._fabric.audit(
             AuditOp.EXECUTE,
             actor=self.actor,

@@ -1,7 +1,7 @@
 """Deterministic simulated network under the fabric.
 
-The world is a discrete-event system: stepping it advances a tick counter and
-runs node handlers in node-id order, so runs are reproducible given the same
+The world is a discrete-event system: each tick of a step runs node
+handlers in node-id order, so runs are reproducible given the same
 construction sequence and seed. Nodes with a load model publish one telemetry
 envelope per tick; model-host nodes drain their request queues and reply with
 inference results; every node accepts control envelopes on
@@ -201,7 +201,6 @@ class SimWorld:
         self.fabric = fabric
         self.state = WorldState()
         self.rng = random.Random(seed)
-        self.tick_no = 0
         self._runtimes: dict[str, _NodeRuntime] = {}
         self._snapshots: dict[str, WorldState] = {}
         self._snap_count = 0
@@ -305,7 +304,6 @@ class SimWorld:
     def step(self, ticks: int = 1) -> None:
         """Advance the world; handlers run per tick in node-id order."""
         for _ in range(ticks):
-            self.tick_no += 1
             for node_id in sorted(self._runtimes):
                 runtime = self._runtimes[node_id]
                 node = self.state.nodes[node_id]

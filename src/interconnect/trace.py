@@ -7,11 +7,12 @@ serialize one record per line, pipe-separated, `-` for absent fields:
     A|<seq>|<logicalTime>|<op>|<actor>|<messageId>|<modelId>|<outcome>
     M|<logicalTime>|<topic>|<kind>|<session>|<origin-node>|<id>|<detail>
 
-An `A` line is the fabric's audit record itself (`AuditEvent`); the audit
-flush format is the same line without its `A|` tag. Both record types are
-immutable named tuples: cheap to build on the publish path, compared and
-hashed by value, and the garbage collector stops tracking an `EnvelopeEvent`,
-which holds only strings, ints and `None`.
+An `A` line is the fabric's audit record itself (`AuditEvent`), and the trace
+line is the only on-disk audit format: `interconnect audit` reads a trace
+file and prints the `A` lines it selects. Both record types are immutable
+named tuples: cheap to build on the publish path, compared and hashed by
+value, and the garbage collector stops tracking an `EnvelopeEvent`, which
+holds only strings, ints and `None`.
 
 Comparison is structural: message ids in both traces are canonicalized by
 order of first appearance before diffing, so id-assignment drift between
@@ -88,10 +89,6 @@ class AuditEvent(NamedTuple):
                 self.outcome,
             ]
         )
-
-    def to_line(self) -> str:
-        """Audit flush format: seq|logicalTime|op|actor|messageId|modelId|outcome."""
-        return self.render()[2:]
 
 
 class EnvelopeEvent(NamedTuple):

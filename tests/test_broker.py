@@ -1,5 +1,6 @@
-"""Task broker: intent decomposition, plan documents, tools, execution."""
+"""Task broker: intent decomposition, plan validation, tools, execution."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from interconnect.broker import (
     validate_plan,
 )
 from interconnect.errors import (
-    DepthExceeded,
     NoEligibleModel,
     PlanningFailed,
     SandboxRejected,
@@ -102,26 +102,6 @@ def test_episode_respects_step_budget():
     assert len(MockPlanner().episode("predict", ["s/a"])) == 4
 
 
-def test_expand_metaprompt_tree_shape():
-    planner = MockPlanner()
-    nodes = planner.expand_metaprompt("tune the cell", depth=2)
-    assert len(nodes) == 12
-    assert [n.parent for n in nodes[:3]] == [None, None, None]
-    assert [n.parent for n in nodes[3:6]] == [0, 0, 0]
-    assert nodes[0].text == "tune the cell / focus:signal-quality"
-    assert nodes[3].text == "tune the cell / focus:signal-quality / focus:signal-quality"
-    assert nodes[11].parent == 2
-
-
-def test_expand_metaprompt_fanout_and_depth_bounds():
-    assert len(MockPlanner(fanout=2).expand_metaprompt("p", depth=1)) == 2
-    planner = MockPlanner()
-    with pytest.raises(DepthExceeded):
-        planner.expand_metaprompt("p", depth=0)
-    with pytest.raises(DepthExceeded):
-        planner.expand_metaprompt("p", depth=6)
-
-
 def test_emit_tool_program_template():
     source = MockPlanner().emit_tool_program("ran-1", "relieve-congestion")
     assert source.splitlines() == [
@@ -187,14 +167,11 @@ def test_constraints_override_text_stream_detection():
 def test_plan_ids_are_deterministic_per_seed():
     def build(seed):
         fabric, world, registry, broker = make_stack(planner=MockPlanner(seed))
-        plan = broker.decompose_intent(make_intent())
-        return plan.plan_id, plan.to_document()
+        return broker.decompose_intent(make_intent())
 
-    id_a, doc_a = build(0)
-    id_b, doc_b = build(0)
-    id_c, doc_c = build(1)
-    assert id_a == id_b and doc_a == doc_b
-    assert id_a != id_c
+    plan_a, plan_b, plan_c = build(0), build(0), build(1)
+    assert plan_a == plan_b
+    assert plan_a.plan_id != plan_c.plan_id
 
 
 def test_domain_hint_steers_model_choice():
@@ -208,52 +185,24 @@ def test_domain_hint_steers_model_choice():
     assert plan.domain_hint == "agriculture"
 
 
-# -- plan documents --------------------------------------------------------------------
-
-
-def test_plan_document_round_trip():
-    fabric, world, registry, broker = make_stack()
-    plan = broker.decompose_intent(make_intent())
-    body = plan.to_document()
-    assert body.endswith(b"\n")
-    assert TaskPlan.from_document(body) == plan
-    assert TaskPlan.from_document(body).to_document() == body
+# -- plan validation --------------------------------------------------------------
 
 
 def test_plan_document_rejects_broken_graphs():
     fabric, world, registry, broker = make_stack()
     plan = broker.decompose_intent(make_intent())
-    doc = json.loads(plan.to_document())
+    first, second = plan.tasks[:2]
 
-    forward = json.loads(json.dumps(doc))
-    forward["tasks"][0]["inputs"] = ["t99"]
+    forward = dataclasses.replace(first, inputs=("t99",))
     with pytest.raises(PlanningFailed, match="before it exists"):
-        TaskPlan.from_document(json.dumps(forward).encode())
+        validate_plan(dataclasses.replace(plan, tasks=(forward, *plan.tasks[1:])))
 
-    dupes = json.loads(json.dumps(doc))
-    dupes["tasks"][1]["taskId"] = dupes["tasks"][0]["taskId"]
+    dupe = dataclasses.replace(second, task_id=first.task_id)
     with pytest.raises(PlanningFailed, match="duplicate"):
-        TaskPlan.from_document(json.dumps(dupes).encode())
+        validate_plan(dataclasses.replace(plan, tasks=(first, dupe, *plan.tasks[2:])))
 
-    empty = json.loads(json.dumps(doc))
-    empty["tasks"] = []
     with pytest.raises(PlanningFailed, match="no tasks"):
-        TaskPlan.from_document(json.dumps(empty).encode())
-
-
-def test_plan_document_rejects_unknown_task_kinds():
-    fabric, world, registry, broker = make_stack()
-    doc = json.loads(broker.decompose_intent(make_intent()).to_document())
-    doc["tasks"][0] = {
-        "taskId": doc["tasks"][0]["taskId"],
-        "kind": "subscribe-binding",
-        "inputs": [],
-        "capability": None,
-        "assignedModel": None,
-        "params": {"selector": "**", "subscriber": "core-1"},
-    }
-    with pytest.raises(ValueError, match="subscribe-binding"):
-        TaskPlan.from_document(json.dumps(doc).encode())
+        validate_plan(dataclasses.replace(plan, tasks=()))
 
 
 def test_validate_plan_accepts_stream_refs_only_at_any_point():

@@ -28,9 +28,9 @@ def make_audit_log(tmp_path):
     fabric.subscribe(Subscription(Selector.parse("net/cell-a/load"), "node-b"))
     fabric.publish(fabric.envelope("net/cell-a/load", b"1", kind="data", session="s1", origin="node-a"))
     fabric.publish(fabric.envelope("net/cell-a/load", b"2", kind="data", session="s1", origin="node-b"))
-    path = tmp_path / "audit.log"
-    count = fabric.audit_log.flush(path)
-    return path, count
+    path = tmp_path / "audit.trace"
+    path.write_text(fabric.journal.render(), encoding="utf-8")
+    return path, len(fabric.audit_log)
 
 
 def valid_descriptor():
@@ -177,6 +177,29 @@ def test_audit_missing_log_is_usage_error(tmp_path, capsys):
     assert "no audit log" in capsys.readouterr().err
 
 
+def test_audit_reads_a_run_trace_and_its_own_output(tmp_path, capsys):
+    trace_file = tmp_path / "t.trace"
+    assert main(["run", "mapek-congestion", "--trace", str(trace_file)]) == 0
+    capsys.readouterr()
+    query = ["--op", "plan", "--op", "execute", "--actor", "mapek"]
+    assert main(["audit", "--log", str(trace_file), *query]) == 0
+    captured = capsys.readouterr()
+    golden = golden_path("mapek-congestion").read_text(encoding="utf-8").splitlines()
+    expected = [
+        line
+        for line in golden
+        if line.startswith("A|") and line.split("|")[3] in ("plan", "execute")
+    ]
+    assert len(expected) == 4
+    assert captured.out.splitlines() == expected
+    assert captured.err == "4 records\n"
+
+    shown = tmp_path / "shown.trace"
+    shown.write_text(captured.out, encoding="utf-8")
+    assert main(["audit", "--log", str(shown)]) == 0
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_audit_corrupt_line_is_usage_error(tmp_path, capsys):
     path = tmp_path / "audit.log"
     path.write_text("1|2|publish\n", encoding="utf-8")
@@ -207,6 +230,29 @@ def test_registry_validate_rejects_bad_descriptor(tmp_path, capsys):
 def test_registry_validate_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["registry", "validate", str(tmp_path / "ghost.json")]) == 2
     assert "no such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, bad_input",
+    [
+        (["audit", "--log"], "not-utf8"),
+        (["run", "fig12-scale", "--golden"], "not-utf8"),
+        (["audit", "--log"], "directory"),
+        (["run", "fig12-scale", "--golden"], "directory"),
+        (["registry", "validate"], "directory"),
+    ],
+    ids=["audit-not-utf8", "golden-not-utf8", "audit-dir", "golden-dir", "registry-dir"],
+)
+def test_unreadable_input_file_is_usage_error(tmp_path, capsys, command, bad_input):
+    path = tmp_path / "input"
+    if bad_input == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"A|1|1|publish|\xff|-|-|ok\n")
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: ")
 
 
 def test_registry_without_subcommand_prints_help(capsys):

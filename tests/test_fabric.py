@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from interconnect.errors import (
     EmptyObjective,
+    GoldenParseError,
     InvalidMetadata,
     NoEligibleModel,
     SelectorSyntax,
@@ -23,10 +24,8 @@ from interconnect.fabric import (
     SubscriptionMode,
     TagPredicate,
     TokenState,
-    parse_audit_line,
 )
 from interconnect.registry import ModelRegistry, parse_descriptor
-from interconnect.scenarios import run_scenario
 from interconnect.trace import AuditEvent, EnvelopeEvent, parse_trace
 
 
@@ -597,7 +596,6 @@ def test_audit_query_filters():
     publishes = fabric.audit_log.query(ops=[AuditOp.PUBLISH])
     assert len(publishes) == 1 and publishes[0].actor == "node-a"
     assert fabric.audit_log.query(actor="node-b")[0].op is AuditOp.SUBSCRIBE
-    assert fabric.audit_log.query(time_range=(1, 1))[0].seq == 1
 
 
 def test_audit_line_round_trip():
@@ -605,19 +603,12 @@ def test_audit_line_round_trip():
     fabric.create_topic("a/b")
     fabric.publish(data_envelope(fabric, "a/b"))
     for record in fabric.audit_log.records():
-        assert parse_audit_line(record.to_line()) == record
-    with pytest.raises(ValueError):
-        parse_audit_line("1|2|publish|node-a|-|-")
-    with pytest.raises(ValueError):
-        parse_audit_line("1|2|frobnicate|node-a|-|-|ok")
-
-
-def test_audit_line_round_trip_over_a_packaged_scenario():
-    records = run_scenario("agri-inference").audit_events()
-    assert len({r.op for r in records}) > 4
-    for record in records:
-        parsed = parse_audit_line(record.to_line())
-        assert type(parsed) is AuditEvent and parsed == record
+        (parsed,) = parse_trace(record.render()).events
+        assert parsed == record and type(parsed.op) is AuditOp
+    with pytest.raises(GoldenParseError):
+        parse_trace("A|1|2|publish|node-a|-|-")
+    with pytest.raises(GoldenParseError):
+        parse_trace("A|1|2|frobnicate|node-a|-|-|ok")
 
 
 def test_journal_records_are_immutable():
@@ -635,27 +626,6 @@ def test_journal_records_are_immutable():
         with pytest.raises(AttributeError):
             event.extra = "x"
     assert [e.logical_time for e in events] == [1, 2, 3, 4]
-
-
-def test_parse_audit_line_rejects_more_than_one_record():
-    line = "1|2|publish|node-a|-|-|ok"
-    assert parse_audit_line(line + "\n").seq == 1
-    for smuggled in (
-        line + "\nA|2|3|deliver|node-b|-|-|ok",
-        line + "\nM|3|a/b|data|s1|node-a|m1|-",
-    ):
-        with pytest.raises(ValueError, match="one audit record"):
-            parse_audit_line(smuggled)
-
-
-def test_audit_flush_writes_one_line_per_record(tmp_path):
-    fabric = make_fabric("node-a")
-    fabric.create_topic("a/b")
-    fabric.publish(data_envelope(fabric, "a/b"))
-    path = tmp_path / "audit.log"
-    count = fabric.audit_log.flush(path)
-    lines = path.read_text().splitlines()
-    assert count == len(lines) == len(fabric.audit_log)
 
 
 # -- participation -------------------------------------------------------------

@@ -11,7 +11,6 @@ from interconnect.fabric import KIND_DATA, Fabric
 from interconnect.mapek import (
     Finding,
     KnowledgeBase,
-    KnowledgeRecord,
     ManagedAction,
     MapeKLoop,
     convergence_oracle,
@@ -38,15 +37,15 @@ def make_loop(offered="19/20", **kwargs):
 def test_knowledge_series_is_windowed():
     kb = KnowledgeBase()
     for i in range(5):
-        kb.add(KnowledgeRecord("load.a", Fraction(i), i, "monitor"))
-    kb.add(KnowledgeRecord("load.b", Fraction(9), 9, "monitor"))
+        kb.add("load.a", Fraction(i))
+    kb.add("load.b", Fraction(9))
     assert kb.series("load.a", 3) == [Fraction(2), Fraction(3), Fraction(4)]
     assert kb.series("load.a", 10) == [Fraction(i) for i in range(5)]
     assert kb.series("load.missing", 3) == []
     assert len(kb) == 6
 
 
-_KEYS = ("load.a", "load.b", "finding.a", "plan.adapt-1")
+_KEYS = ("load.a", "load.b", "load.c", "load.d")
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -58,14 +57,16 @@ _KEYS = ("load.a", "load.b", "finding.a", "plan.adapt-1")
 )
 def test_knowledge_series_equals_reference_scan(adds):
     """After every add, series(k, w) equals the tail slice of a scan over
-    records() for every key (one is never added) and every window, zero
-    and negative windows included."""
+    every value added so far for every key (one is never added) and every
+    window, zero and negative windows included."""
     kb = KnowledgeBase()
+    added = []
     for t, (key, value) in enumerate(adds, start=1):
-        kb.add(KnowledgeRecord(key, Fraction(value), t, "monitor"))
+        kb.add(key, Fraction(value))
+        added.append((key, Fraction(value)))
         assert len(kb) == t
         for k in _KEYS:
-            values = [r.value for r in kb.records() if r.key == k]
+            values = [v for added_key, v in added if added_key == k]
             for w in range(-2, 13):
                 assert kb.series(k, w) == values[-w:]
 
@@ -149,19 +150,6 @@ def test_monitor_reads_repeated_payloads_and_audits_each_malformed_envelope():
     assert {a.outcome for a in audits} == {"error(MalformedTelemetry)"}
 
 
-def test_knowledge_records_are_immutable_values():
-    record = KnowledgeRecord("load.a", Fraction(1, 2), 3, "monitor")
-    assert (record.key, record.value, record.logical_time, record.source) == (
-        "load.a",
-        Fraction(1, 2),
-        3,
-        "monitor",
-    )
-    assert record == KnowledgeRecord("load.a", Fraction(1, 2), 3, "monitor")
-    with pytest.raises(AttributeError):
-        record.value = Fraction(1)
-
-
 def test_run_loop_survives_malformed_telemetry():
     fabric, world, loop = make_loop()
     fabric.register_node("rogue")
@@ -234,13 +222,16 @@ def test_analyze_severity_clamps_at_one():
     assert finding.severity == Fraction(1)
 
 
-def test_analyze_appends_knowledge_records():
+def test_knowledge_holds_only_monitored_loads():
     fabric, world, loop = make_loop()
-    world.step(1)
-    loop.monitor()
-    loop.analyze()
-    stages = [r.source for r in loop.knowledge.records()]
-    assert stages == ["monitor", "analyze"]
+    report = loop.run_loop()
+    assert report.adaptations == 2
+    telemetry = [
+        e for e in fabric.journal.envelope_events() if e.topic == "telemetry/core-1/load"
+    ]
+    assert len(loop.knowledge) == len(telemetry)
+    loads = [Fraction(e.detail) for e in telemetry]
+    assert loop.knowledge.series("load.core-1", len(loads)) == loads
 
 
 # -- plan -------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import pytest
 
+from interconnect.cli import golden_path
 from interconnect.errors import GoldenParseError
+from interconnect.scenarios import SCENARIOS
 from interconnect.trace import (
     AuditEvent,
     AuditOp,
@@ -80,10 +82,10 @@ def test_parse_maps_ops_and_rejects_unknown_ones():
     assert err.value.line_no == 2
 
 
-def test_audit_line_is_trace_line_without_its_tag():
-    event = _audit(1, 2, message_id="m1")
-    assert event.to_line() == "1|2|publish|node-a|m1|-|ok"
-    assert event.render() == "A|" + event.to_line()
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_packaged_golden_round_trips(name):
+    text = golden_path(name).read_text(encoding="utf-8")
+    assert parse_trace(text).render() == text
 
 
 def test_parse_rejects_non_numeric_time():
