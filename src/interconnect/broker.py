@@ -241,12 +241,11 @@ class TaskBroker:
             raise PlanningFailed("intent carries no actionable verb")
         streams = self._streams_from(intent)
         actions = self.planner.episode(capability, streams)
-        candidates = self._registry.query_by_capability(
-            {capability}, domain_hint=intent.target_domain
+        model = next(
+            self._registry.walk_by_capability({capability}, intent.target_domain), None
         )
-        if not candidates:
+        if model is None:
             raise NoEligibleModel(f"no registered model offers {capability}")
-        model = candidates[0]
 
         seed = self.planner.seed
         digest_input = f"{seed}|{intent.text}|{intent.issuer}|{','.join(streams)}"

@@ -49,6 +49,19 @@ def _read(path: str, missing: str, *, binary: bool = False) -> str | bytes | Non
     return None
 
 
+def _write(path: str | Path, text: str) -> bool:
+    """Write UTF-8 text, making missing parent directories; False once
+    `error: cannot write PATH: ...` is printed."""
+    target = Path(path)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+        return True
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         trace = run_scenario(args.scenario, seed=args.seed)
@@ -59,14 +72,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 1
 
-    if args.trace:
-        Path(args.trace).write_text(trace.render(), encoding="utf-8")
+    if args.trace and not _write(args.trace, trace.render()):
+        return 2
 
     if args.golden:
         target = Path(args.golden)
         if args.bless:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(trace.render(), encoding="utf-8")
+            if not _write(target, trace.render()):
+                return 2
             print(f"blessed {target} ({len(trace.events)} records)")
             return 0
         text = _read(args.golden, f"golden file {target} not found")

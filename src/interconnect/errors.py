@@ -31,6 +31,10 @@ class UnknownNode(InterconnectError):
     """Operation named a node that is not registered with the fabric."""
 
 
+class ModelAlreadyHosted(InterconnectError):
+    """host_model named a model that some node already hosts."""
+
+
 class NoEligibleModel(InterconnectError):
     """No registered model satisfies the required capability."""
 

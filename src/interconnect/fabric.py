@@ -38,6 +38,7 @@ from typing import Callable, Iterable
 from .errors import (
     EmptyObjective,
     InvalidMetadata,
+    ModelAlreadyHosted,
     NoEligibleModel,
     SelectorSyntax,
     UnknownNode,
@@ -427,11 +428,25 @@ class Fabric:
         """Idempotently register a node identity with the fabric."""
         self._nodes.add(node_id)
 
-    def host_model(self, model_id: str, node_id: str) -> str:
+    def host_model(
+        self,
+        model_id: str,
+        node_id: str,
+        handler: Callable[[MessageEnvelope], None] | None = None,
+    ) -> str:
         """Bind a model to its hosting node; returns the host's request-queue
-        subscription id (drain it to serve requests)."""
+        subscription id (drain it to serve requests). `handler` is passed to
+        `subscribe`, so it runs on each request delivered.
+
+        A model has one host: hosting it again, on another node or on the
+        same one, raises ModelAlreadyHosted before anything is subscribed,
+        since a second request queue would deliver each request twice.
+        """
         if node_id not in self._nodes:
             raise UnknownNode(f"node {node_id!r} not registered")
+        host = self._model_hosts.get(model_id)
+        if host is not None:
+            raise ModelAlreadyHosted(f"model {model_id!r} is already hosted on {host!r}")
         request_topic = f"models/{model_id}/requests"
         self.create_topic(request_topic)
         self._model_hosts[model_id] = node_id
@@ -441,7 +456,7 @@ class Fabric:
             mode=SubscriptionMode.DURABLE,
             kind=SubscriptionKind.DATA,
         )
-        return self.subscribe(sub)
+        return self.subscribe(sub, handler)
 
     def model_host(self, model_id: str) -> str | None:
         return self._model_hosts.get(model_id)
@@ -750,19 +765,26 @@ class Fabric:
         return None
 
     def _select_model(self, capability: str, metadata: dict[str, str], domain_hint: str | None):
+        """The first model of the registry's walk hosted at the locality-hint
+        node, else the first one hosted anywhere; the walk stops there."""
         if self.registry is None:
             raise NoEligibleModel("no model registry attached to the fabric")
-        eligible = self.registry.query_by_capability({capability}, domain_hint=domain_hint)
-        if not eligible:
-            raise NoEligibleModel(f"no registered model offers capability {capability!r}")
         hint = metadata.get("locality-hint")
-        if hint:
-            for descriptor in eligible:
-                if self._model_hosts.get(descriptor.model_id) == hint:
-                    return descriptor
-        for descriptor in eligible:
-            if descriptor.model_id in self._model_hosts:
+        offered = False
+        first_hosted = None
+        for descriptor in self.registry.walk_by_capability({capability}, domain_hint):
+            offered = True
+            host = self._model_hosts.get(descriptor.model_id)
+            if host is None:
+                continue
+            if not hint or host == hint:
                 return descriptor
+            if first_hosted is None:
+                first_hosted = descriptor
+        if first_hosted is not None:
+            return first_hosted
+        if not offered:
+            raise NoEligibleModel(f"no registered model offers capability {capability!r}")
         raise NoEligibleModel(f"no eligible model for {capability!r} is hosted anywhere")
 
     def _watch(self, watch: _TokenWatch) -> None:
@@ -845,10 +867,10 @@ class Fabric:
             capability = self._required_capability(data.metadata, {})
             if capability is None:
                 raise NoEligibleModel("no capability requirement could be derived")
-            eligible = self.registry.query_by_capability({capability})
-            if not eligible:
+            best = next(self.registry.walk_by_capability({capability}), None)
+            if best is None:
                 raise NoEligibleModel(f"no registered model offers capability {capability!r}")
-            model_id = eligible[0].model_id
+            model_id = best.model_id
         update_topic = f"registry/{model_id}"
         self.create_topic(update_topic)
         token = CompletionToken(self._next_id("tok"), update_topic)

@@ -15,6 +15,8 @@ then bump the patch version.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -318,9 +320,6 @@ def serialize_descriptor(descriptor: ModelDescriptor) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-_NO_MODELS: frozenset[str] = frozenset()
-
-
 @dataclass
 class _ModelEntry:
     latest: ModelDescriptor
@@ -328,19 +327,25 @@ class _ModelEntry:
     learning_buffer: list[tuple[str, str]] = field(default_factory=list)  # (envelope id, objective)
 
 
+def _rank(descriptor: ModelDescriptor) -> tuple[int, str]:
+    return (descriptor.performance.latency_ticks, descriptor.model_id)
+
+
 class ModelRegistry:
     """Versioned store of model descriptors with capability lookup.
 
-    Capability lookup is indexed: each capability name maps to the ids of
-    the models whose latest descriptor declares it, so a query costs the
-    models its rarest required name reaches, not every registered model.
+    Capability lookup is ranked: each capability name maps to the
+    `(latencyTicks, model_id)` keys of the models whose latest descriptor
+    declares it, kept sorted as versions arrive. A lookup walks one such
+    list in order and can stop at its first acceptable model, so it costs
+    the models it reads, not every registered or matching model.
     """
 
     def __init__(self, fabric: Fabric | None = None, update_cycle_len: int = 1):
         if update_cycle_len < 1:
             raise ValueError("update_cycle_len must be at least 1")
         self._entries: dict[str, _ModelEntry] = {}
-        self._by_capability: dict[str, set[str]] = {}
+        self._ranked: dict[str, list[tuple[int, str]]] = {}
         self._fabric = fabric
         self.update_cycle_len = update_cycle_len
         if fabric is not None:
@@ -363,29 +368,31 @@ class ModelRegistry:
         self._fabric.publish(envelope)
 
     def _store(self, descriptor: ModelDescriptor) -> _ModelEntry:
-        """File a new version; re-index the model only if it becomes the latest."""
+        """File a new version; re-rank the model only if it becomes the
+        latest and its latency or capability names changed."""
         model_id = descriptor.model_id
         key = descriptor.version.render()
         entry = self._entries.get(model_id)
-        if entry is None:
-            entry = self._entries[model_id] = _ModelEntry(descriptor)
-            dropped, added = frozenset(), descriptor.capability_names()
-        elif key in entry.versions:
+        if entry is not None and key in entry.versions:
             raise DuplicateModelVersion(f"{model_id}@{key} already registered")
-        elif descriptor.version > entry.latest.version:
-            old, new = entry.latest.capability_names(), descriptor.capability_names()
-            dropped, added = old - new, new - old
-            entry.latest = descriptor
-        else:
-            dropped = added = frozenset()
+        if entry is None or descriptor.version > entry.latest.version:
+            names, rank = descriptor.capability_names(), _rank(descriptor)
+            if entry is None:
+                entry = self._entries[model_id] = _ModelEntry(descriptor)
+                old_names, old_rank = frozenset(), None
+            else:
+                old_names, old_rank = entry.latest.capability_names(), _rank(entry.latest)
+                entry.latest = descriptor
+            for name in old_names:
+                if rank != old_rank or name not in names:
+                    ranked = self._ranked[name]
+                    del ranked[bisect_left(ranked, old_rank)]
+                    if not ranked:
+                        del self._ranked[name]
+            for name in names:
+                if rank != old_rank or name not in old_names:
+                    insort(self._ranked.setdefault(name, []), rank)
         entry.versions[key] = descriptor
-        for name in dropped:
-            holders = self._by_capability[name]
-            holders.discard(model_id)
-            if not holders:
-                del self._by_capability[name]
-        for name in added:
-            self._by_capability.setdefault(name, set()).add(model_id)
         return entry
 
     def register(self, descriptor: ModelDescriptor) -> str:
@@ -418,32 +425,51 @@ class ModelRegistry:
     def model_ids(self) -> list[str]:
         return sorted(self._entries)
 
-    def query_by_capability(
+    def walk_by_capability(
         self, required: set[str] | frozenset[str], domain_hint: str | None = None
-    ) -> list[ModelDescriptor]:
-        """Latest versions whose capability names cover `required`.
+    ) -> Iterator[ModelDescriptor]:
+        """Latest versions whose capability names cover `required`, lazily.
 
         Ordering: domain-hint matches first, then ascending latencyTicks,
-        then model id; the key is total, so the order does not depend on
-        how the matches were found. The matches are the intersection of
-        the capability index's model sets for the required names, smallest
-        set first. Pure read.
+        then model id. The walk reads the ranked list of the rarest
+        required name, already in `(latencyTicks, model_id)` order, keeps
+        the models that declare every other required name, and yields the
+        domain-hint matches as it meets them and the rest after them, so a
+        caller that stops at its first acceptable model pays for the models
+        read up to it. Raises BadQuery at once for an empty `required`.
+        Pure read; finish or drop a walk before registering again.
         """
         if not required:
             raise BadQuery("required capability set must be non-empty")
-        holders = sorted(
-            (self._by_capability.get(name, _NO_MODELS) for name in required), key=len
-        )
-        ids = holders[0].intersection(*holders[1:])
-        matches = [self._entries[model_id].latest for model_id in ids]
-        matches.sort(
-            key=lambda d: (
-                0 if (domain_hint is not None and domain_hint in d.domains) else 1,
-                d.performance.latency_ticks,
-                d.model_id,
-            )
-        )
-        return matches
+        ranked = min((self._ranked.get(name, ()) for name in required), key=len)
+        return self._walk(ranked, required if len(required) > 1 else None, domain_hint)
+
+    def _walk(
+        self,
+        ranked: Iterable[tuple[int, str]],
+        required: set[str] | frozenset[str] | None,
+        domain_hint: str | None,
+    ) -> Iterator[ModelDescriptor]:
+        """`ranked` in order, less the models lacking a `required` name,
+        domain-hint matches first; `required` is None for one name."""
+        entries = self._entries
+        rest: list[ModelDescriptor] = []
+        for _, model_id in ranked:
+            latest = entries[model_id].latest
+            if required is not None and not required <= latest.capability_names():
+                continue
+            if domain_hint is None or domain_hint in latest.domains:
+                yield latest
+            else:
+                rest.append(latest)
+        yield from rest
+
+    def query_by_capability(
+        self, required: set[str] | frozenset[str], domain_hint: str | None = None
+    ) -> list[ModelDescriptor]:
+        """Every model `walk_by_capability` yields, as a list in its order
+        (domain-hint matches, then latencyTicks, then model id)."""
+        return list(self.walk_by_capability(required, domain_hint))
 
     def bump_version(self, model_id: str, part: str) -> Version:
         """Clone the latest descriptor under an incremented version."""

@@ -3,9 +3,18 @@
 The world is a discrete-event system: each tick of a step runs node
 handlers in node-id order, so runs are reproducible given the same
 construction sequence and seed. Nodes with a load model publish one telemetry
-envelope per tick; model-host nodes drain their request queues and reply with
-inference results; every node accepts control envelopes on
-managed/<nodeId>/knobs that set knobs (clamped to their declared ranges).
+envelope per tick; model-host nodes reply to their requests with inference
+results; every node accepts control envelopes on managed/<nodeId>/knobs that
+set knobs (clamped to their declared ranges).
+
+A tick costs the requests it serves, not the models hosted (the reactor
+pattern: Schmidt, "Reactor", PLoPD 1995). Each hosted model's request queue
+has a fabric handler that marks the model pending on its node, and a tick
+drains only pending models: in model-id order within a node, in node-id
+order across nodes. A model leaves pending before its replies go out, and
+pending is read again after each model, so a request published during a
+tick is served in this tick when its model comes later in that order, and
+in the next tick when it is this model or an earlier one.
 
 All trace-visible values are integers or exact rationals rendered as
 fraction strings; there are no floats anywhere in the state. The optional
@@ -29,7 +38,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DuplicateNode
+from .errors import DuplicateNode, ModelAlreadyHosted
 from .fabric import (
     KIND_DATA,
     KIND_INFERENCE_RESULT,
@@ -187,6 +196,7 @@ class _NodeRuntime:
     node_id: str
     kind: NodeKind
     hosted: dict[str, str] = field(default_factory=dict)  # model id -> request sub id
+    pending: set[str] = field(default_factory=set)  # hosted models with requests queued
     jitter: bool = False
     fail_requests: int = 0
     # Last telemetry reading: its inputs (offered load, admission knob or
@@ -202,6 +212,9 @@ class SimWorld:
         self.state = WorldState()
         self.rng = random.Random(seed)
         self._runtimes: dict[str, _NodeRuntime] = {}
+        # Node ids in step order. spawn_node rebinds it to a new list, so a
+        # tick in progress keeps the order it started with.
+        self._order: list[str] = []
         self._snapshots: dict[str, WorldState] = {}
         self._snap_count = 0
 
@@ -223,7 +236,9 @@ class SimWorld:
         The id must be one topic segment (see `Fabric.create_topic`) other
         than `total`, whose metric keys would collide with the world total
         in `WorldState.metrics()`. Raises DuplicateNode for an id already
-        spawned and ValueError for a bad one, before anything is added.
+        spawned, ValueError for a bad one, and ModelAlreadyHosted for a model
+        another node hosts or `hosted_models` names twice (see
+        `Fabric.host_model`), before anything is added.
         """
         if node_id in self._runtimes:
             raise DuplicateNode(f"node {node_id!r} already exists")
@@ -231,6 +246,12 @@ class SimWorld:
             raise ValueError(f"node id {TOTAL!r} is reserved for the world total")
         if "/" in node_id:
             raise ValueError(f"node id {node_id!r} must be a single topic segment")
+        named: set[str] = set()
+        for model_id in hosted_models:
+            host = node_id if model_id in named else self.fabric.model_host(model_id)
+            if host is not None:
+                raise ModelAlreadyHosted(f"model {model_id!r} is already hosted on {host!r}")
+            named.add(model_id)
         control_topic = f"managed/{node_id}/knobs"
         self.fabric.create_topic(control_topic)  # rejects a bad segment
         ranges = dict(DEFAULT_KNOB_RANGES)
@@ -245,6 +266,7 @@ class SimWorld:
         self.fabric.register_node(node_id)
         self.state.nodes[node_id] = node_state
         self._runtimes[node_id] = runtime
+        self._order = sorted(self._runtimes)
 
         self.fabric.subscribe(
             Subscription(
@@ -258,13 +280,15 @@ class SimWorld:
         if load is not None:
             self.fabric.create_topic(f"telemetry/{node_id}/load")
         for model_id in hosted_models:
-            runtime.hosted[model_id] = self.fabric.host_model(model_id, node_id)
+            runtime.hosted[model_id] = self.fabric.host_model(
+                model_id, node_id, handler=lambda _env, mid=model_id: runtime.pending.add(mid)
+            )
 
     def node_kind(self, node_id: str) -> NodeKind:
         return self._runtimes[node_id].kind
 
     def node_ids(self) -> list[str]:
-        return sorted(self._runtimes)
+        return list(self._order)
 
     def fail_next_requests(self, node_id: str, count: int) -> None:
         """Make a model host answer its next requests with an error."""
@@ -304,12 +328,12 @@ class SimWorld:
     def step(self, ticks: int = 1) -> None:
         """Advance the world; handlers run per tick in node-id order."""
         for _ in range(ticks):
-            for node_id in sorted(self._runtimes):
+            for node_id in self._order:
                 runtime = self._runtimes[node_id]
                 node = self.state.nodes[node_id]
                 if node.load is not None:
                     self._emit_telemetry(node_id, runtime, node)
-                if runtime.hosted:
+                if runtime.pending:
                     self._serve_requests(runtime)
 
     def _emit_telemetry(self, node_id: str, runtime: _NodeRuntime, node: NodeState) -> None:
@@ -336,9 +360,17 @@ class SimWorld:
         )
 
     def _serve_requests(self, runtime: _NodeRuntime) -> None:
-        for model_id in sorted(runtime.hosted):
+        """Serve the node's pending models in model-id order (see the module
+        docstring); a model marked pending again by a reply waits a tick."""
+        served = ""  # model ids are topic segments, never empty
+        while True:
+            model_id = min((m for m in runtime.pending if m > served), default=None)
+            if model_id is None:
+                return
+            runtime.pending.discard(model_id)
             for request in self.fabric.drain(runtime.hosted[model_id]):
                 self._reply(runtime, model_id, request)
+            served = model_id
 
     def _reply(self, runtime: _NodeRuntime, model_id: str, request: MessageEnvelope) -> None:
         result_topic = request.metadata.get("result-topic")

@@ -101,6 +101,20 @@ def test_run_bless_then_match(tmp_path, capsys):
     assert "fig7-decompose: match (" in capsys.readouterr().out
 
 
+def test_run_trace_to_a_directory_is_an_input_error(tmp_path, capsys):
+    assert main(["run", "fig12-scale", "--trace", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_run_bless_under_a_regular_file_is_an_input_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory", encoding="utf-8")
+    golden = blocker / "sub" / "g.trace"
+    assert main(["run", "fig7-decompose", "--golden", str(golden), "--bless"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {golden}: ")
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_run_against_packaged_golden_matches(capsys):
     golden = golden_path("mapek-congestion")
     assert main(["run", "mapek-congestion", "--golden", str(golden)]) == 0

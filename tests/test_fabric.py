@@ -11,6 +11,7 @@ from interconnect.errors import (
     EmptyObjective,
     GoldenParseError,
     InvalidMetadata,
+    ModelAlreadyHosted,
     NoEligibleModel,
     SelectorSyntax,
     UnknownNode,
@@ -662,8 +663,11 @@ def test_participate_inference_settles_token():
 
 
 def test_participate_inference_prefers_locality_hint():
+    # "near" ranks after the unhosted "cheap" and the hosted "fast", yet it
+    # is hosted at the hint node; without a hint the first hosted model wins.
     fabric = make_fabric("app", "edge-1", "edge-2")
     registry = ModelRegistry(fabric)
+    registry.register(parse_descriptor(descriptor_doc("cheap", latency=1)))
     registry.register(parse_descriptor(descriptor_doc("fast", latency=1)))
     registry.register(parse_descriptor(descriptor_doc("near", latency=5)))
     fabric.host_model("fast", "edge-1")
@@ -676,6 +680,9 @@ def test_participate_inference_prefers_locality_hint():
     assert token.state is TokenState.PENDING
     assert fabric.last_envelope("models/near/requests") is not None
     assert fabric.last_envelope("models/fast/requests") is None
+    data = data_envelope(fabric, "net/load", origin="app", tags="predict")
+    fabric.participate_inference(data, {"session": "job-3"})
+    assert fabric.last_envelope("models/fast/requests").metadata["session"] == "job-3"
 
 
 def test_error_metadata_fails_the_token():
@@ -794,6 +801,17 @@ def test_participate_learning_unknown_model():
     data = data_envelope(fabric, "net/load", origin="app", model_id="ghost")
     with pytest.raises(NoEligibleModel):
         fabric.participate_learning(data, "objective")
+
+
+def test_host_model_refuses_a_second_host_before_subscribing():
+    fabric = make_fabric("edge-1", "edge-2")
+    fabric.host_model("forecaster", "edge-1")
+    before = fabric.journal.render()
+    for node in ("edge-2", "edge-1"):
+        with pytest.raises(ModelAlreadyHosted):
+            fabric.host_model("forecaster", node)
+    assert fabric.journal.render() == before
+    assert fabric.model_host("forecaster") == "edge-1"
 
 
 def test_host_model_requires_registered_node():

@@ -370,11 +370,19 @@ _registry_operations = st.lists(
         ("bump", "m-a", "patch"),
     ]
 )
+@example(
+    [  # a newer version that changes only latencyTicks re-ranks the model
+        ("register", _descriptor("m-a", Version(1, 0, 0), {"predict"}, latency=1)),
+        ("register", _descriptor("m-b", Version(1, 0, 0), {"predict"}, latency=2)),
+        ("register", _descriptor("m-a", Version(1, 0, 1), {"predict"}, latency=3)),
+    ]
+)
 def test_indexed_query_equals_brute_force_scan(operations):
-    """After every register and bump_version, each query returns exactly the
-    latest descriptors that cover the required names, in the documented order
-    (domain-hint matches, then latencyTicks, then model id), as a scan of all
-    registered versions computes it."""
+    """After every register and bump_version, each query's ordered walk and
+    its list return exactly the latest descriptors that cover the required
+    names, in the documented order (domain-hint matches, then latencyTicks,
+    then model id), as a scan of all registered versions computes it; the
+    walk's first item is the head of that list."""
     registry = ModelRegistry()
     registered: dict[str, dict[Version, ModelDescriptor]] = {}
 
@@ -424,4 +432,7 @@ def test_indexed_query_equals_brute_force_scan(operations):
                     d.model_id,
                 ),
             )
+            assert list(registry.walk_by_capability(required, hint)) == expected
             assert registry.query_by_capability(required, domain_hint=hint) == expected
+            head = next(registry.walk_by_capability(required, hint), None)
+            assert head == (expected[0] if expected else None)

@@ -5,10 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interconnect.errors import DuplicateNode
+from interconnect.errors import DuplicateNode, ModelAlreadyHosted
 from interconnect.fabric import Fabric, Selector, Subscription, TokenState
 from interconnect.registry import ModelRegistry, parse_descriptor
 from interconnect.simnet import LoadModel, NodeKind, SimWorld, WorldState
@@ -439,6 +439,113 @@ def test_request_without_result_topic_is_audited_and_dropped():
         "forecaster",
         "error(MissingResultTopic)",
     )
+
+
+def test_a_model_has_one_host_and_one_reply_per_request():
+    world = make_world()
+    world.spawn_node("a", NodeKind.MODEL_HOST, hosted_models=("m",))
+    with pytest.raises(ModelAlreadyHosted):
+        world.spawn_node("b", NodeKind.MODEL_HOST, hosted_models=("m",))
+    with pytest.raises(ModelAlreadyHosted):
+        world.spawn_node("c", NodeKind.MODEL_HOST, hosted_models=("n", "n"))
+    assert world.node_ids() == ["a"] and world.fabric.model_host("m") == "a"
+    world.fabric.publish(
+        world.fabric.envelope(
+            "models/m/requests", b"x", kind="data", session="s1", origin="a",
+            extra={"result-topic": "sessions/s1/results"},
+        )
+    )
+    world.step(1)
+    replies = [e for e in world.fabric.journal.envelope_events() if e.kind == "inference-result"]
+    assert [(e.origin, e.detail) for e in replies] == [("a", "reply m")]
+
+
+# -- serve order against draining every mailbox --------------------------------
+
+
+_SERVED_MODELS = ("m0", "m1", "m2", "m3", "m4")
+_SERVING_HOSTS = ("h0", "h1", "h2")
+
+
+def _serving_world(hosts_of, requests, fails):
+    """Hosts `_SERVED_MODELS[i]` on `hosts_of[i]` and publishes one request
+    per `(model, chain)` in `requests`; the reply to a request's k-th link
+    publishes a request to `chain[k]`, from the client's result handler."""
+    world = SimWorld(Fabric(), seed=0)
+    fabric = world.fabric
+    for host in _SERVING_HOSTS:
+        world.spawn_node(
+            host,
+            NodeKind.MODEL_HOST,
+            load=LoadModel(offered_load=Fraction(1, 2)) if host == "h1" else None,
+            hosted_models=tuple(m for m, h in zip(_SERVED_MODELS, hosts_of) if h == host),
+        )
+    for host, count in fails.items():
+        world.fail_next_requests(host, count)
+    fabric.register_node("client")
+
+    def ask(model_id, session):
+        fabric.publish(
+            fabric.envelope(
+                f"models/{model_id}/requests", session, kind="data", session=session,
+                origin="client", extra={"result-topic": f"sessions/{session}/results"},
+            )
+        )
+
+    def follow(reply):
+        i, k = map(int, reply.metadata["session"][1:].split("-"))
+        chain = requests[i][1]
+        if k < len(chain):
+            ask(chain[k], f"r{i}-{k + 1}")
+
+    fabric.subscribe(Subscription(Selector.parse("sessions/**"), "client"), handler=follow)
+    for i, (model_id, _) in enumerate(requests):
+        ask(model_id, f"r{i}-0")
+    return world
+
+
+def _drain_every_mailbox(world):
+    """One tick of the reference loop: drain every hosted model's request
+    queue, in model-id order within a node and node-id order across nodes."""
+    for node_id in sorted(world._runtimes):
+        runtime = world._runtimes[node_id]
+        node = world.state.nodes[node_id]
+        if node.load is not None:
+            world._emit_telemetry(node_id, runtime, node)
+        for model_id in sorted(runtime.hosted):
+            for request in world.fabric.drain(runtime.hosted[model_id]):
+                world._reply(runtime, model_id, request)
+
+
+_models = st.sampled_from(_SERVED_MODELS)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.sampled_from(_SERVING_HOSTS), min_size=len(_SERVED_MODELS), max_size=len(_SERVED_MODELS)
+    ),
+    st.lists(st.tuples(_models, st.lists(_models, max_size=3)), max_size=6),
+    st.dictionaries(st.sampled_from(_SERVING_HOSTS), st.integers(1, 2), max_size=2),
+    st.integers(1, 3),
+)
+@example(  # replies from m1 on h1 ask an earlier, the same and a later model
+    # on h1, a model on the earlier node h0 and one on the later node h2
+    ["h1", "h1", "h1", "h0", "h2"],
+    [("m1", ["m0"]), ("m1", ["m1"]), ("m1", ["m2"]), ("m1", ["m3"]), ("m1", ["m4", "m2"])],
+    {"h1": 1},
+    2,
+)
+def test_step_serves_requests_as_draining_every_mailbox_would(hosts_of, requests, fails, ticks):
+    """A tick that serves only pending models journals exactly what a tick
+    that drains every hosted mailbox does, including for requests that
+    reply handlers publish during the tick."""
+    served = _serving_world(hosts_of, requests, fails)
+    served.step(ticks)
+    reference = _serving_world(hosts_of, requests, fails)
+    for _ in range(ticks):
+        _drain_every_mailbox(reference)
+    assert served.fabric.journal.render() == reference.fabric.journal.render()
 
 
 # -- snapshots ------------------------------------------------------------------------------
