@@ -15,13 +15,17 @@ load readings, indexed by key so a windowed read costs O(window) however
 long the loop has run, and the ids of the envelopes already monitored. Plans,
 executions and rollbacks are recorded in the fabric's audit log. `monitor`
 parses each distinct payload of a batch once; envelopes that repeat a payload
-share its `Fraction`.
+share its `Fraction`. A windowed mean adds the window's numerators as ints,
+one sum per distinct denominator, and combines those few sums over their
+least common multiple, so it normalises once instead of after every add;
+the result is the same normalised `Fraction`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ExecutionFailed, InsufficientData, NoApplicableAction
 from .fabric import KIND_CONTROL, AuditOp, Fabric, MessageEnvelope, Selector, Subscription
@@ -260,7 +264,15 @@ class MapeKLoop:
         series = self.knowledge.series(f"load.{origin}", self.window)
         if not series:
             return None
-        return sum(series, Fraction(0)) / len(series), len(series)
+        sums: dict[int, int] = {}  # denominator -> sum of its numerators
+        for value in series:
+            numerator, denominator = value.as_integer_ratio()
+            sums[denominator] = sums.get(denominator, 0) + numerator
+        common = lcm(*sums)
+        total = 0
+        for denominator, numerator in sums.items():
+            total += numerator * (common // denominator)
+        return Fraction(total, common * len(series)), len(series)
 
     def execute(self, plan: AdaptationPlan) -> ExecutionReport:
         """Apply actions as control envelopes, settle, verify, else roll back."""

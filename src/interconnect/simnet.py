@@ -199,6 +199,7 @@ class _NodeRuntime:
     pending: set[str] = field(default_factory=set)  # hosted models with requests queued
     jitter: bool = False
     fail_requests: int = 0
+    telemetry_topic: str = ""
     # Last telemetry reading: its inputs (offered load, admission knob or
     # None, service rate), the utilization they give and that value's text.
     reading: tuple = (None, None, None)
@@ -262,7 +263,9 @@ class SimWorld:
             knob_ranges={k: ranges[k] for k in (knobs or {}) if k in ranges},
             load=load,
         )
-        runtime = _NodeRuntime(node_id=node_id, kind=kind, jitter=jitter)
+        runtime = _NodeRuntime(
+            node_id=node_id, kind=kind, jitter=jitter, telemetry_topic=f"telemetry/{node_id}/load"
+        )
         self.fabric.register_node(node_id)
         self.state.nodes[node_id] = node_state
         self._runtimes[node_id] = runtime
@@ -278,7 +281,7 @@ class SimWorld:
             handler=lambda env, nid=node_id: self._apply_control(nid, env),
         )
         if load is not None:
-            self.fabric.create_topic(f"telemetry/{node_id}/load")
+            self.fabric.create_topic(runtime.telemetry_topic)
         for model_id in hosted_models:
             runtime.hosted[model_id] = self.fabric.host_model(
                 model_id, node_id, handler=lambda _env, mid=model_id: runtime.pending.add(mid)
@@ -349,7 +352,7 @@ class SimWorld:
             text = str(value)
         self.fabric.publish(
             self.fabric.envelope(
-                f"telemetry/{node_id}/load",
+                runtime.telemetry_topic,
                 text,
                 kind=KIND_DATA,
                 session="telemetry",

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from interconnect.errors import (
 from interconnect.fabric import (
     AuditOp,
     Fabric,
+    MessageEnvelope,
     Selector,
     Subscription,
     SubscriptionMode,
@@ -256,6 +258,81 @@ def test_publish_rejects_an_id_or_metadata_value_that_is_not_a_str(selector):
     assert fabric.drain(sub_id) == []
 
 
+@pytest.mark.parametrize(
+    "topic,metadata,message",
+    [
+        ("a/b", None, "metadata must be a dict, got NoneType"),
+        ("a/b", [("kind", "data")], "metadata must be a dict, got list"),
+        (["a", "b"], {}, "topic ['a', 'b'] is not a str"),
+    ],
+)
+def test_publish_rejects_malformed_envelopes_before_journaling(topic, metadata, message):
+    # These used to escape from publish as AttributeError or TypeError.
+    fabric = make_fabric("node-a")
+    fabric.create_topic("a/b")
+    journaled = len(fabric.journal.events)
+    with pytest.raises(InvalidMetadata, match=f"^{re.escape(message)}$"):
+        fabric.publish(MessageEnvelope(topic, b"x", metadata))
+    assert len(fabric.journal.events) == journaled
+
+
+_VALID = {"kind": "data", "session": "s1", "origin-node": "node-a"}
+
+
+def _rejection(message, message_id="", **changes):
+    """Valid metadata with `changes` applied (`_` in a key stands for `-`,
+    None deletes the key), a message id, and the message its rejection
+    must carry."""
+    metadata = {**_VALID, **{key.replace("_", "-"): value for key, value in changes.items()}}
+    return (
+        {key: value for key, value in metadata.items() if value is not None},
+        message_id,
+        message,
+    )
+
+
+_JOURNALED = ("session", "origin-node", "model-id", "detail")
+_SEPARATED = ("a|b", "a\rb", "a\nb")
+_REJECTIONS = [
+    _rejection("metadata 'zone' is not a str: 5", zone=5),
+    *(_rejection(f"missing required metadata key {key!r}", **{key: None}) for key in _VALID),
+    *(_rejection(f"missing required metadata key {key!r}", **{key: ""}) for key in _VALID),
+    _rejection("unknown message kind 'gossip'", kind="gossip"),
+    *(
+        _rejection(f"metadata {key!r} holds a record separator: {value!r}", **{key: value})
+        for key in _JOURNALED
+        for value in _SEPARATED
+    ),
+    *(_rejection(f"message id {value!r} holds a record separator", value) for value in _SEPARATED),
+    _rejection("message id 5 is not a str", 5),
+    _rejection("message id 'm1' is reserved for minted ids", "m1"),
+    _rejection("duplicate message id 'seen'", "seen"),
+    # Several faults at once: the first check in the fixed order reports.
+    _rejection("metadata 'zone' is not a str: 5", zone=5, session=None),
+    _rejection("metadata 'zone' is not a str: [1]", zone=[1], kind="gossip", detail="a|b"),
+    _rejection("missing required metadata key 'session'", session=None, kind="gossip"),
+    _rejection("missing required metadata key 'kind'", 5, kind=None, origin_node="a|b"),
+    _rejection("unknown message kind 'gossip'", kind="gossip", session="a|b"),
+    _rejection("unknown message kind 'gossip'", "a|b", kind="gossip"),
+    _rejection("metadata 'session' holds a record separator: 'a|b'", session="a|b", detail="c\nd"),
+    _rejection("metadata 'detail' holds a record separator: 'a|b'", 5, detail="a|b"),
+    _rejection("metadata 'model-id' holds a record separator: 'a\\rb'", "c|d", model_id="a\rb"),
+    _rejection("message id 5 is not a str", 5, semantic_tags="a|b"),
+    _rejection("message id 'm1|' holds a record separator", "m1|"),
+]
+
+
+@pytest.mark.parametrize("metadata,message_id,message", _REJECTIONS)
+def test_publish_rejection_messages_and_precedence(metadata, message_id, message):
+    fabric = make_fabric("node-a")
+    fabric.create_topic("a/b")
+    fabric.publish(MessageEnvelope("a/b", b"x", dict(_VALID), id="seen"))
+    journaled = len(fabric.journal.events)
+    with pytest.raises(InvalidMetadata, match=f"^{re.escape(message)}$"):
+        fabric.publish(MessageEnvelope("a/b", b"x", metadata, id=message_id))
+    assert len(fabric.journal.events) == journaled
+
+
 def test_publish_retains_latest_envelope():
     fabric = make_fabric("node-a")
     fabric.create_topic("a/b")
@@ -439,6 +516,33 @@ _operations = st.lists(
         ("publish", "s1", "south"),
     ]
 )
+@example(
+    [
+        ("publish", "s1", None),
+        ("subscribe", Selector("a/b/*"), False, None, None),
+        ("publish", "s1", None),
+        ("subscribe", Selector("**"), False, None, None),
+        ("publish", "s1", "north"),
+    ]
+)
+@example(
+    [
+        ("subscribe", Selector("a/b"), True, None, None),
+        ("subscribe", Selector("a/*/a"), True, None, None),
+        ("subscribe", Selector("a/*"), False, None, None),
+        ("publish", "s1", None),
+        ("publish", "s2", None),
+    ]
+)
+@example(
+    [
+        ("publish", "s1", None),
+        ("subscribe", Selector("a"), False, None, ("subscribe", Selector("a/*/b"), False, None)),
+        ("subscribe", Selector("b"), False, None, ("subscribe", Selector("b"), True, None)),
+        ("publish", "s1", None),
+        ("publish", "s2", None),
+    ]
+)
 def test_indexed_dispatch_equals_reference_scan(operations):
     """Delivered ids and their order equal a Selector.matches scan over the
     live subscriptions in creation order (dict order, as re-subscribing under
@@ -446,10 +550,14 @@ def test_indexed_dispatch_equals_reference_scan(operations):
     unsubscribes and (un)subscribes made from inside handlers. Unsubscribing
     the rest afterwards empties the index.
 
-    The examples pin the `eq` filing: two values on one key, two `eq`
+    The first examples pin the `eq` filing: two values on one key, two `eq`
     predicates on one key that no envelope satisfies, an `eq` after a
     non-`eq` predicate, and an `eq`-filed subscription moved to another
-    value and then unsubscribed from inside handlers."""
+    value and then unsubscribed from inside handlers. The last three pin
+    the route cache: every topic is published before a subscription grows
+    a new trie branch to it (and a root `**`), one-shots empty and prune
+    their buckets, and handlers subscribe mid-publish to topics published
+    later in the same round."""
     fabric = make_fabric("pub", "sub")
     for topic in _TOPICS:
         fabric.create_topic(topic)
@@ -523,6 +631,7 @@ def test_indexed_dispatch_equals_reference_scan(operations):
         fabric.unsubscribe(sub_id)
     root = fabric._index
     assert not (root.children or root.here or root.tail)
+    assert not any(fabric._routes.values())
 
 
 def test_eq_filing_tests_only_the_subscriptions_filed_under_the_value(monkeypatch):

@@ -184,6 +184,29 @@ def test_analyze_reports_exact_severity():
     assert "mean=19/20" in finding.evidence
 
 
+_denominators = st.sampled_from((1, 2, 3, 4, 6, 7, 10, 12, 999, 1000, 1001))
+_fractions = st.one_of(
+    st.builds(Fraction, st.integers(-(10**6), 10**6), _denominators),
+    st.fractions(),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_fractions, min_size=1, max_size=25), st.integers(1, 30))
+def test_windowed_mean_equals_a_fraction_sum(values, window):
+    """The per-denominator mean equals `sum(series, Fraction(0)) / len`, by
+    value and by its text, over mixed and repeated denominators, for a
+    window shorter than, equal to and longer than the series, and 1."""
+    for size in (window, 1):
+        fabric, world, loop = make_loop(window=size)
+        for value in values:
+            loop.knowledge.add("load.core-1", value)
+        series = values[-size:]
+        expected = sum(series, Fraction(0)) / len(series)
+        mean, samples = loop._windowed_mean("core-1")
+        assert (mean, str(mean), samples) == (expected, str(expected), len(series))
+
+
 def test_analyze_mean_at_threshold_is_healthy():
     fabric, world, loop = make_loop(offered="4/5")
     world.step(2)
