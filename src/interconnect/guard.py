@@ -9,9 +9,9 @@ live configuration change:
   and check named invariants; the live state is never touched. Metric deltas
   are computed for the nodes the program writes; every other key of
   `WorldState.metrics()` carries an exact 0,
-* deploys require a recorded Accepted verdict for the same parsed program
-  and respect human-in-the-loop tickets; every deploy snapshots first so
-  rollback restores the prior configuration exactly,
+* deploys require an Accepted sandbox run of the same parsed program that
+  no deploy has used yet, and respect human-in-the-loop tickets; an applied
+  deploy keeps its pre-deploy snapshot until `rollback` restores it exactly,
 * consensus across independently generated candidates compares structural
   hashes; anything short of a strict majority escalates to a ticket.
 
@@ -222,7 +222,6 @@ class DeploymentRecord:
     config_hash_before: str
     config_hash_after: str
     status: str  # Applied | RolledBack
-    snapshot_id: str
 
 
 class TicketState(str, Enum):
@@ -370,9 +369,10 @@ class Guard:
         self._world = world
         self.policy = policy
         self.instruction_budget = instruction_budget
-        # program id -> (verdict, the parsed program it judged, or None)
-        self._verdicts: dict[str, tuple[SandboxVerdict, list[Instruction] | None]] = {}
-        self._deployments: dict[str, DeploymentRecord] = {}
+        # program id -> the parsed program an Accepted run judged, until deployed
+        self._verdicts: dict[str, list[Instruction]] = {}
+        # deployment id -> (its record, the world before it), while Applied
+        self._applied: dict[str, tuple[DeploymentRecord, WorldState]] = {}
         self._dep_count = 0
         self._book = TicketBook(ticket_store)
 
@@ -405,9 +405,9 @@ class Guard:
         accepted verdict's `metric_deltas` equal `after.metrics() -
         before.metrics()`, keys sorted, but only the nodes the program
         writes are measured: every other node's keys are an exact 0, and
-        `throughput.total` is the sum of the written nodes' deltas. The
-        verdict is recorded with the parsed program so deploy can check
-        both later, and rejections emit planner feedback.
+        `throughput.total` is the sum of the written nodes' deltas. An
+        accepted run keeps the parsed program for one deploy; a rejection
+        drops any earlier acceptance of the id and emits planner feedback.
         """
         base = model if model is not None else self._world.state
         work = base.clone()
@@ -442,9 +442,10 @@ class Guard:
                 total += deltas[f"throughput.{node_id}"]
             deltas["throughput.total"] = total
             verdict = SandboxVerdict(program.program_id, True, None, deltas)
+            self._verdicts[program.program_id] = instructions
         else:
             verdict = SandboxVerdict(program.program_id, False, reason)
-        self._verdicts[program.program_id] = (verdict, instructions)
+            self._verdicts.pop(program.program_id, None)
         self._fabric.audit(
             AuditOp.SANDBOX,
             actor=program.author,
@@ -473,10 +474,12 @@ class Guard:
         """Apply an Accepted program to the live world, snapshotting first.
 
         The source must parse to the instructions its verdict judged;
-        formatting, comments and identifier case may differ.
+        formatting, comments and identifier case may differ. Only a success
+        uses the verdict up: a redeploy, even after rollback, needs a fresh
+        sandbox run.
         """
-        verdict, judged = self._verdicts.get(program.program_id, (None, None))
-        if verdict is None or not verdict.accepted:
+        judged = self._verdicts.get(program.program_id)
+        if judged is None:
             raise DeployWithoutVerdict(
                 f"no Accepted sandbox verdict recorded for {program.program_id!r}"
             )
@@ -489,13 +492,14 @@ class Guard:
                 f"{program.program_id!r} differs from the program its verdict judged"
             )
         self._hitl_gate(program.program_id)
-        snapshot_id = self._world.snapshot()
+        snapshot = self._world.snapshot()
         before = self._world.config_hash()
         try:
             _execute(instructions, self._world.state, self.instruction_budget)
         except _ExecError as exc:
-            self._world.restore(snapshot_id)
+            self._world.restore(snapshot)
             raise ExecutionFailed(f"{program.program_id}: {exc}") from exc
+        del self._verdicts[program.program_id]
         self._dep_count += 1
         record = DeploymentRecord(
             deployment_id=f"dep-{self._dep_count}",
@@ -504,18 +508,17 @@ class Guard:
             config_hash_before=before,
             config_hash_after=self._world.config_hash(),
             status="Applied",
-            snapshot_id=snapshot_id,
         )
-        self._deployments[record.deployment_id] = record
+        self._applied[record.deployment_id] = (record, snapshot)
         self._fabric.audit(AuditOp.EXECUTE, actor=target, model_id=None)
         return record
 
     def rollback(self, deployment_id: str) -> DeploymentRecord:
         """Restore the pre-deploy snapshot; a record rolls back only once."""
-        record = self._deployments.get(deployment_id)
-        if record is None or record.status != "Applied":
+        if deployment_id not in self._applied:
             raise UnknownDeployment(f"no applied deployment {deployment_id!r}")
-        self._world.restore(record.snapshot_id)
+        record, snapshot = self._applied.pop(deployment_id)
+        self._world.restore(snapshot)
         record.status = "RolledBack"
         self._fabric.audit(AuditOp.ROLLBACK, actor=record.target)
         return record

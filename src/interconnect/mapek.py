@@ -3,9 +3,9 @@
 One loop iteration monitors telemetry into the shared knowledge base,
 analyzes windowed means against a congestion threshold, plans multiplicative
 knob adjustments for congested nodes, and executes them as control envelopes.
-A rollback snapshot is always taken before execution; if the expected effect
+`execute` snapshots the world before it publishes; if the expected effect
 (strictly lower windowed mean on every touched node) is not observed after
-the settle window, the managed configuration is restored.
+the settle window, it restores that snapshot, which it then drops.
 
 All arithmetic is exact: loads, thresholds, and severities are Fractions, so
 convergence counts can be checked against a symbolic oracle with no
@@ -84,7 +84,6 @@ class AdaptationPlan:
     plan_id: str
     actions: tuple[ManagedAction, ...]
     expected_effect: str
-    rollback_ref: str
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,7 @@ class MapeKLoop:
         return findings
 
     def plan(self, findings: list[Finding]) -> AdaptationPlan:
-        """Turn congestion findings into knob actions, snapshotting first."""
+        """Turn congestion findings into knob actions; the world is only read."""
         actionable = [f for f in findings if f.kind != "none"]
         if not actionable:
             raise NoApplicableAction("analysis reported nothing to act on")
@@ -248,13 +247,11 @@ class MapeKLoop:
         if not actions:
             targets = ",".join(f.target for f in actionable)
             raise NoApplicableAction(f"no managed knobs on {targets}")
-        rollback_ref = self._world.snapshot()
         self._plan_count += 1
         plan = AdaptationPlan(
             plan_id=f"adapt-{self._plan_count}",
             actions=tuple(actions),
             expected_effect="windowed mean load strictly decreases on every target",
-            rollback_ref=rollback_ref,
         )
         self._fabric.audit(AuditOp.PLAN, actor=self.actor)
         return plan
@@ -275,8 +272,9 @@ class MapeKLoop:
         return Fraction(total, common * len(series)), len(series)
 
     def execute(self, plan: AdaptationPlan) -> ExecutionReport:
-        """Apply actions as control envelopes, settle, verify, else roll back."""
+        """Apply actions as control envelopes, settle, verify, else restore the start."""
         before = {a.target: self._windowed_mean(a.target) for a in plan.actions}
+        snapshot = self._world.snapshot()
         for action in plan.actions:
             topic = f"managed/{action.target}/knobs"
             if not self._fabric.has_topic(topic):
@@ -302,7 +300,7 @@ class MapeKLoop:
                 break
         rolled_back = False
         if not held:
-            self._world.restore(plan.rollback_ref)
+            self._world.restore(snapshot)
             self._fabric.audit(AuditOp.ROLLBACK, actor=self.actor)
             rolled_back = True
         self._fabric.audit(

@@ -25,8 +25,9 @@ A node's telemetry reading is recomputed only when it changed: each node
 keeps its last `(offered load, admission knob, service rate)` with the
 utilization and its text, and a tick whose tuple compares equal reuses them.
 Every write replaces an immutable `Fraction` (knob writes, `shift_load`,
-restore, direct assignment), so the memo cannot go stale and needs no
-invalidation. A jittered node still draws from the generator every tick.
+direct assignment, or `restore`'s new `WorldState`), and the tuple compares
+by value, so the memo cannot go stale and needs no invalidation. A jittered
+node still draws from the generator every tick.
 """
 
 from __future__ import annotations
@@ -216,8 +217,6 @@ class SimWorld:
         # Node ids in step order. spawn_node rebinds it to a new list, so a
         # tick in progress keeps the order it started with.
         self._order: list[str] = []
-        self._snapshots: dict[str, WorldState] = {}
-        self._snap_count = 0
 
     # -- construction ---------------------------------------------------------
 
@@ -422,22 +421,17 @@ class SimWorld:
 
     # -- snapshots ---------------------------------------------------------------
 
-    def snapshot(self) -> str:
-        """Store a clone of the world state; returns a snapshot id for restore()."""
-        self._snap_count += 1
-        snap_id = f"snap-{self._snap_count}"
-        self._snapshots[snap_id] = self.state.clone()
-        return snap_id
+    def snapshot(self) -> WorldState:
+        """A clone of the world state; the world keeps no reference to it."""
+        return self.state.clone()
 
-    def restore(self, snapshot_id: str) -> None:
-        """Replace live state with a clone of a stored snapshot, exactly.
+    def restore(self, snapshot: WorldState) -> None:
+        """Replace live state with a clone of a snapshot, exactly.
 
-        The stored snapshot is cloned again, not handed over, so restoring
-        the same id twice yields the same state both times.
+        The snapshot is cloned again, not handed over, so restoring it twice
+        yields the same state both times.
         """
-        if snapshot_id not in self._snapshots:
-            raise ValueError(f"unknown snapshot {snapshot_id!r}")
-        self.state = self._snapshots[snapshot_id].clone()
+        self.state = snapshot.clone()
 
     def config_hash(self) -> str:
         return self.state.config_hash()

@@ -1,5 +1,6 @@
 """Guarded deployment: DSL, sandbox, deploy/rollback, consensus, tickets."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -32,7 +33,7 @@ from interconnect.guard import (
     structural_hash,
 )
 import interconnect
-from interconnect.simnet import LoadModel, NodeKind, SimWorld
+from interconnect.simnet import LoadModel, NodeKind, SimWorld, WorldState
 
 
 def make_rig(policy="escalate-only", ticket_store=None, budget=10_000):
@@ -395,6 +396,64 @@ def test_failed_live_execution_restores_snapshot():
     assert world.config_hash() == before
     with pytest.raises(UnknownDeployment):
         guard.rollback("dep-1")
+
+
+def test_partly_executed_live_deploy_is_undone():
+    # The first instruction writes live state before the second fails on a
+    # knob only the sandbox model declares; the deploy must leave no trace.
+    fabric, world, guard = make_rig()
+    richer = world.state.clone()
+    richer.nodes["ran-1"].knobs["tilt"] = Fraction(0)
+    prog = program("set ran-1 admission-rate 1/2\nset ran-1 tilt 1/2")
+    assert guard.sandbox_run(prog, model=richer).accepted
+    before = world.state_hash()
+    for _ in range(2):  # a failed deploy leaves the verdict in place
+        with pytest.raises(ExecutionFailed):
+            guard.deploy(prog, "ran-1")
+        assert world.state_hash() == before
+    assert world.state.get_knob("ran-1", "admission-rate") == Fraction(1)
+    assert fabric.audit_log.query(ops=["execute"]) == []
+    with pytest.raises(UnknownDeployment):
+        guard.rollback("dep-1")
+
+
+def test_redeploy_after_rollback_needs_a_fresh_sandbox_run():
+    fabric, world, guard = make_rig()
+    good = program("set ran-1 admission-rate 1/2")
+    guard.sandbox_run(good)
+    guard.rollback(guard.deploy(good, "ran-1").deployment_id)
+    with pytest.raises(DeployWithoutVerdict, match="no Accepted sandbox verdict"):
+        guard.deploy(good, "ran-1")
+    assert guard.sandbox_run(good).accepted
+    assert guard.deploy(good, "ran-1").deployment_id == "dep-2"
+
+
+def test_a_rejection_withdraws_an_earlier_acceptance():
+    fabric, world, guard = make_rig()
+    good = program("set ran-1 admission-rate 1/2")
+    assert guard.sandbox_run(good).accepted
+    assert not guard.sandbox_run(program("boost ran-1 admission-rate 2")).accepted
+    before = world.state_hash()
+    with pytest.raises(DeployWithoutVerdict, match="no Accepted sandbox verdict"):
+        guard.deploy(good, "ran-1")
+    assert world.state_hash() == before
+
+
+def test_guard_retains_no_verdict_or_snapshot_after_many_deploys():
+    fabric, world, guard = make_rig()
+    gc.collect()
+    states = sum(isinstance(o, WorldState) for o in gc.get_objects())
+    config = world.config_hash()
+    for i in range(1_000):
+        good = program("scale ran-1 admission-rate 1/2", program_id=f"ok-{i}")
+        assert guard.sandbox_run(good).accepted
+        guard.rollback(guard.deploy(good, "ran-1").deployment_id)
+        bad = program("boost ran-1 admission-rate 2", program_id=f"bad-{i}")
+        assert not guard.sandbox_run(bad).accepted
+    assert world.config_hash() == config
+    gc.collect()
+    assert sum(isinstance(o, WorldState) for o in gc.get_objects()) == states
+    assert len(guard._verdicts) == 0
 
 
 # -- consensus -----------------------------------------------------------------------------

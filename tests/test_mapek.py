@@ -1,5 +1,6 @@
 """MAPE-K loop stages and the convergence oracle."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interconnect.errors import ExecutionFailed, InsufficientData, NoApplicableAction
-from interconnect.fabric import KIND_DATA, Fabric
+from interconnect.fabric import KIND_DATA, Fabric, Selector, Subscription
 from interconnect.mapek import (
     Finding,
     KnowledgeBase,
@@ -15,7 +16,7 @@ from interconnect.mapek import (
     MapeKLoop,
     convergence_oracle,
 )
-from interconnect.simnet import LoadModel, NodeKind, SimWorld
+from interconnect.simnet import LoadModel, NodeKind, SimWorld, WorldState
 
 
 def make_loop(offered="19/20", **kwargs):
@@ -264,12 +265,14 @@ def test_plan_scales_the_admission_knob():
     fabric, world, loop = make_loop()
     world.step(1)
     loop.monitor()
+    state, before = world.state, world.state_hash()
     plan = loop.plan(loop.analyze())
     assert plan.plan_id == "adapt-1"
     (action,) = plan.actions
     assert action == ManagedAction("core-1", "admission-rate", Fraction(9, 10))
     assert action.render() == "core-1.admission-rate=9/10"
-    assert plan.rollback_ref.startswith("snap-")
+    # Planning only reads the world.
+    assert world.state is state and world.state_hash() == before
     (audit,) = fabric.audit_log.query(ops=["plan"])
     assert audit.actor == "mapek"
 
@@ -286,16 +289,20 @@ def test_plan_rejects_targets_without_knobs():
         loop.plan([Finding(kind="congestion", target="ghost", severity=Fraction(1))])
 
 
-def test_plan_snapshot_precedes_execution():
+def test_rollback_restores_the_state_execute_started_from():
     fabric, world, loop = make_loop()
     world.step(1)
     loop.monitor()
     plan = loop.plan(loop.analyze())
-    # The snapshot holds the pre-adaptation knob value even after execution.
-    loop.execute(plan)
-    assert world.state.get_knob("core-1", "admission-rate") == Fraction(9, 10)
-    world.restore(plan.rollback_ref)
-    assert world.state.get_knob("core-1", "admission-rate") == Fraction(1)
+    # Writes between plan and execute belong to the state execute starts
+    # from; the surge defeats the adaptation, so execute rolls back to it.
+    world.state.set_knob("core-1", "admission-rate", Fraction(19, 20))
+    world.state.nodes["core-1"].load.offered_load = Fraction(3)
+    started = world.state_hash()
+    report = loop.execute(plan)
+    assert report.rolled_back
+    assert world.state_hash() == started
+    assert world.state.get_knob("core-1", "admission-rate") == Fraction(19, 20)
 
 
 # -- execute -----------------------------------------------------------------------
@@ -343,7 +350,6 @@ def test_execute_fails_on_unmanaged_target():
         plan_id=plan.plan_id,
         actions=(ManagedAction("ghost", ghost.knob, ghost.value),),
         expected_effect=plan.expected_effect,
-        rollback_ref=plan.rollback_ref,
     )
     with pytest.raises(ExecutionFailed):
         loop.execute(bad)
@@ -420,3 +426,50 @@ def test_window_must_be_positive(window):
     world = SimWorld(fabric)
     with pytest.raises(ValueError, match="window"):
         MapeKLoop(fabric, world, window=window)
+
+
+def _live_world_states_after(rounds):
+    """Live `WorldState` objects a loop adds over `rounds` one-iteration
+    rounds on two congested nodes. A rival shifts load onto `cell-0` during
+    every other settle window of its adaptations, so those roll back, and a
+    surge resets admission whenever analysis comes back clean."""
+    gc.collect()
+    baseline = sum(isinstance(o, WorldState) for o in gc.get_objects())
+    fabric = Fabric()
+    world = SimWorld(fabric, seed=0)
+    loop = MapeKLoop(fabric, world, window=4)
+    for node_id in ("cell-0", "cell-1"):
+        world.spawn_node(
+            node_id,
+            NodeKind.RIC,
+            knobs={"admission-rate": Fraction(1)},
+            load=LoadModel(offered_load=Fraction(19, 20)),
+        )
+    adaptations = []
+
+    def compete(_envelope):
+        adaptations.append(1)
+        if len(adaptations) % 2:
+            world.state.shift_load("cell-1", "cell-0", Fraction(1, 4))
+
+    fabric.register_node("rival")
+    fabric.subscribe(
+        Subscription(Selector.parse("managed/cell-0/knobs origin-node=mapek"), "rival"),
+        handler=compete,
+    )
+    rollbacks = 0
+    for _ in range(rounds):
+        report = loop.run_loop(max_iterations=1)
+        rollbacks += sum(r.rolled_back for r in report.reports)
+        if report.converged:
+            for node_id in world.node_ids():
+                world.state.set_knob(node_id, "admission-rate", Fraction(1))
+    assert rollbacks >= rounds // 8
+    gc.collect()
+    return sum(isinstance(o, WorldState) for o in gc.get_objects()) - baseline
+
+
+def test_loop_retains_no_snapshot_across_rounds():
+    """A snapshot lives only while `execute` judges its plan: however many
+    rounds and rollbacks ran, the world's one live state is all that is left."""
+    assert _live_world_states_after(10) == _live_world_states_after(40) == 1

@@ -556,14 +556,18 @@ def test_snapshot_restore_round_trip():
     loaded_node(world)
     snap = world.snapshot()
     before = world.state_hash()
+    assert isinstance(snap, WorldState) and snap is not world.state
     world.state.set_knob("cell-1", "admission-rate", Fraction(1, 4))
     world.state.nodes["cell-1"].load.offered_load = Fraction(1, 100)
     assert world.state_hash() != before
+    assert snap.state_hash() == before  # live writes never reach a snapshot
     world.restore(snap)
     assert world.state_hash() == before
     assert world.state.get_knob("cell-1", "admission-rate") == Fraction(1)
-    with pytest.raises(ValueError):
-        world.restore("snap-99")
+    # The world installs a copy, so writes after restore leave the snapshot alone.
+    assert world.state is not snap
+    world.state.set_knob("cell-1", "admission-rate", Fraction(1, 2))
+    assert snap.state_hash() == before
 
 
 def two_node_world():
