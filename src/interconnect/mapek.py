@@ -272,13 +272,18 @@ class MapeKLoop:
         return Fraction(total, common * len(series)), len(series)
 
     def execute(self, plan: AdaptationPlan) -> ExecutionReport:
-        """Apply actions as control envelopes, settle, verify, else restore the start."""
-        before = {a.target: self._windowed_mean(a.target) for a in plan.actions}
-        snapshot = self._world.snapshot()
-        for action in plan.actions:
-            topic = f"managed/{action.target}/knobs"
+        """Apply actions as control envelopes, settle, verify, else restore the start.
+
+        Raises ExecutionFailed, before anything is published, for the first
+        action whose target has no control topic.
+        """
+        topics = [f"managed/{action.target}/knobs" for action in plan.actions]
+        for action, topic in zip(plan.actions, topics):
             if not self._fabric.has_topic(topic):
                 raise ExecutionFailed(action.render())
+        before = {a.target: self._windowed_mean(a.target) for a in plan.actions}
+        snapshot = self._world.snapshot()
+        for action, topic in zip(plan.actions, topics):
             self._fabric.publish(
                 self._fabric.envelope(
                     topic,

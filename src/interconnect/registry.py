@@ -9,7 +9,10 @@ for the document lives in docs/model-descriptor.schema.json.
 The registry announces every registration and version bump as a model-update
 envelope on registry/<modelId> when a fabric is attached; learning
 contributions buffer until the configured update cycle length is reached and
-then bump the patch version.
+then bump the patch version. The announced payload is `serialize_descriptor`
+of the filed version: compact canonical JSON with keys sorted at every level,
+`,` and `:` separators and no other whitespace, non-ASCII characters escaped
+as `\\uXXXX`, and one trailing newline.
 """
 
 from __future__ import annotations
@@ -128,8 +131,9 @@ class ModelDescriptor:
 
 
 def _require(obj: dict, key: str, path: str):
+    """`obj[key]`; `path` is the field's full path, named by MissingField."""
     if key not in obj:
-        raise MissingField(f"{path}{key}")
+        raise MissingField(path)
     return obj[key]
 
 
@@ -145,85 +149,100 @@ def _expect_str_list(value, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _split_extras(obj: dict, known: set[str]) -> dict[str, object]:
+def _split_extras(obj: dict, known: frozenset[str]) -> dict[str, object]:
+    if obj.keys() <= known:
+        return {}
     return {k: obj[k] for k in obj if k not in known}
 
 
-def _parse_architecture(obj, path: str) -> Architecture:
+_ARCHITECTURE_KEYS = frozenset({"family", "parameterScaleLabel", "customElements"})
+_PERFORMANCE_FIELDS = ("rateLimitPerTick", "latencyTicks", "throughputPerTick", "maxConcurrent")
+_PERFORMANCE_KEYS = frozenset(_PERFORMANCE_FIELDS)
+_SECURITY_KEYS = frozenset({"authMethods", "encryption", "privacyPolicy"})
+_CAPABILITY_KEYS = frozenset({"name", "params"})
+_TOP_LEVEL_KEYS = frozenset(
+    {
+        "modelId",
+        "modelType",
+        "version",
+        "category",
+        "architecture",
+        "hyperparameters",
+        "capabilities",
+        "domains",
+        "performance",
+        "security",
+    }
+)
+
+
+def _parse_architecture(obj) -> Architecture:
     if not isinstance(obj, dict):
-        raise BadValue(path, "expected an object")
-    family = _expect_str(_require(obj, "family", f"{path}."), f"{path}.family")
+        raise BadValue("architecture", "expected an object")
+    family = _expect_str(_require(obj, "family", "architecture.family"), "architecture.family")
     label = _expect_str(
-        _require(obj, "parameterScaleLabel", f"{path}."), f"{path}.parameterScaleLabel"
+        _require(obj, "parameterScaleLabel", "architecture.parameterScaleLabel"),
+        "architecture.parameterScaleLabel",
     )
-    custom = _expect_str_list(obj.get("customElements", []), f"{path}.customElements")
-    extras = _split_extras(obj, {"family", "parameterScaleLabel", "customElements"})
-    return Architecture(family, label, custom, extras)
+    custom = _expect_str_list(obj.get("customElements", []), "architecture.customElements")
+    return Architecture(family, label, custom, _split_extras(obj, _ARCHITECTURE_KEYS))
 
 
-def _parse_performance(obj, path: str) -> Performance:
+def _parse_performance(obj) -> Performance:
     if not isinstance(obj, dict):
-        raise BadValue(path, "expected an object")
-    values = {}
-    for key in ("rateLimitPerTick", "latencyTicks", "throughputPerTick", "maxConcurrent"):
-        raw = _require(obj, key, f"{path}.")
+        raise BadValue("performance", "expected an object")
+    values = []
+    for key in _PERFORMANCE_FIELDS:
+        if key not in obj:
+            raise MissingField(f"performance.{key}")
+        raw = obj[key]
         if not isinstance(raw, int) or isinstance(raw, bool) or raw <= 0:
-            raise BadValue(f"{path}.{key}", "expected a positive integer")
-        values[key] = raw
-    extras = _split_extras(
-        obj, {"rateLimitPerTick", "latencyTicks", "throughputPerTick", "maxConcurrent"}
-    )
-    return Performance(
-        values["rateLimitPerTick"],
-        values["latencyTicks"],
-        values["throughputPerTick"],
-        values["maxConcurrent"],
-        extras,
-    )
+            raise BadValue(f"performance.{key}", "expected a positive integer")
+        values.append(raw)
+    return Performance(*values, _split_extras(obj, _PERFORMANCE_KEYS))
 
 
-def _parse_security(obj, path: str) -> Security:
+def _parse_security(obj) -> Security:
     if not isinstance(obj, dict):
-        raise BadValue(path, "expected an object")
-    auth = _expect_str_list(_require(obj, "authMethods", f"{path}."), f"{path}.authMethods")
-    enc = _expect_str_list(_require(obj, "encryption", f"{path}."), f"{path}.encryption")
-    policy = _expect_str(_require(obj, "privacyPolicy", f"{path}."), f"{path}.privacyPolicy")
-    extras = _split_extras(obj, {"authMethods", "encryption", "privacyPolicy"})
-    return Security(auth, enc, policy, extras)
+        raise BadValue("security", "expected an object")
+    auth = _expect_str_list(
+        _require(obj, "authMethods", "security.authMethods"), "security.authMethods"
+    )
+    enc = _expect_str_list(
+        _require(obj, "encryption", "security.encryption"), "security.encryption"
+    )
+    policy = _expect_str(
+        _require(obj, "privacyPolicy", "security.privacyPolicy"), "security.privacyPolicy"
+    )
+    return Security(auth, enc, policy, _split_extras(obj, _SECURITY_KEYS))
 
 
-def _parse_capability(obj, path: str) -> Capability:
+def _parse_capability(obj, index: int) -> Capability:
+    """One capability object; its path, `capabilities[index]`, is built only
+    for an error."""
     if not isinstance(obj, dict):
-        raise BadValue(path, "expected an object")
-    name = _expect_str(_require(obj, "name", f"{path}."), f"{path}.name")
-    params_raw = obj.get("params", {})
-    if not isinstance(params_raw, dict):
-        raise BadValue(f"{path}.params", "expected an object of string values")
-    params = {}
-    for key, value in params_raw.items():
+        raise BadValue(f"capabilities[{index}]", "expected an object")
+    if "name" not in obj:
+        raise MissingField(f"capabilities[{index}].name")
+    name = obj["name"]
+    if not isinstance(name, str) or not name:
+        raise BadValue(f"capabilities[{index}].name", "expected a non-empty string")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise BadValue(f"capabilities[{index}].params", "expected an object of string values")
+    for key, value in params.items():
         if not isinstance(value, str):
-            raise BadValue(f"{path}.params.{key}", "expected a string value")
-        params[key] = value
-    extras = _split_extras(obj, {"name", "params"})
-    return Capability(name, params, extras)
-
-
-_TOP_LEVEL_KEYS = {
-    "modelId",
-    "modelType",
-    "version",
-    "category",
-    "architecture",
-    "hyperparameters",
-    "capabilities",
-    "domains",
-    "performance",
-    "security",
-}
+            raise BadValue(f"capabilities[{index}].params.{key}", "expected a string value")
+    return Capability(name, dict(params), _split_extras(obj, _CAPABILITY_KEYS))
 
 
 def parse_descriptor(document: bytes | str) -> ModelDescriptor:
-    """Parse a descriptor document; unknown keys survive in extras maps."""
+    """Parse a descriptor document; unknown keys survive in extras maps.
+
+    Fields are checked in document-schema order, and the first fault raises:
+    DescriptorParseError for a document that is not a JSON object, else
+    MissingField or BadValue naming the field's path.
+    """
     text = document.decode("utf-8") if isinstance(document, bytes) else document
     try:
         obj = json.loads(text)
@@ -232,26 +251,24 @@ def parse_descriptor(document: bytes | str) -> ModelDescriptor:
     if not isinstance(obj, dict):
         raise DescriptorParseError("descriptor document must be a JSON object")
 
-    model_id = _expect_str(_require(obj, "modelId", ""), "modelId")
-    model_type = _expect_str(_require(obj, "modelType", ""), "modelType")
-    version_raw = _expect_str(_require(obj, "version", ""), "version")
+    model_id = _expect_str(_require(obj, "modelId", "modelId"), "modelId")
+    model_type = _expect_str(_require(obj, "modelType", "modelType"), "modelType")
+    version_raw = _expect_str(_require(obj, "version", "version"), "version")
     try:
         version = Version.parse(version_raw)
     except ValueError as exc:
         raise BadValue("version", str(exc)) from exc
-    category_raw = _expect_str(_require(obj, "category", ""), "category")
+    category_raw = _expect_str(_require(obj, "category", "category"), "category")
     try:
         category = ModelCategory(category_raw)
     except ValueError as exc:
         raise BadValue("category", f"unknown category {category_raw!r}") from exc
 
-    architecture = _parse_architecture(_require(obj, "architecture", ""), "architecture")
-    caps_raw = _require(obj, "capabilities", "")
+    architecture = _parse_architecture(_require(obj, "architecture", "architecture"))
+    caps_raw = _require(obj, "capabilities", "capabilities")
     if not isinstance(caps_raw, list):
         raise BadValue("capabilities", "expected a list")
-    capabilities = tuple(
-        _parse_capability(c, f"capabilities[{i}]") for i, c in enumerate(caps_raw)
-    )
+    capabilities = tuple(_parse_capability(c, i) for i, c in enumerate(caps_raw))
     names = [c.name for c in capabilities]
     if len(names) != len(set(names)):
         raise BadValue("capabilities", "capability names must be unique")
@@ -259,9 +276,8 @@ def parse_descriptor(document: bytes | str) -> ModelDescriptor:
     hyper = obj.get("hyperparameters", {})
     if not isinstance(hyper, dict):
         raise BadValue("hyperparameters", "expected an object")
-    performance = _parse_performance(_require(obj, "performance", ""), "performance")
-    security = _parse_security(_require(obj, "security", ""), "security")
-    extras = _split_extras(obj, _TOP_LEVEL_KEYS)
+    performance = _parse_performance(_require(obj, "performance", "performance"))
+    security = _parse_security(_require(obj, "security", "security"))
 
     return ModelDescriptor(
         model_id=model_id,
@@ -274,50 +290,58 @@ def parse_descriptor(document: bytes | str) -> ModelDescriptor:
         hyperparameters=dict(hyper),
         performance=performance,
         security=security,
-        extras=extras,
+        extras=_split_extras(obj, _TOP_LEVEL_KEYS),
     )
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def serialize_descriptor(descriptor: ModelDescriptor) -> bytes:
-    """Emit the canonical document; parse(serialize(parse(d))) == parse(d)."""
-    arch: dict[str, object] = {
-        "family": descriptor.architecture.family,
-        "parameterScaleLabel": descriptor.architecture.parameter_scale_label,
-        "customElements": list(descriptor.architecture.custom_elements),
-    }
-    arch.update(descriptor.architecture.extras)
-    perf: dict[str, object] = {
-        "rateLimitPerTick": descriptor.performance.rate_limit_per_tick,
-        "latencyTicks": descriptor.performance.latency_ticks,
-        "throughputPerTick": descriptor.performance.throughput_per_tick,
-        "maxConcurrent": descriptor.performance.max_concurrent,
-    }
-    perf.update(descriptor.performance.extras)
-    sec: dict[str, object] = {
-        "authMethods": list(descriptor.security.auth_methods),
-        "encryption": list(descriptor.security.encryption),
-        "privacyPolicy": descriptor.security.privacy_policy,
-    }
-    sec.update(descriptor.security.extras)
-    caps = []
-    for cap in descriptor.capabilities:
-        entry: dict[str, object] = {"name": cap.name, "params": dict(cap.params)}
-        entry.update(cap.extras)
-        caps.append(entry)
-    doc: dict[str, object] = {
+    """Emit the canonical document; parse(serialize(parse(d))) == parse(d).
+
+    The wire form is compact canonical JSON: keys sorted at every level,
+    `,` and `:` separators with no other whitespace, non-ASCII characters
+    escaped as `\\uXXXX`, then one trailing newline; the bytes are ASCII.
+    Extras are merged into their objects, and win over a declared key they
+    repeat.
+    """
+    arch = descriptor.architecture
+    perf = descriptor.performance
+    sec = descriptor.security
+    doc = {
         "modelId": descriptor.model_id,
         "modelType": descriptor.model_type,
         "version": descriptor.version.render(),
         "category": descriptor.category.value,
-        "architecture": arch,
+        "architecture": {
+            "family": arch.family,
+            "parameterScaleLabel": arch.parameter_scale_label,
+            "customElements": arch.custom_elements,
+            **arch.extras,
+        },
         "hyperparameters": descriptor.hyperparameters,
-        "capabilities": caps,
-        "domains": list(descriptor.domains),
-        "performance": perf,
-        "security": sec,
+        "capabilities": [
+            {"name": cap.name, "params": cap.params, **cap.extras}
+            for cap in descriptor.capabilities
+        ],
+        "domains": descriptor.domains,
+        "performance": {
+            "rateLimitPerTick": perf.rate_limit_per_tick,
+            "latencyTicks": perf.latency_ticks,
+            "throughputPerTick": perf.throughput_per_tick,
+            "maxConcurrent": perf.max_concurrent,
+            **perf.extras,
+        },
+        "security": {
+            "authMethods": sec.auth_methods,
+            "encryption": sec.encryption,
+            "privacyPolicy": sec.privacy_policy,
+            **sec.extras,
+        },
+        **descriptor.extras,
     }
-    doc.update(descriptor.extras)
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (_ENCODER.encode(doc) + "\n").encode("utf-8")
 
 
 @dataclass

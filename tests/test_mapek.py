@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from interconnect.errors import ExecutionFailed, InsufficientData, NoApplicableAction
 from interconnect.fabric import KIND_DATA, Fabric, Selector, Subscription
 from interconnect.mapek import (
+    AdaptationPlan,
     Finding,
     KnowledgeBase,
     ManagedAction,
@@ -353,6 +354,29 @@ def test_execute_fails_on_unmanaged_target():
     )
     with pytest.raises(ExecutionFailed):
         loop.execute(bad)
+
+
+def test_execute_refuses_a_plan_with_an_unmanaged_target_before_publishing():
+    """Every action's control topic is checked before the first publish: a
+    later action naming a node with no control topic leaves the earlier
+    node's knobs and the journal untouched."""
+    fabric, world, loop = make_loop()
+    half = Fraction(1, 2)
+    mixed = AdaptationPlan(
+        plan_id="adapt-1",
+        actions=(
+            ManagedAction("core-1", "admission-rate", half),
+            ManagedAction("ghost", "admission-rate", half),
+        ),
+        expected_effect="",
+    )
+    config = world.config_hash()
+    journaled = len(fabric.journal.events)
+    with pytest.raises(ExecutionFailed, match=r"^execution failed: ghost\.admission-rate=1/2$"):
+        loop.execute(mixed)
+    assert world.config_hash() == config
+    assert world.state.get_knob("core-1", "admission-rate") == Fraction(1)
+    assert len(fabric.journal.events) == journaled
 
 
 # -- convergence oracle ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -131,6 +132,272 @@ def test_parse_rejects_bad_values(mutate, path):
     assert path in str(err.value)
 
 
+def _pop(*keys):
+    """Mutation deleting the field at a key path."""
+
+    def mutate(raw):
+        for key in keys[:-1]:
+            raw = raw[key]
+        del raw[keys[-1]]
+
+    return mutate
+
+
+def _put(*keys_and_value):
+    """Mutation setting the field at a key path."""
+    *keys, value = keys_and_value
+
+    def mutate(raw):
+        for key in keys[:-1]:
+            raw = raw[key]
+        raw[keys[-1]] = value
+
+    return mutate
+
+
+def _both(first, second):
+    def mutate(raw):
+        first(raw)
+        second(raw)
+
+    return mutate
+
+
+def _not_a_document(message):
+    return DescriptorParseError, None, message
+
+
+def _missing(path):
+    return MissingField, path, f"missing required field: {path}"
+
+
+def _bad(path, detail):
+    return BadValue, path, f"bad value at {path}: {detail}"
+
+
+_NOT_STR = "expected a non-empty string"
+_NOT_STRS = "expected a list of strings"
+_NOT_OBJ = "expected an object"
+_NOT_POS = "expected a positive integer"
+_NOT_A_DOC = "descriptor document must be a JSON object"
+_NOT_VERSION = "not a three-part version: "
+_UNKNOWN = "unknown category 'Gigantic'"
+_PERF_KEYS = ("rateLimitPerTick", "latencyTicks", "throughputPerTick", "maxConcurrent")
+
+# (mutation of doc(), or a whole document; (error type, path, message)).
+# Each error is raised by the first fault in the order parse_descriptor
+# checks: the document, then modelId, modelType, version, category,
+# architecture, capabilities (each element, then uniqueness), domains,
+# hyperparameters, performance (its keys in _PERF_KEYS order), security.
+_PARSE_ERRORS = {
+    # document
+    "not-json": (
+        "{not json",
+        _not_a_document(
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        ),
+    ),
+    "empty-document": ("", _not_a_document("Expecting value: line 1 column 1 (char 0)")),
+    "list-document": ('["a", "list"]', _not_a_document(_NOT_A_DOC)),
+    "number-document": ("42", _not_a_document(_NOT_A_DOC)),
+    # scalar top-level fields
+    "modelId-missing": (_pop("modelId"), _missing("modelId")),
+    "modelId-empty": (_put("modelId", ""), _bad("modelId", _NOT_STR)),
+    "modelId-null": (_put("modelId", None), _bad("modelId", _NOT_STR)),
+    "modelType-missing": (_pop("modelType"), _missing("modelType")),
+    "modelType-list": (_put("modelType", ["analytics"]), _bad("modelType", _NOT_STR)),
+    "version-missing": (_pop("version"), _missing("version")),
+    "version-int": (_put("version", 1), _bad("version", _NOT_STR)),
+    "version-two-part": (_put("version", "1.2"), _bad("version", _NOT_VERSION + "'1.2'")),
+    "version-letter": (_put("version", "1.2.x"), _bad("version", _NOT_VERSION + "'1.2.x'")),
+    "category-missing": (_pop("category"), _missing("category")),
+    "category-int": (_put("category", 3), _bad("category", _NOT_STR)),
+    "category-unknown": (_put("category", "Gigantic"), _bad("category", _UNKNOWN)),
+    # architecture
+    "architecture-missing": (_pop("architecture"), _missing("architecture")),
+    "architecture-str": (_put("architecture", "transformer"), _bad("architecture", _NOT_OBJ)),
+    "family-missing": (_pop("architecture", "family"), _missing("architecture.family")),
+    "family-empty": (_put("architecture", "family", ""), _bad("architecture.family", _NOT_STR)),
+    "label-missing": (
+        _pop("architecture", "parameterScaleLabel"),
+        _missing("architecture.parameterScaleLabel"),
+    ),
+    "label-int": (
+        _put("architecture", "parameterScaleLabel", 7),
+        _bad("architecture.parameterScaleLabel", _NOT_STR),
+    ),
+    "customElements-str": (
+        _put("architecture", "customElements", "npu"),
+        _bad("architecture.customElements", _NOT_STRS),
+    ),
+    "customElements-null": (
+        _put("architecture", "customElements", None),
+        _bad("architecture.customElements", _NOT_STRS),
+    ),
+    "customElements-int-item": (
+        _put("architecture", "customElements", ["npu", 1]),
+        _bad("architecture.customElements", _NOT_STRS),
+    ),
+    # capabilities
+    "capabilities-missing": (_pop("capabilities"), _missing("capabilities")),
+    "capabilities-str": (_put("capabilities", "predict"), _bad("capabilities", "expected a list")),
+    "capability-str": (_put("capabilities", ["predict"]), _bad("capabilities[0]", _NOT_OBJ)),
+    "capability-name-missing": (
+        _put("capabilities", [{"params": {}}]),
+        _missing("capabilities[0].name"),
+    ),
+    "capability-name-empty": (
+        _put("capabilities", [{"name": ""}]),
+        _bad("capabilities[0].name", _NOT_STR),
+    ),
+    "capability-params-list": (
+        _put("capabilities", [{"name": "p", "params": []}]),
+        _bad("capabilities[0].params", "expected an object of string values"),
+    ),
+    "capability-params-null": (
+        _put("capabilities", [{"name": "p", "params": None}]),
+        _bad("capabilities[0].params", "expected an object of string values"),
+    ),
+    "capability-param-int": (
+        _put("capabilities", 0, "params", {"horizon": 8}),
+        _bad("capabilities[0].params.horizon", "expected a string value"),
+    ),
+    "capability-names-repeat": (
+        _put("capabilities", [{"name": "predict"}, {"name": "predict"}]),
+        _bad("capabilities", "capability names must be unique"),
+    ),
+    # optional top-level fields
+    "domains-str": (_put("domains", "traffic"), _bad("domains", _NOT_STRS)),
+    "domains-null": (_put("domains", None), _bad("domains", _NOT_STRS)),
+    "domains-int-item": (_put("domains", [1]), _bad("domains", _NOT_STRS)),
+    "hyperparameters-list": (_put("hyperparameters", []), _bad("hyperparameters", _NOT_OBJ)),
+    "hyperparameters-null": (_put("hyperparameters", None), _bad("hyperparameters", _NOT_OBJ)),
+    # performance
+    "performance-missing": (_pop("performance"), _missing("performance")),
+    "performance-list": (_put("performance", []), _bad("performance", _NOT_OBJ)),
+    **{
+        f"{key}-missing": (_pop("performance", key), _missing(f"performance.{key}"))
+        for key in _PERF_KEYS
+    },
+    **{
+        f"{key}-{label}": (_put("performance", key, value), _bad(f"performance.{key}", _NOT_POS))
+        for key in _PERF_KEYS
+        for label, value in (
+            ("zero", 0), ("negative", -1), ("true", True), ("float", 1.5), ("str", "2")
+        )
+    },
+    # security
+    "security-missing": (_pop("security"), _missing("security")),
+    "security-str": (_put("security", "tls"), _bad("security", _NOT_OBJ)),
+    "authMethods-missing": (_pop("security", "authMethods"), _missing("security.authMethods")),
+    "authMethods-str": (
+        _put("security", "authMethods", "token"),
+        _bad("security.authMethods", _NOT_STRS),
+    ),
+    "encryption-missing": (_pop("security", "encryption"), _missing("security.encryption")),
+    "encryption-int-item": (
+        _put("security", "encryption", [1]),
+        _bad("security.encryption", _NOT_STRS),
+    ),
+    "privacyPolicy-missing": (
+        _pop("security", "privacyPolicy"),
+        _missing("security.privacyPolicy"),
+    ),
+    "privacyPolicy-empty": (
+        _put("security", "privacyPolicy", ""),
+        _bad("security.privacyPolicy", _NOT_STR),
+    ),
+    # two faults: the one checked first wins
+    "first-missing-modelId-over-bad-version": (
+        _both(_pop("modelId"), _put("version", "1.2")),
+        _missing("modelId"),
+    ),
+    "first-modelId-over-modelType": (
+        _both(_put("modelType", ""), _put("modelId", "")),
+        _bad("modelId", _NOT_STR),
+    ),
+    "first-version-over-category": (
+        _both(_put("category", "Gigantic"), _put("version", "1.2")),
+        _bad("version", "not a three-part version: '1.2'"),
+    ),
+    "first-category-over-missing-architecture": (
+        _both(_pop("architecture"), _put("category", "Gigantic")),
+        _bad("category", "unknown category 'Gigantic'"),
+    ),
+    "first-family-over-customElements": (
+        _both(_put("architecture", "customElements", "npu"), _pop("architecture", "family")),
+        _missing("architecture.family"),
+    ),
+    "first-architecture-over-capabilities": (
+        _both(_put("capabilities", "predict"), _put("architecture", "customElements", "npu")),
+        _bad("architecture.customElements", _NOT_STRS),
+    ),
+    "first-capability-over-later-capability": (
+        _put("capabilities", [{"name": "a", "params": {"k": 1}}, {"params": {}}]),
+        _bad("capabilities[0].params.k", "expected a string value"),
+    ),
+    "first-capability-name-over-params": (
+        _put("capabilities", [{"name": "", "params": []}]),
+        _bad("capabilities[0].name", _NOT_STR),
+    ),
+    "first-param-in-document-order": (
+        _put("capabilities", [{"name": "p", "params": {"b": 1, "a": 2}}]),
+        _bad("capabilities[0].params.b", "expected a string value"),
+    ),
+    "first-element-over-uniqueness": (
+        _put("capabilities", [{"name": "p"}, {"name": "p", "params": {"k": 1}}]),
+        _bad("capabilities[1].params.k", "expected a string value"),
+    ),
+    "first-uniqueness-over-domains": (
+        _both(_put("domains", "traffic"), _put("capabilities", [{"name": "p"}, {"name": "p"}])),
+        _bad("capabilities", "capability names must be unique"),
+    ),
+    "first-domains-over-hyperparameters": (
+        _both(_put("hyperparameters", []), _put("domains", [1])),
+        _bad("domains", _NOT_STRS),
+    ),
+    "first-hyperparameters-over-performance": (
+        _both(_pop("performance"), _put("hyperparameters", [])),
+        _bad("hyperparameters", _NOT_OBJ),
+    ),
+    "first-rateLimit-over-missing-latency": (
+        _both(_pop("performance", "latencyTicks"), _put("performance", "rateLimitPerTick", 0)),
+        _bad("performance.rateLimitPerTick", _NOT_POS),
+    ),
+    "first-missing-latency-over-maxConcurrent": (
+        _both(_put("performance", "maxConcurrent", 0), _pop("performance", "latencyTicks")),
+        _missing("performance.latencyTicks"),
+    ),
+    "first-performance-over-security": (
+        _both(_pop("security"), _put("performance", "latencyTicks", 0)),
+        _bad("performance.latencyTicks", _NOT_POS),
+    ),
+    "first-authMethods-over-privacyPolicy": (
+        _both(_pop("security", "privacyPolicy"), _put("security", "authMethods", "token")),
+        _bad("security.authMethods", _NOT_STRS),
+    ),
+    "first-encryption-over-privacyPolicy": (
+        _both(_put("security", "privacyPolicy", ""), _pop("security", "encryption")),
+        _missing("security.encryption"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "document,expected", _PARSE_ERRORS.values(), ids=list(_PARSE_ERRORS)
+)
+def test_parse_errors_keep_type_path_message_and_precedence(document, expected):
+    error, path, message = expected
+    if callable(document):
+        raw = json.loads(doc())
+        document(raw)
+        document = json.dumps(raw)
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as err:
+        parse_descriptor(document)
+    assert type(err.value) is error
+    assert getattr(err.value, "path", None) == path
+
+
 def test_parse_rejects_duplicate_capability_names():
     raw = json.loads(doc())
     raw["capabilities"] = [{"name": "predict"}, {"name": "predict"}]
@@ -170,6 +437,63 @@ def test_serialize_is_canonical():
     assert body == serialize_descriptor(parse_descriptor(body))
     keys = list(json.loads(body))
     assert keys == sorted(keys)
+
+
+def test_serialize_emits_the_exact_wire_form():
+    """Compact canonical JSON: keys sorted at every level, extras merged into
+    their objects, `,`/`:` separators, non-ASCII as `\\uXXXX` escapes (a
+    surrogate pair beyond the BMP), one trailing newline."""
+    raw = {
+        "modelId": "planner",
+        "modelType": "analytics",
+        "version": "2.1.0",
+        "category": "Hybrid",
+        "architecture": {
+            "family": "transformer",
+            "parameterScaleLabel": "small",
+            "customElements": ["moe"],
+            "x-accelerator": "npu",
+        },
+        "hyperparameters": {"schedule": {"warmup": 10, "decay": "cosine"}, "context": 128},
+        "capabilities": [
+            {"name": "predict", "params": {"horizon": "8", "cell": "c-1"}, "x-cost": 3},
+            {"name": "rank"},
+        ],
+        "domains": ["traffic", "énergie"],
+        "performance": {
+            "rateLimitPerTick": 4,
+            "latencyTicks": 2,
+            "throughputPerTick": 4,
+            "maxConcurrent": 2,
+            "x-burst": 16,
+        },
+        "security": {
+            "authMethods": ["token"],
+            "encryption": ["tls"],
+            "privacyPolicy": "données locales \U0001f4e1",
+            "x-audited": True,
+        },
+        "x-ring": {"stage": "canary", "weights": [1, None]},
+    }
+    expected = (
+        b'{"architecture":{"customElements":["moe"],"family":"transformer",'
+        b'"parameterScaleLabel":"small","x-accelerator":"npu"},'
+        b'"capabilities":[{"name":"predict","params":{"cell":"c-1","horizon":"8"},"x-cost":3},'
+        b'{"name":"rank","params":{}}],'
+        b'"category":"Hybrid",'
+        b'"domains":["traffic","\\u00e9nergie"],'
+        b'"hyperparameters":{"context":128,"schedule":{"decay":"cosine","warmup":10}},'
+        b'"modelId":"planner","modelType":"analytics",'
+        b'"performance":{"latencyTicks":2,"maxConcurrent":2,"rateLimitPerTick":4,'
+        b'"throughputPerTick":4,"x-burst":16},'
+        b'"security":{"authMethods":["token"],"encryption":["tls"],'
+        b'"privacyPolicy":"donn\\u00e9es locales \\ud83d\\udce1","x-audited":true},'
+        b'"version":"2.1.0",'
+        b'"x-ring":{"stage":"canary","weights":[1,null]}}\n'
+    )
+    descriptor = parse_descriptor(json.dumps(raw, ensure_ascii=False).encode("utf-8"))
+    assert serialize_descriptor(descriptor) == expected
+    assert parse_descriptor(expected) == descriptor
 
 
 # -- registry -------------------------------------------------------------------
@@ -302,6 +626,26 @@ def test_registration_announces_on_model_topic():
     assert announced.version == Version(1, 1, 0)
     first = fabric.last_envelope("registry/demo")
     assert first is update
+
+
+def test_announcement_payload_is_the_stored_descriptors_wire_form():
+    """The registry/<id> payload of a register and of a learning bump is
+    serialize_descriptor of the version filed, and parses back equal."""
+    fabric = Fabric()
+    fabric.register_node("app")
+    fabric.create_topic("a/b")
+    registry = ModelRegistry(fabric)
+    registry.register(parse_descriptor(doc(**{"x-ring": "canary"})))
+    sample = fabric.envelope("a/b", b"x", kind="data", session="s", origin="app")
+    announced = [fabric.last_envelope("registry/demo")]
+    assert registry.contribute_learning("demo", sample, "obj") == 0
+    announced.append(fabric.last_envelope("registry/demo"))
+    assert [e.metadata["detail"] for e in announced] == ["register demo@1.0.0", "update demo@1.0.1"]
+    for envelope, version in zip(announced, ("1.0.0", "1.0.1")):
+        stored = registry.get("demo", version)
+        assert envelope.payload == serialize_descriptor(stored)
+        assert parse_descriptor(envelope.payload) == stored
+        assert stored.extras == {"x-ring": "canary"}
 
 
 # -- capability index against a brute-force scan ----------------------------------
