@@ -12,12 +12,10 @@ from .broker import (
     Intent,
     MockPlanner,
     PlanResult,
-    SynthesizeDirective,
     Task,
     TaskBroker,
     TaskKind,
     TaskPlan,
-    ToolSpec,
 )
 from .errors import InterconnectError
 from .fabric import (
@@ -127,7 +125,6 @@ __all__ = [
     "Subscription",
     "SubscriptionKind",
     "SubscriptionMode",
-    "SynthesizeDirective",
     "TagPredicate",
     "Task",
     "TaskBroker",
@@ -136,7 +133,6 @@ __all__ = [
     "TicketBook",
     "TicketState",
     "TokenState",
-    "ToolSpec",
     "Trace",
     "TraceDiff",
     "Version",

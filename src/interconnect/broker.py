@@ -6,9 +6,11 @@ an aggregation task when several streams feed it, and a durable subscription
 on the plan's result topic. Planning is driven by a deterministic mock
 planner so that identical intents under the same seed produce equal plans.
 
-The planner also emits small knob programs for tool synthesis; synthesized
-tools only enter the catalog after the deployment guard accepts them in a
-sandbox.
+Tool tasks run through the deployment guard. The planner emits the task's
+knob program, and the broker looks it up by its structural hash in one
+catalog of accepted programs. A miss is a synthesis: the program enters the
+catalog only if its sandbox run is accepted. Every invocation makes exactly
+one sandbox run, whose metric deltas are the task's output.
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import (
-    NoEligibleModel,
-    PlanningFailed,
-    SandboxRejected,
-    SynthesisFailed,
-    TaskFailed,
-)
+from .errors import NoEligibleModel, PlanningFailed, TaskFailed
 from .fabric import (
     KIND_DATA,
     KIND_INFERENCE_RESULT,
@@ -38,10 +34,15 @@ from .fabric import (
     SubscriptionMode,
     TokenState,
 )
-from .guard import Guard, GuardedProgram, NamedInvariant, min_total_throughput
+from .guard import (
+    Guard,
+    GuardedProgram,
+    NamedInvariant,
+    min_total_throughput,
+    structural_hash,
+)
 from .registry import ModelRegistry
 from .simnet import ADMISSION_KNOB
-from .trace import TraceEvent
 
 _STREAM_TOKEN = re.compile(r"[a-z0-9*._-]+(?:/[a-z0-9*._-]+)+")
 
@@ -114,21 +115,6 @@ class PlannerAction:
     payload: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ToolSpec:
-    tool_id: str
-    interface_signature: str
-    body: GuardedProgram
-    origin: str  # registered | synthesized
-
-
-@dataclass(frozen=True)
-class SynthesizeDirective:
-    """Returned by tool selection when nothing in the catalog fits."""
-
-    task: Task
-
-
 class MockPlanner:
     """Deterministic stand-in for a reasoning model.
 
@@ -182,7 +168,6 @@ class MockPlanner:
 class PlanResult:
     status: str  # Completed | Failed
     per_task: dict
-    trace: tuple[TraceEvent, ...] = ()
     final_payload: bytes | None = None
 
 
@@ -206,11 +191,11 @@ class TaskBroker:
         self._guard = guard
         self.planner = planner if planner is not None else MockPlanner()
         self.plans: dict[str, TaskPlan] = {}
-        self.catalog: list[ToolSpec] = []
+        # structural hash -> accepted tool program
+        self.catalog: dict[str, GuardedProgram] = {}
         self.tool_invariants: tuple[NamedInvariant, ...] = (
             min_total_throughput(Fraction(0)),
         )
-        self._tool_cache: dict[str, ToolSpec] = {}
 
     def attach(self) -> None:
         """Plan automatically whenever an inference subscription lands."""
@@ -320,69 +305,6 @@ class TaskBroker:
         )
         return self.decompose_intent(intent)
 
-    # -- tools ---------------------------------------------------------------
-
-    def select_tool(self, task: Task) -> ToolSpec | SynthesizeDirective:
-        wanted = task.params.get("signature", "")
-        for tool in self.catalog:
-            if tool.interface_signature == wanted:
-                return tool
-        return SynthesizeDirective(task)
-
-    def _task_shape(self, task: Task) -> str:
-        doc = {
-            "kind": task.kind.value,
-            "capability": task.capability,
-            "inputs": list(task.inputs),
-            "params": dict(sorted(task.params.items())),
-        }
-        return hashlib.sha256(
-            json.dumps(doc, sort_keys=True).encode("utf-8")
-        ).hexdigest()[:16]
-
-    def synthesize_tool(self, task: Task) -> ToolSpec:
-        """Generate, sandbox, and (if accepted) catalog a knob program."""
-        if self._guard is None:
-            raise SynthesisFailed("no deployment guard attached")
-        target = task.params.get("target-node")
-        if not target:
-            raise SynthesisFailed("tool synthesis needs a target-node param")
-        shape = self._task_shape(task)
-        cached = self._tool_cache.get(shape)
-        if cached is not None:
-            return cached
-        purpose = task.capability or task.params.get("signature") or "tool"
-        source = self.planner.emit_tool_program(target, purpose)
-        program = GuardedProgram(
-            program_id=f"prog-{shape[:8]}",
-            source=source,
-            declared_effects=(ADMISSION_KNOB,),
-            author=f"planner-{self.planner.seed}",
-        )
-        verdict = self._guard.sandbox_run(program, self.tool_invariants)
-        if not verdict.accepted:
-            raise SandboxRejected(verdict.reason or "rejected")
-        tool = ToolSpec(
-            tool_id=f"tool-{shape[:8]}",
-            interface_signature=task.params.get("signature", ""),
-            body=program,
-            origin="synthesized",
-        )
-        self.catalog.append(tool)
-        self._tool_cache[shape] = tool
-        self._fabric.create_topic("broker/insights")
-        self._fabric.publish(
-            self._fabric.envelope(
-                "broker/insights",
-                f"tool {tool.tool_id} for {purpose}",
-                kind=KIND_DATA,
-                session="broker",
-                origin="broker",
-                detail=f"tool {tool.tool_id} ready",
-            )
-        )
-        return tool
-
     # -- execution -----------------------------------------------------------
 
     def execute_plan(
@@ -394,17 +316,12 @@ class TaskBroker:
     ) -> PlanResult:
         """Run tasks in order; `settle` advances the world between polls."""
         validate_plan(plan)
-        mark = len(self._fabric.journal.events)
         outputs: dict[str, bytes] = {}
         outcomes: dict[str, str] = {}
 
         def fail(task_id: str, cause: str) -> TaskFailed:
             outcomes[task_id] = f"error({cause})"
-            partial = PlanResult(
-                status="Failed",
-                per_task=dict(outcomes),
-                trace=tuple(self._fabric.journal.events[mark:]),
-            )
+            partial = PlanResult(status="Failed", per_task=dict(outcomes))
             return TaskFailed(task_id, cause, result=partial)
 
         self._fabric.create_topic(plan.result_topic)
@@ -457,7 +374,6 @@ class TaskBroker:
         return PlanResult(
             status="Completed",
             per_task=dict(outcomes),
-            trace=tuple(self._fabric.journal.events[mark:]),
             final_payload=last_payload,
         )
 
@@ -499,15 +415,42 @@ class TaskBroker:
         return token.result.payload
 
     def _run_tool(self, task, fail) -> bytes:
-        selected = self.select_tool(task)
-        if isinstance(selected, SynthesizeDirective):
-            raise fail(task.task_id, "no tool in catalog for signature")
+        """Find the task's program in the catalog or synthesize it, then run it."""
         if self._guard is None:
             raise fail(task.task_id, "no deployment guard attached")
-        verdict = self._guard.sandbox_run(selected.body, self.tool_invariants)
+        target = task.params.get("target-node")
+        if not target:
+            raise fail(task.task_id, "tool task needs a target-node param")
+        purpose = task.capability or task.params.get("signature") or "tool"
+        source = self.planner.emit_tool_program(target, purpose)
+        key = structural_hash(source)
+        program = self.catalog.get(key)
+        synthesized = program is None
+        if synthesized:
+            program = GuardedProgram(
+                program_id=f"prog-{key[:8]}",
+                source=source,
+                declared_effects=(ADMISSION_KNOB,),
+                author=f"planner-{self.planner.seed}",
+            )
+        verdict = self._guard.sandbox_run(program, self.tool_invariants)
         if not verdict.accepted:
             raise fail(task.task_id, f"tool rejected: {verdict.reason}")
+        tool_id = f"tool-{key[:8]}"
+        if synthesized:
+            self.catalog[key] = program
+            self._fabric.create_topic("broker/insights")
+            self._fabric.publish(
+                self._fabric.envelope(
+                    "broker/insights",
+                    f"tool {tool_id} for {purpose}",
+                    kind=KIND_DATA,
+                    session="broker",
+                    origin="broker",
+                    detail=f"tool {tool_id} ready",
+                )
+            )
         deltas = {k: str(v) for k, v in sorted(verdict.metric_deltas.items())}
         return json.dumps(
-            {"tool": selected.tool_id, "deltas": deltas}, sort_keys=True
+            {"tool": tool_id, "deltas": deltas}, sort_keys=True
         ).encode("utf-8")

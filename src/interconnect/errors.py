@@ -47,7 +47,7 @@ class EmptyObjective(InterconnectError):
 
 
 class DescriptorParseError(InterconnectError):
-    """Descriptor document is not valid JSON."""
+    """Descriptor document is not valid UTF-8 JSON."""
 
     def __init__(self, message: str, position: int = -1):
         super().__init__(message)
@@ -110,18 +110,6 @@ class AdapterSynthesisFailed(InterconnectError):
 
 class PlanningFailed(InterconnectError):
     """Planner could not produce a plan for the intent."""
-
-
-class SandboxRejected(InterconnectError):
-    """Synthesized program failed sandbox validation."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-class SynthesisFailed(InterconnectError):
-    """Tool synthesis produced no usable program."""
 
 
 class TaskFailed(InterconnectError):

@@ -243,9 +243,11 @@ def parse_descriptor(document: bytes | str) -> ModelDescriptor:
     DescriptorParseError for a document that is not a JSON object, else
     MissingField or BadValue naming the field's path.
     """
-    text = document.decode("utf-8") if isinstance(document, bytes) else document
     try:
+        text = document.decode("utf-8") if isinstance(document, bytes) else document
         obj = json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise DescriptorParseError(str(exc), position=exc.start) from exc
     except json.JSONDecodeError as exc:
         raise DescriptorParseError(str(exc), position=exc.pos) from exc
     if not isinstance(obj, dict):

@@ -9,22 +9,15 @@ import pytest
 from interconnect.broker import (
     Intent,
     MockPlanner,
-    SynthesizeDirective,
     Task,
     TaskBroker,
     TaskKind,
     TaskPlan,
     validate_plan,
 )
-from interconnect.errors import (
-    NoEligibleModel,
-    PlanningFailed,
-    SandboxRejected,
-    SynthesisFailed,
-    TaskFailed,
-)
+from interconnect.errors import NoEligibleModel, PlanningFailed, TaskFailed
 from interconnect.fabric import Fabric, Selector, Subscription, SubscriptionKind
-from interconnect.guard import Guard
+from interconnect.guard import Guard, structural_hash
 from interconnect.registry import ModelRegistry, parse_descriptor
 from interconnect.simnet import LoadModel, NodeKind, SimWorld
 
@@ -285,77 +278,6 @@ def test_attach_hooks_inference_subscriptions():
     assert plan.issuer == "agri-app"
 
 
-# -- tool synthesis --------------------------------------------------------------------------
-
-
-def guarded_stack(load=True):
-    fabric = Fabric()
-    world = SimWorld(fabric, seed=0)
-    registry = ModelRegistry(fabric)
-    world.spawn_node(
-        "ran-1",
-        NodeKind.RIC,
-        knobs={"admission-rate": Fraction(1)},
-        load=LoadModel(offered_load=Fraction(4, 5)) if load else None,
-    )
-    guard = Guard(fabric, world)
-    broker = TaskBroker(fabric, registry, guard=guard)
-    return fabric, world, guard, broker
-
-
-def tool_task(signature="relieve-congestion", target="ran-1"):
-    return Task(
-        "t1",
-        TaskKind.TOOL_INVOKE,
-        params={"signature": signature, "target-node": target},
-    )
-
-
-def test_select_tool_falls_back_to_synthesis_directive():
-    fabric, world, guard, broker = guarded_stack()
-    selected = broker.select_tool(tool_task())
-    assert isinstance(selected, SynthesizeDirective)
-
-
-def test_synthesize_tool_catalogs_accepted_programs():
-    fabric, world, guard, broker = guarded_stack()
-    tool = broker.synthesize_tool(tool_task())
-    assert tool.origin == "synthesized"
-    assert broker.catalog == [tool]
-    assert broker.select_tool(tool_task()) is tool
-    assert fabric.last_envelope("broker/insights").metadata["detail"].startswith("tool ")
-    (sandbox,) = fabric.audit_log.query(ops=["sandbox"])
-    assert sandbox.outcome == "ok"
-
-
-def test_synthesize_tool_caches_by_task_shape():
-    fabric, world, guard, broker = guarded_stack()
-    first = broker.synthesize_tool(tool_task())
-    second = broker.synthesize_tool(tool_task())
-    assert first is second
-    assert len(fabric.audit_log.query(ops=["sandbox"])) == 1
-    other = broker.synthesize_tool(tool_task(signature="other-purpose"))
-    assert other is not first
-    assert len(broker.catalog) == 2
-
-
-def test_synthesize_tool_requires_guard_and_target():
-    fabric = Fabric()
-    broker = TaskBroker(fabric, ModelRegistry(fabric))
-    with pytest.raises(SynthesisFailed, match="guard"):
-        broker.synthesize_tool(tool_task())
-    fabric2, world2, guard2, broker2 = guarded_stack()
-    with pytest.raises(SynthesisFailed, match="target-node"):
-        broker2.synthesize_tool(Task("t1", TaskKind.TOOL_INVOKE, params={"signature": "x"}))
-
-
-def test_synthesize_tool_surfaces_sandbox_rejection():
-    fabric, world, guard, broker = guarded_stack(load=False)
-    with pytest.raises(SandboxRejected, match="InvariantViolation"):
-        broker.synthesize_tool(tool_task())
-    assert broker.catalog == []
-
-
 # -- execution --------------------------------------------------------------------------------
 
 
@@ -412,19 +334,95 @@ def test_execute_plan_without_settle_times_out():
     assert err.value.cause == "no reply within settle budget"
 
 
-def test_execute_plan_runs_cataloged_tools():
-    fabric, world, guard, broker = guarded_stack()
-    broker.synthesize_tool(tool_task())
+# -- tool tasks --------------------------------------------------------------------------------
+
+
+def guarded_stack(load=True):
+    fabric = Fabric()
+    world = SimWorld(fabric, seed=0)
+    registry = ModelRegistry(fabric)
+    for node in ("ran-1", "ran-2"):
+        world.spawn_node(
+            node,
+            NodeKind.RIC,
+            knobs={"admission-rate": Fraction(1)},
+            load=LoadModel(offered_load=Fraction(4, 5)) if load else None,
+        )
     fabric.register_node("ops-1")
+    guard = Guard(fabric, world)
+    broker = TaskBroker(fabric, registry, guard=guard)
+    return fabric, world, guard, broker
+
+
+def tool_task(signature="relieve-congestion", target="ran-1"):
+    return Task(
+        "t1",
+        TaskKind.TOOL_INVOKE,
+        params={"signature": signature, "target-node": target},
+    )
+
+
+def run_tool(broker, task):
     plan = TaskPlan(
         plan_id="plan-tool",
-        tasks=(tool_task(),),
+        tasks=(task,),
         subscriptions=(),
         provenance="test",
         result_topic="plans/plan-tool/result",
         issuer="ops-1",
     )
-    result = broker.execute_plan(plan)
+    return broker.execute_plan(plan)
+
+
+def insights(fabric):
+    return [e for e in fabric.journal.envelope_events() if e.topic == "broker/insights"]
+
+
+def test_execute_plan_synthesizes_a_tool_on_catalog_miss():
+    fabric, world, guard, broker = guarded_stack()
+    assert broker.catalog == {}
+    run_tool(broker, tool_task())
+    (sandbox,) = fabric.audit_log.query(ops=["sandbox"])
+    assert sandbox.outcome == "ok"
+    assert len(broker.catalog) == 1
+
+
+def test_execute_plan_tool_missing_from_catalog_completes():
+    fabric, world, guard, broker = guarded_stack()
+    result = run_tool(broker, tool_task())
+    assert result.status == "Completed"
+    assert result.per_task == {"t1": "ok"}
+    body = json.loads(result.final_payload)
+    assert Fraction(body["deltas"]["utilization.ran-1"]) < 0
+
+
+def test_execute_plan_catalogs_accepted_tool_programs():
+    fabric, world, guard, broker = guarded_stack()
+    result = run_tool(broker, tool_task())
+    source = broker.planner.emit_tool_program("ran-1", "relieve-congestion")
+    key = structural_hash(source)
+    assert list(broker.catalog) == [key]
+    assert broker.catalog[key].source == source
+    assert json.loads(result.final_payload)["tool"] == f"tool-{key[:8]}"
+    (insight,) = insights(fabric)
+    assert insight.detail == f"tool tool-{key[:8]} ready"
+
+
+def test_execute_plan_reuses_cataloged_tool_by_program_hash():
+    fabric, world, guard, broker = guarded_stack()
+    first = run_tool(broker, tool_task())
+    (program,) = broker.catalog.values()
+    # The catalog keys on the program, which depends only on the target.
+    second = run_tool(broker, tool_task(signature="other-purpose"))
+    assert list(broker.catalog.values()) == [program]
+    assert second.final_payload == first.final_payload
+    assert len(insights(fabric)) == 1
+
+
+def test_execute_plan_runs_cataloged_tools():
+    fabric, world, guard, broker = guarded_stack()
+    run_tool(broker, tool_task())
+    result = run_tool(broker, tool_task())
     assert result.status == "Completed"
     body = json.loads(result.final_payload)
     assert body["tool"].startswith("tool-")
@@ -432,16 +430,48 @@ def test_execute_plan_runs_cataloged_tools():
     assert world.state.get_knob("ran-1", "admission-rate") == Fraction(1)
 
 
-def test_execute_plan_tool_missing_from_catalog_fails():
+def test_execute_plan_runs_one_sandbox_per_tool_invocation():
     fabric, world, guard, broker = guarded_stack()
+    run_tool(broker, tool_task())
+    run_tool(broker, tool_task())
+    assert len(fabric.audit_log.query(ops=["sandbox"])) == 2
+    assert len(insights(fabric)) == 1
+
+
+def test_execute_plan_tool_for_another_target_runs_its_own_program():
+    fabric, world, guard, broker = guarded_stack()
+    run_tool(broker, tool_task(target="ran-1"))
+    result = run_tool(broker, tool_task(target="ran-2"))
+    deltas = json.loads(result.final_payload)["deltas"]
+    assert Fraction(deltas["utilization.ran-2"]) < 0
+    assert Fraction(deltas["utilization.ran-1"]) == 0
+    assert len(broker.catalog) == 2
+    assert world.state.get_knob("ran-2", "admission-rate") == Fraction(1)
+
+
+def test_execute_plan_tool_requires_guard_and_target():
+    fabric = Fabric()
     fabric.register_node("ops-1")
-    plan = TaskPlan(
-        plan_id="plan-tool",
-        tasks=(tool_task(),),
-        subscriptions=(),
-        provenance="test",
-        result_topic="plans/plan-tool/result",
-        issuer="ops-1",
-    )
-    with pytest.raises(TaskFailed, match="no tool in catalog"):
-        broker.execute_plan(plan)
+    broker = TaskBroker(fabric, ModelRegistry(fabric))
+    with pytest.raises(TaskFailed) as err:
+        run_tool(broker, tool_task())
+    assert err.value.result.per_task == {"t1": "error(no deployment guard attached)"}
+
+    fabric, world, guard, broker = guarded_stack()
+    with pytest.raises(TaskFailed) as err:
+        run_tool(broker, Task("t1", TaskKind.TOOL_INVOKE, params={"signature": "x"}))
+    assert err.value.result.per_task == {"t1": "error(tool task needs a target-node param)"}
+    assert broker.catalog == {}
+    assert fabric.audit_log.query(ops=["sandbox"]) == []
+
+
+def test_execute_plan_tool_rejection_leaves_catalog_empty():
+    fabric, world, guard, broker = guarded_stack(load=False)
+    with pytest.raises(TaskFailed) as err:
+        run_tool(broker, tool_task())
+    assert err.value.result.status == "Failed"
+    assert err.value.result.per_task == {
+        "t1": "error(tool rejected: InvariantViolation(total-throughput>0))"
+    }
+    assert broker.catalog == {}
+    assert insights(fabric) == []

@@ -241,6 +241,15 @@ def test_registry_validate_rejects_bad_descriptor(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("invalid:")
 
 
+def test_registry_validate_rejects_non_utf8_descriptor(tmp_path, capsys):
+    path = tmp_path / "latin1.model.json"
+    path.write_bytes(b'{"modelId": "\xff"}')
+    assert main(["registry", "validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in err
+
+
 def test_registry_validate_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["registry", "validate", str(tmp_path / "ghost.json")]) == 2
     assert "no such file" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -200,6 +201,10 @@ _PARSE_ERRORS = {
     "empty-document": ("", _not_a_document("Expecting value: line 1 column 1 (char 0)")),
     "list-document": ('["a", "list"]', _not_a_document(_NOT_A_DOC)),
     "number-document": ("42", _not_a_document(_NOT_A_DOC)),
+    "not-utf8": (
+        b'{"modelId": "\xff"}',
+        _not_a_document("'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+    ),
     # scalar top-level fields
     "modelId-missing": (_pop("modelId"), _missing("modelId")),
     "modelId-empty": (_put("modelId", ""), _bad("modelId", _NOT_STR)),
@@ -396,6 +401,21 @@ def test_parse_errors_keep_type_path_message_and_precedence(document, expected):
         parse_descriptor(document)
     assert type(err.value) is error
     assert getattr(err.value, "path", None) == path
+
+
+def test_schema_requires_exactly_the_fields_the_parser_demands():
+    schema_path = Path(__file__).resolve().parents[1] / "docs" / "model-descriptor.schema.json"
+    schema = json.loads(schema_path.read_text(encoding="utf-8"))
+    demanded = set()
+    for key in json.loads(doc()):
+        raw = json.loads(doc())
+        del raw[key]
+        try:
+            parse_descriptor(json.dumps(raw))
+        except MissingField as err:
+            assert err.path == key
+            demanded.add(key)
+    assert set(schema["required"]) == demanded
 
 
 def test_parse_rejects_duplicate_capability_names():
