@@ -27,11 +27,19 @@ order. A subscription's selector is read once, at `subscribe`; assigning
 `subscription.selector` afterwards does not change what it receives.
 
 The trie walk for a topic is cached: `_routes` maps each topic published
-since the index last changed to the non-empty buckets its walk reaches, so
-a publish on a known topic reads its buckets directly. A bucket turns empty
-or non-empty, and a trie node appears or goes, only in `_index_entry` and
-`_unindex` (subscribe, re-subscribe, unsubscribe and a fired one-shot), and
-both clear the whole cache. It holds at most one route per created topic.
+since its route last changed to a `_Route`, so a publish on a known topic
+skips the walk. When no bucket the walk reaches holds an `eq`-filed entry or
+an entry with predicates, as for `telemetry/**` alone or a result topic with
+one subscriber, every publish on the topic matches the same subscriptions,
+and the route holds them in creation order; a publish takes that tuple as
+its matches, with no candidate collection, predicate test or sort. Any other
+route holds the non-empty buckets and is filtered per publish. A bucket's
+contents change, and a trie node appears or goes, only in `_index_entry` and
+`_unindex` (subscribe, re-subscribe, unsubscribe and a fired one-shot). A
+pattern without `*` is reached by one topic, the one named like it, so those
+two drop only that topic's route; a pattern holding `*` may reach any
+number of topics and clears the whole cache. It holds at most one route per
+created topic.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EmptyObjective,
@@ -364,7 +372,28 @@ def _pattern_path(pattern: str) -> tuple[list[str], bool]:
     return segments, False
 
 
+class _Route:
+    """What a publish on one topic reaches.
+
+    `subscribers` is the creation-ordered tuple of every subscription on the
+    walk when none of its buckets holds an `eq`-filed entry or an entry with
+    predicates, so each publish matches all of them; `buckets` is then empty.
+    Otherwise `subscribers` is None and `buckets` holds the walk's non-empty
+    buckets, filtered per publish."""
+
+    __slots__ = ("buckets", "subscribers")
+
+    def __init__(
+        self, buckets: tuple[_Bucket, ...], subscribers: tuple[_SubEntry, ...] | None
+    ) -> None:
+        self.buckets = buckets
+        self.subscribers = subscribers
+
+
 _by_seq = attrgetter("seq")
+# Journal records are built as `_new_record(AuditEvent, (seven fields))`:
+# the named tuple's own constructor is a Python function, this is not.
+_new_record = tuple.__new__
 # Read per publish and delivery; taking a member off its enum class costs
 # about 0.15 us.
 _PUBLISH = AuditOp.PUBLISH
@@ -388,7 +417,7 @@ class Fabric:
         self._nodes: set[str] = set()
         self._subs: dict[str, _SubEntry] = {}
         self._index = _TopicNode()
-        self._routes: dict[str, tuple[_Bucket, ...]] = {}  # topic -> non-empty buckets
+        self._routes: dict[str, _Route] = {}
         self._sub_seq = 0
         self._now = 0
         self._audit_seq = 0
@@ -604,13 +633,18 @@ class Fabric:
         envelope.logical_time = now
         journal = self.journal.events
         journal.append(
-            EnvelopeEvent(
-                now, topic, metadata[KIND_KEY], metadata[SESSION_KEY], origin, message_id,
-                metadata.get("detail"),
+            _new_record(
+                EnvelopeEvent,
+                (
+                    now, topic, metadata[KIND_KEY], metadata[SESSION_KEY], origin, message_id,
+                    metadata.get("detail"),
+                ),
             )
         )
         now += 1
-        journal.append(AuditEvent(seq, now, _PUBLISH, origin, message_id, model_id, "ok"))
+        journal.append(
+            _new_record(AuditEvent, (seq, now, _PUBLISH, origin, message_id, model_id, "ok"))
+        )
         matched = self._matching(topic, metadata)
         handlers: list[Callable[[MessageEnvelope], None]] = []
         for entry in matched:
@@ -622,7 +656,10 @@ class Fabric:
             seq += 1
             now += 1
             journal.append(
-                AuditEvent(seq, now, _DELIVER, sub.subscriber_node, message_id, model_id, "ok")
+                _new_record(
+                    AuditEvent,
+                    (seq, now, _DELIVER, sub.subscriber_node, message_id, model_id, "ok"),
+                )
             )
             if entry.handler is not None:
                 handlers.append(entry.handler)
@@ -654,18 +691,21 @@ class Fabric:
             callback(token)
         return len(matched)
 
-    def _matching(self, topic: str, metadata: dict[str, str]) -> list[_SubEntry]:
+    def _matching(self, topic: str, metadata: dict[str, str]) -> Sequence[_SubEntry]:
         """Subscriptions accepting `topic` and `metadata`, in creation order.
 
-        Each bucket on the topic's cached route yields its plain entries and
-        the entries filed under the `eq` values the metadata carries; only
-        those candidates have their predicates checked.
+        A predicate-free route is its own answer. Otherwise each bucket on
+        the route yields its plain entries and the entries filed under the
+        `eq` values the metadata carries; only those candidates have their
+        predicates checked.
         """
         route = self._routes.get(topic)
         if route is None:
             route = self._routes[topic] = self._route(topic)
+        if route.subscribers is not None:
+            return route.subscribers
         candidates: list[_SubEntry] = []
-        for bucket in route:
+        for bucket in route.buckets:
             bucket.collect(metadata, candidates)
         matched = []
         for entry in candidates:
@@ -677,10 +717,10 @@ class Fabric:
         matched.sort(key=_by_seq)
         return matched
 
-    def _route(self, topic: str) -> tuple[_Bucket, ...]:
-        """The non-empty buckets a topic reaches: walks the index along its
-        segments, following the exact and the `*` child at each level and
-        taking every `**` bucket passed and the final level's own bucket."""
+    def _route(self, topic: str) -> _Route:
+        """Walk the index along a topic's segments, following the exact and
+        the `*` child at each level and taking every `**` bucket passed and
+        the final level's own bucket; the non-empty ones make the route."""
         segments = topic.split("/")
         buckets: list[_Bucket] = []
         frontier = [(self._index, 0)]
@@ -696,11 +736,25 @@ class Fabric:
                 child = node.children.get(key)
                 if child is not None:
                     frontier.append((child, depth + 1))
-        return tuple(buckets)
+        subscribers: list[_SubEntry] = []
+        for bucket in buckets:
+            if bucket.eq or any(entry.selector.predicates for entry in bucket.plain.values()):
+                return _Route(tuple(buckets), None)
+            subscribers.extend(bucket.plain.values())
+        subscribers.sort(key=_by_seq)
+        return _Route((), tuple(subscribers))
+
+    def _drop_routes(self, pattern: str) -> None:
+        """Forget the cached routes an (un)indexed pattern can reach."""
+        if "*" in pattern:
+            self._routes.clear()
+        else:
+            self._routes.pop(pattern, None)
 
     def _index_entry(self, entry: _SubEntry) -> None:
-        self._routes.clear()
-        path, tail = _pattern_path(entry.selector.topic_pattern)
+        pattern = entry.selector.topic_pattern
+        self._drop_routes(pattern)
+        path, tail = _pattern_path(pattern)
         node = self._index
         for segment in path:
             child = node.children.get(segment)
@@ -711,8 +765,9 @@ class Fabric:
 
     def _unindex(self, entry: _SubEntry) -> None:
         """Remove an entry from the index, pruning nodes left empty."""
-        self._routes.clear()
-        path, tail = _pattern_path(entry.selector.topic_pattern)
+        pattern = entry.selector.topic_pattern
+        self._drop_routes(pattern)
+        path, tail = _pattern_path(pattern)
         trail = [self._index]
         for segment in path:
             trail.append(trail[-1].children[segment])

@@ -36,25 +36,29 @@ class KnowledgeBase:
     """Append-only store shared by all loop stages.
 
     It keeps each key's values in insertion order, so `series` is one lookup
-    and a tail slice: O(window), not O(history).
+    and a tail slice: O(window), not O(history). `seen_ids` holds the ids of
+    the envelopes already monitored; the monitor adds to it.
     """
 
     def __init__(self) -> None:
         self._values: dict[str, list] = {}
-        self._seen_envelopes: set[str] = set()
+        self.seen_ids: set[str] = set()
 
     def add(self, key: str, value: object) -> None:
-        self._values.setdefault(key, []).append(value)
+        self.values_of(key).append(value)
+
+    def values_of(self, key: str) -> list:
+        """The live list of a key's values, oldest first, made empty if the
+        key has none yet. Appending to it records a value, as `add` does, so
+        a fold over many values of one key looks the key up once."""
+        values = self._values.get(key)
+        if values is None:
+            values = self._values[key] = []
+        return values
 
     def __len__(self) -> int:
         """Number of values held, over all keys."""
         return sum(len(values) for values in self._values.values())
-
-    def seen(self, envelope_id: str) -> bool:
-        return envelope_id in self._seen_envelopes
-
-    def mark_seen(self, envelope_id: str) -> None:
-        self._seen_envelopes.add(envelope_id)
 
     def series(self, key: str, window: int) -> list:
         """Last `window` values recorded under a key, oldest first."""
@@ -103,6 +107,9 @@ class LoopReport:
     converged: bool
     findings: tuple[Finding, ...] = ()
     reports: tuple[ExecutionReport, ...] = ()
+
+
+_UNPARSED = object()  # a payload `monitor` has not parsed yet
 
 
 def _parse_reading(payload: bytes) -> Fraction | None:
@@ -159,7 +166,8 @@ class MapeKLoop:
         self.knob_step = Fraction(knob_step)
         self.actor = actor
         self.knowledge = KnowledgeBase()
-        self._origins: set[str] = set()
+        # Monitored origin -> its live `load.<origin>` list in knowledge.
+        self._loads: dict[str, list] = {}
         self._plan_count = 0
         fabric.register_node(actor)
         self._sub_id = fabric.subscribe(
@@ -177,39 +185,47 @@ class MapeKLoop:
         audited as `error(MalformedTelemetry)` and skipped; the rest of the
         batch is still read. Exponent notation counts as malformed: simnet
         never emits it, and `1e60000` would build a 60,000-digit integer.
-        Each distinct payload is parsed once per call.
+        Each distinct payload is parsed once per call. An origin's series
+        list is taken from knowledge once, when the origin is first seen,
+        and each reading is appended to it directly.
         """
         batch = envelopes if envelopes is not None else self._fabric.drain(self._sub_id)
+        knowledge = self.knowledge
+        seen = knowledge.seen_ids
+        loads = self._loads
         parsed: dict[bytes, Fraction | None] = {}  # payload -> value, None if malformed
         ingested = 0
         for envelope in batch:
-            if self.knowledge.seen(envelope.id):
+            envelope_id = envelope.id
+            if envelope_id in seen:
                 continue
-            self.knowledge.mark_seen(envelope.id)
+            seen.add(envelope_id)
             payload = envelope.payload
-            if payload not in parsed:
-                parsed[payload] = _parse_reading(payload)
-            value = parsed[payload]
+            value = parsed.get(payload, _UNPARSED)
+            if value is _UNPARSED:
+                value = parsed[payload] = _parse_reading(payload)
             if value is None:
                 self._fabric.audit(
                     AuditOp.MONITOR,
                     actor=self.actor,
-                    message_id=envelope.id,
+                    message_id=envelope_id,
                     outcome="error(MalformedTelemetry)",
                 )
                 continue
             origin = envelope.metadata["origin-node"]
-            self.knowledge.add(f"load.{origin}", value)
-            self._origins.add(origin)
+            series = loads.get(origin)
+            if series is None:
+                series = loads[origin] = knowledge.values_of(f"load.{origin}")
+            series.append(value)
             ingested += 1
         return ingested
 
     def analyze(self) -> list[Finding]:
         """Windowed-mean congestion check per monitored origin."""
-        if not self._origins:
+        if not self._loads:
             raise InsufficientData("no monitoring data in knowledge")
         findings = []
-        for origin in sorted(self._origins):
+        for origin in sorted(self._loads):
             windowed = self._windowed_mean(origin)
             if windowed is None:
                 continue

@@ -28,6 +28,14 @@ Every write replaces an immutable `Fraction` (knob writes, `shift_load`,
 direct assignment, or `restore`'s new `WorldState`), and the tuple compares
 by value, so the memo cannot go stale and needs no invalidation. A jittered
 node still draws from the generator every tick.
+
+A telemetry envelope differs from tick to tick only in its payload and its
+`detail`. Each node keeps the rest of its metadata (`kind`, `session`,
+`origin-node` and `semantic-tags`, in the order `Fabric.envelope` writes
+them) as a template beside its telemetry topic; a tick copies the template
+into a fresh dict, sets `detail` and builds the `MessageEnvelope` itself.
+The copy is the envelope's own, so a handler that changes a delivered
+envelope's metadata changes neither the template nor any other tick's.
 """
 
 from __future__ import annotations
@@ -43,6 +51,9 @@ from .errors import DuplicateNode, ModelAlreadyHosted
 from .fabric import (
     KIND_DATA,
     KIND_INFERENCE_RESULT,
+    KIND_KEY,
+    ORIGIN_KEY,
+    SESSION_KEY,
     AuditOp,
     Fabric,
     MessageEnvelope,
@@ -201,9 +212,12 @@ class _NodeRuntime:
     jitter: bool = False
     fail_requests: int = 0
     telemetry_topic: str = ""
+    # Every telemetry envelope's metadata but its `detail`; copied per tick.
+    telemetry_metadata: dict[str, str] = field(default_factory=dict)
     # Last telemetry reading: its inputs (offered load, admission knob or
-    # None, service rate), the utilization they give and that value's text.
-    reading: tuple = (None, None, None)
+    # None, service rate), the utilization they give, that value's text and
+    # the text's UTF-8 payload.
+    reading: tuple = (None, None, None, None)
 
 
 class SimWorld:
@@ -263,7 +277,16 @@ class SimWorld:
             load=load,
         )
         runtime = _NodeRuntime(
-            node_id=node_id, kind=kind, jitter=jitter, telemetry_topic=f"telemetry/{node_id}/load"
+            node_id=node_id,
+            kind=kind,
+            jitter=jitter,
+            telemetry_topic=f"telemetry/{node_id}/load",
+            telemetry_metadata={
+                KIND_KEY: KIND_DATA,
+                SESSION_KEY: "telemetry",
+                ORIGIN_KEY: node_id,
+                "semantic-tags": "load",
+            },
         )
         self.fabric.register_node(node_id)
         self.state.nodes[node_id] = node_state
@@ -340,26 +363,21 @@ class SimWorld:
 
     def _emit_telemetry(self, node_id: str, runtime: _NodeRuntime, node: NodeState) -> None:
         """Publish the node's utilization, recomputed only when its inputs
-        compare unequal to the last reading's (see the module docstring)."""
+        compare unequal to the last reading's, in an envelope built from the
+        node's metadata template (see the module docstring)."""
         inputs = (node.load.offered_load, node.knobs.get(ADMISSION_KNOB), node.load.service_rate)
         if inputs != runtime.reading[0]:
             value = self.state.utilization(node_id)
-            runtime.reading = (inputs, value, str(value))
-        _, value, text = runtime.reading
+            text = str(value)
+            runtime.reading = (inputs, value, text, text.encode("utf-8"))
+        _, value, text, payload = runtime.reading
         if runtime.jitter:
             value *= 1 + Fraction(self.rng.randint(-10, 10), 1000)
             text = str(value)
-        self.fabric.publish(
-            self.fabric.envelope(
-                runtime.telemetry_topic,
-                text,
-                kind=KIND_DATA,
-                session="telemetry",
-                origin=node_id,
-                tags="load",
-                detail=text,
-            )
-        )
+            payload = text.encode("utf-8")
+        metadata = runtime.telemetry_metadata.copy()
+        metadata["detail"] = text
+        self.fabric.publish(MessageEnvelope(runtime.telemetry_topic, payload, metadata))
 
     def _serve_requests(self, runtime: _NodeRuntime) -> None:
         """Serve the node's pending models in model-id order (see the module

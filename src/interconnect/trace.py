@@ -10,9 +10,14 @@ serialize one record per line, pipe-separated, `-` for absent fields:
 An `A` line is the fabric's audit record itself (`AuditEvent`), and the trace
 line is the only on-disk audit format: `interconnect audit` reads a trace
 file and prints the `A` lines it selects. Both record types are immutable
-named tuples: cheap to build on the publish path, compared and hashed by
-value, and the garbage collector stops tracking an `EnvelopeEvent`, which
-holds only strings, ints and `None`.
+named tuples, compared and hashed by value, and the garbage collector stops
+tracking an `EnvelopeEvent`, which holds only strings, ints and `None`.
+`Fabric.publish`, which journals an envelope record, a publish record and
+one deliver record per match, builds them as `tuple.__new__(AuditEvent,
+(all seven fields))`: that skips the named tuple's `__new__`, a Python
+function, and yields the same type, value and rendered line as the keyword
+constructor, which every other producer (`Fabric.audit`, `parse_trace`)
+uses.
 
 Comparison is structural: message ids in both traces are canonicalized by
 order of first appearance before diffing, so id-assignment drift between

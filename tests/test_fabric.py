@@ -543,6 +543,21 @@ _operations = st.lists(
         ("publish", "s2", None),
     ]
 )
+@example(
+    [
+        ("publish", "s1", None),
+        ("subscribe", Selector("a/b"), True, None, None),
+        ("subscribe", Selector("b/a", (_NOT_X,)), False, None, None),
+        ("publish", "s1", None),
+        ("subscribe", Selector("a"), False, None, ("unsubscribe", 1)),
+        ("subscribe", Selector("a/b"), False, None, ("subscribe", Selector("b/a"), True, None)),
+        ("subscribe", Selector("a/*"), True, None, None),
+        ("publish", "s1", None),
+        ("subscribe", Selector("**"), True, None, None),
+        ("publish", "s2", "north"),
+        ("publish", "s2", None),
+    ]
+)
 def test_indexed_dispatch_equals_reference_scan(operations):
     """Delivered ids and their order equal a Selector.matches scan over the
     live subscriptions in creation order (dict order, as re-subscribing under
@@ -553,11 +568,14 @@ def test_indexed_dispatch_equals_reference_scan(operations):
     The first examples pin the `eq` filing: two values on one key, two `eq`
     predicates on one key that no envelope satisfies, an `eq` after a
     non-`eq` predicate, and an `eq`-filed subscription moved to another
-    value and then unsubscribed from inside handlers. The last three pin
+    value and then unsubscribed from inside handlers. The last four pin
     the route cache: every topic is published before a subscription grows
     a new trie branch to it (and a root `**`), one-shots empty and prune
-    their buckets, and handlers subscribe mid-publish to topics published
-    later in the same round."""
+    their buckets, handlers subscribe mid-publish to topics published later
+    in the same round, and exact patterns, which drop only their own
+    topic's route, come and go among cached predicate-free and filtered
+    routes, through one-shots, handlers and `*` and `**` patterns. After
+    every round each cached route equals a fresh walk of the index."""
     fabric = make_fabric("pub", "sub")
     for topic in _TOPICS:
         fabric.create_topic(topic)
@@ -626,12 +644,57 @@ def test_indexed_dispatch_equals_reference_scan(operations):
                     elif event[0] == "unsubscribed":
                         assert event[2] is (event[1] in reference)
                         reference.pop(event[1], None)
+            _assert_cached_routes_are_fresh(fabric)
     # Once every subscription has left, nothing of the index is left behind.
     for sub_id in list(reference):
         fabric.unsubscribe(sub_id)
     root = fabric._index
     assert not (root.children or root.here or root.tail)
-    assert not any(fabric._routes.values())
+    assert not any(route.buckets or route.subscribers for route in fabric._routes.values())
+
+
+def _assert_cached_routes_are_fresh(fabric):
+    """Every cached route reaches what a walk of the index reaches now."""
+    for topic, route in fabric._routes.items():
+        fresh = fabric._route(topic)
+        assert {id(bucket) for bucket in route.buckets} == {id(b) for b in fresh.buckets}
+        if fresh.subscribers is None:
+            assert route.subscribers is None
+        else:
+            assert [e.sub.id for e in route.subscribers] == [e.sub.id for e in fresh.subscribers]
+            assert all(a is b for a, b in zip(route.subscribers, fresh.subscribers))
+
+
+def test_exact_pattern_changes_keep_other_topics_routes(monkeypatch):
+    """Subscribing and unsubscribing an exact result topic drops only that
+    topic's cached route: a publish on another topic reuses its route, while
+    one on the result topic walks the index again. A `*` pattern still
+    clears every route."""
+    fabric = make_fabric("pub", "mapek", "client")
+    for topic in ("telemetry/n1/load", "sessions/s1/results", "sessions/s2/results"):
+        fabric.create_topic(topic)
+    collector = fabric.subscribe(Subscription(Selector.parse("telemetry/**"), "mapek"))
+    walks = []
+    route = Fabric._route
+
+    def counted(self, topic):
+        walks.append(topic)
+        return route(self, topic)
+
+    monkeypatch.setattr(Fabric, "_route", counted)
+    assert fabric.publish(data_envelope(fabric, "telemetry/n1/load", origin="pub")) == 1
+    assert walks == ["telemetry/n1/load"]
+    results = fabric.subscribe(Subscription(Selector.parse("sessions/s1/results"), "client"))
+    assert fabric.publish(data_envelope(fabric, "sessions/s1/results", origin="pub")) == 1
+    fabric.unsubscribe(results)
+    assert fabric.publish(data_envelope(fabric, "telemetry/n1/load", origin="pub")) == 1
+    assert fabric.publish(data_envelope(fabric, "sessions/s1/results", origin="pub")) == 0
+    assert walks == ["telemetry/n1/load", "sessions/s1/results", "sessions/s1/results"]
+    fabric.subscribe(Subscription(Selector.parse("sessions/*/results"), "client"))
+    assert fabric.publish(data_envelope(fabric, "telemetry/n1/load", origin="pub")) == 1
+    assert fabric.publish(data_envelope(fabric, "sessions/s2/results", origin="pub")) == 1
+    assert walks[3:] == ["telemetry/n1/load", "sessions/s2/results"]
+    assert [e.metadata["origin-node"] for e in fabric.drain(collector)] == ["pub"] * 3
 
 
 def test_eq_filing_tests_only_the_subscriptions_filed_under_the_value(monkeypatch):
@@ -706,6 +769,51 @@ def test_audit_query_filters():
     publishes = fabric.audit_log.query(ops=[AuditOp.PUBLISH])
     assert len(publishes) == 1 and publishes[0].actor == "node-a"
     assert fabric.audit_log.query(actor="node-b")[0].op is AuditOp.SUBSCRIBE
+
+
+def test_publish_journals_exact_records_equal_to_keyword_built_ones():
+    """The envelope, publish and deliver records `publish` journals are exact
+    `EnvelopeEvent` and `AuditEvent` instances, equal field by field to
+    their keyword-built twins; an absent detail or model id renders `-`, and
+    the rendered journal parses back to the same records."""
+    fabric = make_fabric("node-a", "node-b", "node-c")
+    fabric.create_topic("a/b")
+    fabric.subscribe(Subscription(Selector.parse("a/b"), "node-b"))
+    fabric.subscribe(Subscription(Selector.parse("a/* session=s1"), "node-c"))
+    mark = len(fabric.journal.events)
+    fabric.publish(data_envelope(fabric, "a/b", model_id="mdl", detail="first"))
+    fabric.publish(data_envelope(fabric, "a/b"))
+    records = fabric.journal.events[mark:]
+    publish, deliver = AuditOp.PUBLISH, AuditOp.DELIVER
+    twins = []
+    for n, (model_id, detail) in enumerate((("mdl", "first"), (None, None))):
+        seq, now, message_id = 3 + 3 * n, 3 + 4 * n, f"m{n + 1}"
+        twins += [
+            EnvelopeEvent(
+                logical_time=now, topic="a/b", kind="data", session="s1", origin="node-a",
+                message_id=message_id, detail=detail,
+            ),
+            AuditEvent(
+                seq=seq, logical_time=now + 1, op=publish, actor="node-a",
+                message_id=message_id, model_id=model_id, outcome="ok",
+            ),
+        ] + [
+            AuditEvent(
+                seq=seq + k, logical_time=now + 1 + k, op=deliver, actor=actor,
+                message_id=message_id, model_id=model_id, outcome="ok",
+            )
+            for k, actor in ((1, "node-b"), (2, "node-c"))
+        ]
+    assert records == twins
+    assert [type(r) for r in records] == [type(t) for t in twins]
+    assert all(type(r.op) is AuditOp for r in records if type(r) is AuditEvent)
+    assert [r.render() for r in records[4:6]] == [
+        "M|7|a/b|data|s1|node-a|m2|-",
+        "A|6|8|publish|node-a|m2|-|ok",
+    ]
+    assert records[0].render() == "M|3|a/b|data|s1|node-a|m1|first"
+    rendered = "".join(f"{r.render()}\n" for r in records)
+    assert parse_trace(rendered).events == records
 
 
 def test_audit_line_round_trip():

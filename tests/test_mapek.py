@@ -4,11 +4,11 @@ import gc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interconnect.errors import ExecutionFailed, InsufficientData, NoApplicableAction
-from interconnect.fabric import KIND_DATA, Fabric, Selector, Subscription
+from interconnect.fabric import KIND_DATA, Fabric, MessageEnvelope, Selector, Subscription
 from interconnect.mapek import (
     AdaptationPlan,
     Finding,
@@ -113,7 +113,7 @@ def test_monitor_skips_malformed_telemetry_and_audits_it(payload):
     assert loop.monitor() == 2
     assert loop.knowledge.series("load.core-1", 10) == [Fraction(19, 20)] * 2
     assert loop.knowledge.series("load.rogue", 10) == []
-    assert loop.knowledge.seen(bad.id)
+    assert bad.id in loop.knowledge.seen_ids
     (audit,) = fabric.audit_log.query(ops=["monitor"])
     assert (audit.actor, audit.message_id, audit.outcome) == (
         "mapek",
@@ -146,10 +146,84 @@ def test_monitor_reads_repeated_payloads_and_audits_each_malformed_envelope():
     # One parse per distinct payload: repeats share the parsed value.
     assert series[0] is series[1] is series[3]
     assert loop.knowledge.series("load.core-1", 10) == [Fraction(19, 20)] * 3
-    assert all(loop.knowledge.seen(e.id) for e in envelopes)
+    assert all(e.id in loop.knowledge.seen_ids for e in envelopes)
     audits = fabric.audit_log.query(ops=["monitor"])
     assert [a.message_id for a in audits] == [envelopes[i].id for i in (1, 4, 6, 7)]
     assert {a.outcome for a in audits} == {"error(MalformedTelemetry)"}
+
+
+_FOLD_ORIGINS = ("core-1", "rogue", "late")
+_FOLD_PAYLOADS = (b"19/20", b"1/2", b"3/4", b"bad", b"\xff", b"1e3", b"1/0")
+_FOLD_POOL = [(o, p) for o in _FOLD_ORIGINS for p in _FOLD_PAYLOADS]
+
+
+def _reference_reading(payload):
+    try:
+        text = payload.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if "e" in text.lower():
+        return None
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+_fold_batches = st.lists(
+    st.lists(st.integers(0, 2 * len(_FOLD_POOL) - 1), max_size=12), min_size=1, max_size=5
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_fold_batches)
+@example([[0, 0, 3, 0], [0, 0, 3, 0]])  # repeated ids; one batch passed twice
+@example([[1, 4, 8, 11, 12], [22, 14, 15, 1, 19, 36]])  # malformed; "late" first seen mid-batch
+def test_monitor_equals_a_reference_fold(batches):
+    """`monitor(envelopes=...)` over batches drawn from a pool of envelopes
+    (each pool entry may recur, by id, within and across batches) leaves the
+    ingested counts, series, knowledge size, analyzed origins and `monitor`
+    audit records that a per-envelope reference fold over a fresh knowledge
+    base does."""
+    fabric, world, loop = make_loop()
+    envelopes = [
+        MessageEnvelope(
+            f"telemetry/{origin}/load",
+            payload,
+            {"kind": KIND_DATA, "session": "telemetry", "origin-node": origin},
+            id=f"e{k}",
+        )
+        for k, (origin, payload) in enumerate(_FOLD_POOL * 2)
+    ]
+    reference, seen, audits, counts, origins = KnowledgeBase(), set(), [], [], set()
+    for batch in batches:
+        ingested = 0
+        for envelope in (envelopes[k] for k in batch):
+            if envelope.id in seen:
+                continue
+            seen.add(envelope.id)
+            value = _reference_reading(envelope.payload)
+            if value is None:
+                audits.append(("mapek", envelope.id, "error(MalformedTelemetry)"))
+                continue
+            origins.add(envelope.metadata["origin-node"])
+            reference.add(f"load.{envelope.metadata['origin-node']}", value)
+            ingested += 1
+        counts.append(ingested)
+    assert [loop.monitor([envelopes[k] for k in batch]) for batch in batches] == counts
+    for origin in _FOLD_ORIGINS:
+        key = f"load.{origin}"
+        assert loop.knowledge.series(key, 10**6) == reference.series(key, 10**6)
+    assert len(loop.knowledge) == len(reference)
+    assert loop.knowledge.seen_ids == seen
+    monitored = fabric.audit_log.query(ops=["monitor"])
+    assert [(a.actor, a.message_id, a.outcome) for a in monitored] == audits
+    if origins:
+        assert sorted(loop._loads) == sorted(origins)
+        assert {f.target for f in loop.analyze()} <= origins | {""}
+    else:
+        with pytest.raises(InsufficientData):
+            loop.analyze()
 
 
 def test_run_loop_survives_malformed_telemetry():

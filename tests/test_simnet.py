@@ -144,6 +144,53 @@ def test_jitter_draws_from_the_world_seed():
     assert run(7) != run(8)
 
 
+@pytest.mark.parametrize("jitter", [False, True], ids=["steady", "jittered"])
+def test_telemetry_envelope_equals_the_keyword_built_one(jitter):
+    """Each tick's telemetry envelope has the payload and the metadata, keys
+    in the same order, that `Fabric.envelope` builds for the same reading.
+    A handler that rewrites a delivered envelope's metadata changes neither
+    the node's metadata template nor the next tick's envelope."""
+    world = SimWorld(Fabric(), seed=5)
+    mirror = random.Random(5)
+    loaded_node(world, offered="9/10", admission="4/5")
+    world.spawn_node("cell-2", NodeKind.UE_GEN, load=LoadModel(Fraction(1, 3)), jitter=jitter)
+    fabric = world.fabric
+    template = dict(world._runtimes["cell-2"].telemetry_metadata)
+    delivered = []
+
+    def record(envelope):
+        delivered.append((envelope.topic, envelope.payload, list(envelope.metadata.items())))
+
+    def vandalize(envelope):
+        envelope.metadata["session"] = "vandalized"
+        envelope.metadata["detail"] = "0"
+        del envelope.metadata["origin-node"]
+        envelope.metadata["extra"] = "1"
+
+    fabric.register_node("watcher")
+    for handler in (record, vandalize):
+        fabric.subscribe(Subscription(Selector.parse("telemetry/*/load"), "watcher"), handler)
+    world.step(3)
+    expected = []
+    for _ in range(3):
+        for node_id, value in (("cell-1", Fraction(18, 25)), ("cell-2", Fraction(1, 3))):
+            if node_id == "cell-2" and jitter:
+                value *= 1 + Fraction(mirror.randint(-10, 10), 1000)
+            built = fabric.envelope(
+                f"telemetry/{node_id}/load",
+                str(value),
+                kind="data",
+                session="telemetry",
+                origin=node_id,
+                tags="load",
+                detail=str(value),
+            )
+            expected.append((built.topic, built.payload, list(built.metadata.items())))
+    assert delivered == expected
+    assert world._runtimes["cell-2"].telemetry_metadata == template
+    assert list(template) == ["kind", "session", "origin-node", "semantic-tags"]
+
+
 _ORACLE_NODES = ("n0", "n1", "n2")  # n2 declares no admission knob
 _exact = st.fractions(min_value=0, max_value=2, max_denominator=12)
 _write = st.one_of(
