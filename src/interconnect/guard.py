@@ -171,8 +171,10 @@ class NamedInvariant:
     """A named predicate over post-run world state.
 
     Invariants only read. The predicate receives the whole sandbox world, a
-    clone, so a write cannot reach live state, but the verdict's metric
-    deltas cover only the nodes the program writes.
+    clone that shares its nodes with the live world; a write (`set_knob`,
+    `shift_load`) replaces a node in the sandbox world only, so it cannot
+    reach live state, but the verdict's metric deltas cover only the nodes
+    the program writes.
     """
 
     name: str
@@ -373,6 +375,11 @@ class Guard:
         self._verdicts: dict[str, list[Instruction]] = {}
         # deployment id -> (its record, the world before it), while Applied
         self._applied: dict[str, tuple[DeploymentRecord, WorldState]] = {}
+        # the node ids of the last accepted run's world, and its all-zero deltas
+        self._zero_deltas: tuple[frozenset[str], dict[str, Fraction]] = (
+            frozenset(),
+            {"throughput.total": Fraction(0)},
+        )
         self._dep_count = 0
         self._book = TicketBook(ticket_store)
 
@@ -401,7 +408,9 @@ class Guard:
         """Interpret the program against a copy of the world and judge it.
 
         The live world is never written: the run works on a clone of
-        `model` (default: current state), see `WorldState.clone`. An
+        `model` (default: current state), which shares `model`'s immutable
+        nodes and costs a copy of its `nodes` dict; the program's writes
+        replace nodes in the clone only (see `WorldState.clone`). An
         accepted verdict's `metric_deltas` equal `after.metrics() -
         before.metrics()`, keys sorted, but only the nodes the program
         writes are measured: every other node's keys are an exact 0, and
@@ -431,11 +440,14 @@ class Guard:
                         break
 
         if reason is None:
-            zero = Fraction(0)
-            keys = [*(f"utilization.{n}" for n in work.nodes), "throughput.total"]
-            keys += (f"throughput.{n}" for n in work.nodes)
-            deltas = dict.fromkeys(sorted(keys), zero)
-            total = zero
+            ids, zeros = self._zero_deltas
+            if ids != work.nodes.keys():
+                keys = [*(f"utilization.{n}" for n in work.nodes), "throughput.total"]
+                keys += (f"throughput.{n}" for n in work.nodes)
+                zeros = dict.fromkeys(sorted(keys), Fraction(0))
+                self._zero_deltas = (frozenset(work.nodes), zeros)
+            deltas = zeros.copy()
+            total = Fraction(0)
             for node_id, (util, served) in zip(written, before):
                 deltas[f"utilization.{node_id}"] = work.utilization(node_id) - util
                 deltas[f"throughput.{node_id}"] = work.throughput(node_id) - served

@@ -21,13 +21,24 @@ fraction strings; there are no floats anywhere in the state. The optional
 telemetry jitter draws from the world's single seeded generator and is off
 by default.
 
+Node state is an immutable value shared between worlds (structural sharing:
+Driscoll, Sarnak, Sleator and Tarjan, "Making Data Structures Persistent",
+JCSS 1989). A `NodeState`'s knob and range maps are read-only, its
+`LoadModel` is frozen, and a write (`set_knob`, `shift_load`) puts a new
+node under the id in the written world's `nodes` dict. So a clone, a
+snapshot and a restore copy that dict of references and nothing more, and a
+write to one world never reaches another. Each node renders its
+`config_hash` and `state_hash` lines once, for the id it is hashed under,
+and keeps them while that id stays the same; the world hashes join the
+nodes' texts.
+
 A node's telemetry reading is recomputed only when it changed: each node
 keeps its last `(offered load, admission knob, service rate)` with the
 utilization and its text, and a tick whose tuple compares equal reuses them.
-Every write replaces an immutable `Fraction` (knob writes, `shift_load`,
-direct assignment, or `restore`'s new `WorldState`), and the tuple compares
-by value, so the memo cannot go stale and needs no invalidation. A jittered
-node still draws from the generator every tick.
+Every write replaces immutable values (a node, its `LoadModel`, a
+`Fraction`), and the tuple compares by value, so the memo cannot go stale
+and needs no invalidation. A jittered node still draws from the generator
+every tick.
 
 A telemetry envelope differs from tick to tick only in its payload and its
 `detail`. Each node keeps the rest of its metadata (`kind`, `session`,
@@ -43,9 +54,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import DuplicateNode, ModelAlreadyHosted
 from .fabric import (
@@ -85,22 +98,106 @@ class NodeKind(str, Enum):
     APP = "app"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class LoadModel:
-    """M/M/1-flavoured load summary: enough to expose utilization pressure."""
+    """M/M/1-flavoured load summary: enough to expose utilization pressure.
+
+    Frozen: a load change is a new `LoadModel` in a new `NodeState`.
+    """
 
     offered_load: Fraction
     service_rate: Fraction = Fraction(1)
     queue_depth: int = 0
 
 
-@dataclass
 class NodeState:
-    """The managed, snapshot-able part of a node."""
+    """The managed, snapshot-able part of a node: an immutable value.
 
-    knobs: dict[str, Fraction] = field(default_factory=dict)
-    knob_ranges: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
-    load: LoadModel | None = None
+    `knobs` and `knob_ranges` are read-only views of maps the node owns (the
+    constructor copies its arguments) and `load` is a frozen `LoadModel` or
+    None; setting an attribute raises `FrozenInstanceError`. A change is a
+    new node put under the id in one world's `nodes`, so worlds share every
+    node neither has written since they parted.
+    """
+
+    __slots__ = ("knobs", "knob_ranges", "load", "_texts")
+
+    def __new__(
+        cls,
+        knobs: Mapping[str, Fraction] | None = None,
+        knob_ranges: Mapping[str, tuple[Fraction, Fraction]] | None = None,
+        load: LoadModel | None = None,
+    ) -> NodeState:
+        knobs, knob_ranges = dict(knobs or {}), dict(knob_ranges or {})
+        return _node(MappingProxyType(knobs), MappingProxyType(knob_ranges), load)
+
+    def __reduce__(self) -> tuple:  # so that copy, deepcopy and pickle rebuild the node
+        return NodeState, (dict(self.knobs), dict(self.knob_ranges), self.load)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}; replace the node instead")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}; replace the node instead")
+
+    def _hash_texts(self, node_id: str) -> tuple[str, str, str]:
+        """`(node_id, config text, state text)`: the node's lines of
+        `WorldState.config_hash` and `state_hash` under `node_id`.
+
+        Rendered on first use and kept while the node is hashed under the
+        same id; a node under two ids renders again when the id changes.
+        """
+        texts = self._texts
+        if texts is None or texts[0] != node_id:
+            knobs = self.knobs
+            lines = [f"{node_id}/{knob}={knobs[knob]}" for knob in sorted(knobs)]
+            config = "\n".join(lines)
+            load = self.load
+            if load is not None:
+                lines.append(
+                    f"{node_id}/load={load.offered_load}:{load.service_rate}:{load.queue_depth}"
+                )
+            texts = (node_id, config, "\n".join(lines))
+            _set_texts(self, texts)
+        return texts
+
+
+_new_node = object.__new__
+_set_knobs = NodeState.knobs.__set__
+_set_knob_ranges = NodeState.knob_ranges.__set__
+_set_load = NodeState.load.__set__
+_set_texts = NodeState._texts.__set__
+
+
+def _node(knobs: Mapping, knob_ranges: Mapping, load: LoadModel | None) -> NodeState:
+    """A node over read-only maps no one can write through, which other
+    nodes may share; unlike `NodeState(...)`, nothing is copied."""
+    node = _new_node(NodeState)
+    _set_knobs(node, knobs)
+    _set_knob_ranges(node, knob_ranges)
+    _set_load(node, load)
+    _set_texts(node, None)
+    return node
+
+
+def _with_offered_load(node: NodeState, offered_load: Fraction) -> NodeState:
+    load = node.load
+    return _node(
+        node.knobs, node.knob_ranges, LoadModel(offered_load, load.service_rate, load.queue_depth)
+    )
+
+
+def _digest(nodes: dict[str, NodeState], part: int) -> str:
+    """Hash of every node's text `part` (1: config, 2: state), by node id."""
+    texts = []
+    for node_id in sorted(nodes):
+        node = nodes[node_id]
+        cached = node._texts  # `_hash_texts` inlined for a node it rendered
+        if cached is None or cached[0] != node_id:
+            cached = node._hash_texts(node_id)
+        if cached[part]:
+            texts.append(cached[part])
+    return hashlib.sha256("\n".join(texts).encode("utf-8")).hexdigest()[:16]
 
 
 class WorldState:
@@ -110,17 +207,14 @@ class WorldState:
         self.nodes: dict[str, NodeState] = {}
 
     def clone(self) -> WorldState:
-        """Independent copy: writes to either side never reach the other.
+        """A world that shares every node with this one.
 
-        Every mutable part (knob maps, range maps, load models) is copied;
-        the immutable `Fraction`s and range tuples are shared.
+        Only the `nodes` dict of references is copied. Nodes are immutable
+        and a write replaces the node in its own world's dict, so writes to
+        either side never reach the other.
         """
         copied = WorldState()
-        for node_id, node in self.nodes.items():
-            load = node.load
-            if load is not None:
-                load = LoadModel(load.offered_load, load.service_rate, load.queue_depth)
-            copied.nodes[node_id] = NodeState(dict(node.knobs), dict(node.knob_ranges), load)
+        copied.nodes = self.nodes.copy()
         return copied
 
     def get_knob(self, node_id: str, knob: str) -> Fraction:
@@ -130,25 +224,37 @@ class WorldState:
         return node.knobs[knob]
 
     def set_knob(self, node_id: str, knob: str, value: Fraction) -> Fraction:
-        """Assign a knob, clamped into its declared range; returns the value set."""
+        """Assign a knob, clamped into its declared range; returns the value set.
+
+        The node is replaced in this world only (see `NodeState`).
+        """
         node = self.nodes[node_id]
         if knob not in node.knobs:
             raise KeyError(f"node {node_id!r} declares no knob {knob!r}")
         lo, hi = node.knob_ranges.get(knob, (None, None))
         if lo is not None:
             value = max(lo, min(hi, value))
-        node.knobs[knob] = Fraction(value)
-        return node.knobs[knob]
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        knobs = node.knobs.copy()
+        knobs[knob] = value
+        self.nodes[node_id] = _node(MappingProxyType(knobs), node.knob_ranges, node.load)
+        return value
 
     def shift_load(self, src: str, dst: str, fraction: Fraction) -> Fraction:
-        """Move a fraction of offered load between nodes; returns the amount."""
+        """Move a fraction of offered load between nodes; returns the amount.
+
+        Both nodes are replaced in this world only; a node rerouted to
+        itself keeps its load, and is not replaced.
+        """
         source, target = self.nodes[src], self.nodes[dst]
         if source.load is None or target.load is None:
             raise KeyError("both reroute endpoints need a load model")
         fraction = max(_ZERO, min(_ONE, fraction))
         moved = source.load.offered_load * fraction
-        source.load.offered_load -= moved
-        target.load.offered_load += moved
+        if src != dst:
+            self.nodes[src] = _with_offered_load(source, source.load.offered_load - moved)
+            self.nodes[dst] = _with_offered_load(target, target.load.offered_load + moved)
         return moved
 
     def utilization(self, node_id: str) -> Fraction:
@@ -182,25 +288,11 @@ class WorldState:
 
     def config_hash(self) -> str:
         """Hash of all knob settings (the managed configuration)."""
-        lines = []
-        for node_id in sorted(self.nodes):
-            for knob in sorted(self.nodes[node_id].knobs):
-                lines.append(f"{node_id}/{knob}={self.nodes[node_id].knobs[knob]}")
-        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+        return _digest(self.nodes, 1)
 
     def state_hash(self) -> str:
         """Hash of knobs plus load state; sandbox runs must never change it."""
-        lines = []
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            for knob in sorted(node.knobs):
-                lines.append(f"{node_id}/{knob}={node.knobs[knob]}")
-            if node.load is not None:
-                lines.append(
-                    f"{node_id}/load={node.load.offered_load}:{node.load.service_rate}"
-                    f":{node.load.queue_depth}"
-                )
-        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+        return _digest(self.nodes, 2)
 
 
 @dataclass
@@ -271,10 +363,10 @@ class SimWorld:
         ranges = dict(DEFAULT_KNOB_RANGES)
         if knob_ranges:
             ranges.update(knob_ranges)
-        node_state = NodeState(
-            knobs={k: Fraction(v) for k, v in (knobs or {}).items()},
-            knob_ranges={k: ranges[k] for k in (knobs or {}) if k in ranges},
-            load=load,
+        node_state = _node(
+            MappingProxyType({k: Fraction(v) for k, v in (knobs or {}).items()}),
+            MappingProxyType({k: ranges[k] for k in (knobs or {}) if k in ranges}),
+            load,
         )
         runtime = _NodeRuntime(
             node_id=node_id,
@@ -440,16 +532,32 @@ class SimWorld:
     # -- snapshots ---------------------------------------------------------------
 
     def snapshot(self) -> WorldState:
-        """A clone of the world state; the world keeps no reference to it."""
+        """A clone of the world state; the world keeps no reference to it.
+
+        The clone shares the live nodes (see `WorldState.clone`), so it
+        costs a copy of the `nodes` dict, and no later write on either side
+        reaches the other.
+        """
         return self.state.clone()
 
     def restore(self, snapshot: WorldState) -> None:
-        """Replace live state with a clone of a snapshot, exactly.
+        """Replace live state with a clone of a snapshot, exactly, except
+        for nodes spawned after it.
 
         The snapshot is cloned again, not handed over, so restoring it twice
-        yields the same state both times.
+        yields the same state both times. A node this world has spawned but
+        the snapshot lacks keeps its live state: its runtime and its fabric
+        wiring are not rolled back either, and without its state `step`
+        could not run it nor `spawn_node` add it again.
         """
-        self.state = snapshot.clone()
+        state = snapshot.clone()
+        nodes = state.nodes
+        if not self._runtimes.keys() <= nodes.keys():
+            live = self.state.nodes
+            for node_id in self._order:
+                if node_id not in nodes and node_id in live:
+                    nodes[node_id] = live[node_id]
+        self.state = state
 
     def config_hash(self) -> str:
         return self.state.config_hash()

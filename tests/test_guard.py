@@ -1,11 +1,13 @@
 """Guarded deployment: DSL, sandbox, deploy/rollback, consensus, tickets."""
 
+import dataclasses
 import gc
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import FunctionType, ModuleType
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +35,7 @@ from interconnect.guard import (
     structural_hash,
 )
 import interconnect
-from interconnect.simnet import LoadModel, NodeKind, SimWorld, WorldState
+from interconnect.simnet import LoadModel, NodeKind, NodeState, SimWorld, WorldState
 
 
 def make_rig(policy="escalate-only", ticket_store=None, budget=10_000):
@@ -215,9 +217,10 @@ def test_sandbox_deltas_equal_full_metrics_of_a_brute_force_clone(case):
     model = None
     if use_model:
         model = world.state.clone()
-        for node in model.nodes.values():
+        for node_id, node in list(model.nodes.items()):
             if node.load is not None:
-                node.load.offered_load *= 2
+                load = dataclasses.replace(node.load, offered_load=node.load.offered_load * 2)
+                model.nodes[node_id] = NodeState(node.knobs, node.knob_ranges, load)
     base = model if model is not None else world.state
     live_hash, base_hash = world.state_hash(), base.state_hash()
     invariants = [] if bound is None else [min_total_throughput(bound)]
@@ -266,6 +269,26 @@ def test_an_invariant_that_writes_cannot_reach_live_state():
     # Invariants only read: a write to a node the program does not write is
     # neither measured nor kept.
     assert verdict.metric_deltas["utilization.ran-2"] == 0
+
+
+def test_one_guard_measures_each_run_over_its_own_worlds_nodes():
+    """Every accepted verdict's delta keys are those of the world its run
+    cloned, however the node sets of one guard's runs differ, and each
+    verdict owns its deltas."""
+    fabric, world, guard = make_rig()
+    smaller = world.state.clone()
+    world.spawn_node("ran-2", NodeKind.RIC, load=LoadModel(offered_load=Fraction(1, 2)))
+    both, one = ["ran-1", "ran-2"], ["ran-1"]
+    for i, (model, ids) in enumerate([(None, both), (None, both), (smaller, one), (None, both)]):
+        verdict = guard.sandbox_run(
+            program("set ran-1 admission-rate 1/2", program_id=f"p-{i}"), model=model
+        )
+        keys = sorted([*(f"{m}.{n}" for m in ("throughput", "utilization") for n in ids),
+                       "throughput.total"])
+        written = ("throughput.ran-1", "utilization.ran-1", "throughput.total")
+        expected = {**dict.fromkeys(keys, 0), **dict.fromkeys(written, Fraction(-2, 5))}
+        assert list(verdict.metric_deltas.items()) == list(expected.items())
+        verdict.metric_deltas.update(dict.fromkeys(keys, Fraction(99)))
 
 
 def test_sandbox_rejects_bad_programs_and_audits():
@@ -355,6 +378,26 @@ def test_deploy_applies_and_rollback_restores():
         guard.rollback("dep-99")
 
 
+def test_rollback_keeps_a_node_spawned_after_the_deploy():
+    # The spawn's runtime and fabric wiring outlive the rollback, so its
+    # state must too: otherwise `step` cannot run the node and
+    # `spawn_node` cannot add it again.
+    fabric, world, guard = make_rig()
+    good = program("set ran-1 admission-rate 1/2")
+    assert guard.sandbox_run(good).accepted
+    record = guard.deploy(good, "ran-1")
+    world.spawn_node(
+        "ran-2", NodeKind.RIC, knobs={"admission-rate": Fraction(3, 4)},
+        load=LoadModel(offered_load=Fraction(1, 2)),
+    )
+    guard.rollback(record.deployment_id)
+    assert world.state.get_knob("ran-1", "admission-rate") == Fraction(1)
+    assert world.state.get_knob("ran-2", "admission-rate") == Fraction(3, 4)
+    assert world.state.utilization("ran-2") == Fraction(3, 8)
+    world.step(1)
+    assert fabric.last_envelope("telemetry/ran-2/load").payload == b"3/8"
+
+
 def test_deploy_audits_execute_and_rollback_audits_rollback():
     fabric, world, guard = make_rig()
     good = program("set ran-1 admission-rate 1/2")
@@ -382,12 +425,19 @@ def test_deploy_rejects_a_source_other_than_the_one_sandboxed():
     assert world.state.get_knob("ran-1", "rate-limit") == Fraction(50)
 
 
+def with_tilt(state):
+    """The state with a `tilt` knob declared on ran-1, by replacing the node."""
+    node = state.nodes["ran-1"]
+    knobs = {**node.knobs, "tilt": Fraction(0)}
+    state.nodes["ran-1"] = NodeState(knobs, node.knob_ranges, node.load)
+    return state
+
+
 def test_failed_live_execution_restores_snapshot():
     # A program can pass the sandbox against a permissive model and still
     # fail against the live world; the deploy must then leave no trace.
     fabric, world, guard = make_rig()
-    richer = world.state.clone()
-    richer.nodes["ran-1"].knobs["tilt"] = Fraction(0)
+    richer = with_tilt(world.state.clone())
     prog = program("set ran-1 tilt 1/2")
     assert guard.sandbox_run(prog, model=richer).accepted
     before = world.config_hash()
@@ -402,8 +452,7 @@ def test_partly_executed_live_deploy_is_undone():
     # The first instruction writes live state before the second fails on a
     # knob only the sandbox model declares; the deploy must leave no trace.
     fabric, world, guard = make_rig()
-    richer = world.state.clone()
-    richer.nodes["ran-1"].knobs["tilt"] = Fraction(0)
+    richer = with_tilt(world.state.clone())
     prog = program("set ran-1 admission-rate 1/2\nset ran-1 tilt 1/2")
     assert guard.sandbox_run(prog, model=richer).accepted
     before = world.state_hash()
@@ -454,6 +503,40 @@ def test_guard_retains_no_verdict_or_snapshot_after_many_deploys():
     gc.collect()
     assert sum(isinstance(o, WorldState) for o in gc.get_objects()) == states
     assert len(guard._verdicts) == 0
+
+
+def _reachable(root, cls):
+    """Ids of the `cls` instances reachable from `root`, not through
+    types, modules or functions (whose globals reach everything)."""
+    seen, found, stack = {id(root)}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, cls):
+            found.add(id(obj))
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, (type, ModuleType, FunctionType)):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
+def test_applied_deployments_retain_the_nodes_they_wrote_not_the_world():
+    """A deploy's snapshot shares every node it did not write with the live
+    world: 100 applied deploys on a 100-node world keep 100 + 100 node
+    states reachable from the guard, not 100 per deploy."""
+    fabric, world, guard = make_rig()
+    nodes, cycles = 100, 100
+    for k in range(2, nodes + 1):
+        world.spawn_node(
+            f"ran-{k}", NodeKind.RIC, knobs={"admission-rate": Fraction(1)},
+            load=LoadModel(offered_load=Fraction(1, 2)),
+        )
+    for i in range(cycles):
+        good = program(f"set ran-{i % nodes + 1} admission-rate 1/{i + 2}", program_id=f"p-{i}")
+        assert guard.sandbox_run(good).accepted
+        guard.deploy(good, "ran-1")
+    assert len(guard._applied) == cycles
+    assert len(_reachable(guard, NodeState)) == nodes + cycles
 
 
 # -- consensus -----------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """MAPE-K loop stages and the convergence oracle."""
 
+import dataclasses
 import gc
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from interconnect.mapek import (
     MapeKLoop,
     convergence_oracle,
 )
-from interconnect.simnet import LoadModel, NodeKind, SimWorld, WorldState
+from interconnect.simnet import LoadModel, NodeKind, NodeState, SimWorld, WorldState
 
 
 def make_loop(offered="19/20", **kwargs):
@@ -364,6 +365,13 @@ def test_plan_rejects_targets_without_knobs():
         loop.plan([Finding(kind="congestion", target="ghost", severity=Fraction(1))])
 
 
+def surge(state):
+    """Replace core-1 by a node whose offered load is 3."""
+    node = state.nodes["core-1"]
+    load = dataclasses.replace(node.load, offered_load=Fraction(3))
+    state.nodes["core-1"] = NodeState(node.knobs, node.knob_ranges, load)
+
+
 def test_rollback_restores_the_state_execute_started_from():
     fabric, world, loop = make_loop()
     world.step(1)
@@ -372,7 +380,7 @@ def test_rollback_restores_the_state_execute_started_from():
     # Writes between plan and execute belong to the state execute starts
     # from; the surge defeats the adaptation, so execute rolls back to it.
     world.state.set_knob("core-1", "admission-rate", Fraction(19, 20))
-    world.state.nodes["core-1"].load.offered_load = Fraction(3)
+    surge(world.state)
     started = world.state_hash()
     report = loop.execute(plan)
     assert report.rolled_back
@@ -405,7 +413,7 @@ def test_execute_rolls_back_when_effect_not_observed():
     plan = loop.plan(loop.analyze())
     # Counteract the adaptation before the settle window: offered load rises
     # so the windowed mean cannot strictly decrease.
-    world.state.nodes["core-1"].load.offered_load = Fraction(3)
+    surge(world.state)
     report = loop.execute(plan)
     assert not report.effect_held and report.rolled_back
     assert world.state.get_knob("core-1", "admission-rate") == Fraction(1)

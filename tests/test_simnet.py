@@ -1,7 +1,12 @@
 """Simulated network: stepping, telemetry, control, serving, snapshots."""
 
+import copy
+import dataclasses
+import hashlib
 import json
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -10,8 +15,9 @@ from hypothesis import strategies as st
 
 from interconnect.errors import DuplicateNode, ModelAlreadyHosted
 from interconnect.fabric import Fabric, Selector, Subscription, TokenState
+from interconnect.guard import Guard, GuardedProgram, NamedInvariant
 from interconnect.registry import ModelRegistry, parse_descriptor
-from interconnect.simnet import LoadModel, NodeKind, SimWorld, WorldState
+from interconnect.simnet import LoadModel, NodeKind, NodeState, SimWorld, WorldState
 from interconnect.trace import AuditOp
 
 
@@ -25,6 +31,15 @@ def loaded_node(world, node_id="cell-1", offered="9/10", admission="1"):
         NodeKind.UE_GEN,
         knobs={"admission-rate": Fraction(admission)},
         load=LoadModel(offered_load=Fraction(offered)),
+    )
+
+
+def replace_load(state, node_id, **fields):
+    """Put a node with its load model's `fields` replaced under `node_id`;
+    nodes are immutable, so this is how a test moves one node's load."""
+    node = state.nodes[node_id]
+    state.nodes[node_id] = NodeState(
+        node.knobs, node.knob_ranges, dataclasses.replace(node.load, **fields)
     )
 
 
@@ -259,9 +274,9 @@ def test_telemetry_is_a_fresh_reading_after_any_write(jitters, writes):
         elif kind == "shift":
             world.state.shift_load(*args)
         elif kind == "offered":
-            world.state.nodes[args[0]].load.offered_load = args[1]
+            replace_load(world.state, args[0], offered_load=args[1])
         elif kind == "service":
-            world.state.nodes[args[0]].load.service_rate = args[1]
+            replace_load(world.state, args[0], service_rate=args[1])
         elif kind == "snapshot":
             snapshots.append(world.snapshot())
         elif kind == "restore" and snapshots:
@@ -605,7 +620,7 @@ def test_snapshot_restore_round_trip():
     before = world.state_hash()
     assert isinstance(snap, WorldState) and snap is not world.state
     world.state.set_knob("cell-1", "admission-rate", Fraction(1, 4))
-    world.state.nodes["cell-1"].load.offered_load = Fraction(1, 100)
+    replace_load(world.state, "cell-1", offered_load=Fraction(1, 100))
     assert world.state_hash() != before
     assert snap.state_hash() == before  # live writes never reach a snapshot
     world.restore(snap)
@@ -627,34 +642,82 @@ def two_node_world():
 
 def test_clone_hashes_equal_the_original():
     state = two_node_world().state
-    clone = state.clone()
-    assert clone is not state
-    assert clone.state_hash() == state.state_hash()
-    assert clone.config_hash() == state.config_hash()
-    assert clone.metrics() == state.metrics()
+    # Immutable nodes still rebuild through copy, deepcopy and pickle.
+    for clone in (state.clone(), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert clone is not state
+        assert clone.state_hash() == state.state_hash()
+        assert clone.config_hash() == state.config_hash()
+        assert clone.metrics() == state.metrics()
+
+
+def _with_knob(s, node_id, knob, value, bounds):
+    node = s.nodes[node_id]
+    s.nodes[node_id] = NodeState(
+        {**node.knobs, knob: value}, {**node.knob_ranges, knob: bounds}, node.load
+    )
+
+
+_IN_PLACE = (AttributeError, TypeError)  # FrozenInstanceError is an AttributeError
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, raises",
     [
-        lambda s: s.set_knob("cell-1", "admission-rate", Fraction(1, 5)),
-        lambda s: s.nodes["cell-2"].knobs.update({"probe-rate": Fraction(1)}),
-        lambda s: s.nodes["cell-1"].knob_ranges.update(
-            {"admission-rate": (Fraction(0), Fraction(1, 10))}
+        (lambda s: s.set_knob("cell-1", "admission-rate", Fraction(1, 5)), None),
+        (lambda s: s.nodes["cell-2"].knobs.update({"probe-rate": Fraction(1)}), _IN_PLACE),
+        (lambda s: _with_knob(s, "cell-2", "probe-rate", Fraction(1), (0, 1)), None),
+        (
+            lambda s: s.nodes["cell-1"].knob_ranges.update(
+                {"admission-rate": (Fraction(0), Fraction(1, 10))}
+            ),
+            _IN_PLACE,
         ),
-        lambda s: setattr(s.nodes["cell-1"].load, "offered_load", Fraction(7)),
-        lambda s: setattr(s.nodes["cell-2"].load, "queue_depth", 3),
-        lambda s: s.shift_load("cell-1", "cell-2", Fraction(1, 2)),
-        lambda s: s.nodes.pop("app-1"),
+        (
+            lambda s: _with_knob(
+                s, "cell-1", "admission-rate", Fraction(1, 10), (Fraction(0), Fraction(1, 10))
+            ),
+            None,
+        ),
+        (
+            lambda s: setattr(s.nodes["cell-1"].load, "offered_load", Fraction(7)),
+            FrozenInstanceError,
+        ),
+        (lambda s: replace_load(s, "cell-1", offered_load=Fraction(7)), None),
+        (lambda s: setattr(s.nodes["cell-2"].load, "queue_depth", 3), FrozenInstanceError),
+        (lambda s: replace_load(s, "cell-2", queue_depth=3), None),
+        (lambda s: setattr(s.nodes["cell-1"], "load", None), FrozenInstanceError),
+        (lambda s: s.shift_load("cell-1", "cell-2", Fraction(1, 2)), None),
+        (lambda s: s.nodes.pop("app-1"), None),
     ],
-    ids=["knob", "new-knob", "knob-range", "offered-load", "queue-depth", "shift", "node"],
+    ids=[
+        "knob",
+        "new-knob",
+        "new-knob-by-replace",
+        "knob-range",
+        "knob-range-by-replace",
+        "offered-load",
+        "offered-load-by-replace",
+        "queue-depth",
+        "queue-depth-by-replace",
+        "node-field",
+        "shift",
+        "node",
+    ],
 )
-def test_mutating_a_clone_leaves_the_original_unchanged(mutate):
+def test_mutating_a_clone_leaves_the_original_unchanged(mutate, raises):
+    """A write to a clone never reaches the original. Nodes are immutable:
+    an in-place write raises and changes neither world, and its
+    replace-the-node twin changes the clone only."""
     state = two_node_world().state
     before = state.state_hash()
     ranges = {n: dict(node.knob_ranges) for n, node in state.nodes.items()}
     clone = state.clone()
-    mutate(clone)
+    if raises is None:
+        mutate(clone)
+    else:
+        with pytest.raises(raises):
+            mutate(clone)
+        assert clone.state_hash() == before
     assert state.state_hash() == before
     assert {n: node.knob_ranges for n, node in state.nodes.items()} == ranges
     assert state.set_knob("cell-1", "admission-rate", Fraction(1, 2)) == Fraction(1, 2)
@@ -666,7 +729,7 @@ def test_restoring_one_snapshot_twice_gives_the_same_state():
     saved = world.state_hash()
     for offered in (Fraction(3), Fraction(5)):
         world.state.set_knob("cell-1", "admission-rate", Fraction(1, 8))
-        world.state.nodes["cell-2"].load.offered_load = offered
+        replace_load(world.state, "cell-2", offered_load=offered)
         assert world.state_hash() != saved
         world.restore(snap)
         assert world.state_hash() == saved
@@ -676,7 +739,227 @@ def test_config_hash_tracks_knobs_only():
     world = make_world()
     loaded_node(world)
     config_before = world.config_hash()
-    world.state.nodes["cell-1"].load.offered_load = Fraction(1, 3)
+    replace_load(world.state, "cell-1", offered_load=Fraction(1, 3))
     assert world.config_hash() == config_before
     world.state.set_knob("cell-1", "admission-rate", Fraction(1, 3))
     assert world.config_hash() != config_before
+
+
+def test_restore_keeps_the_state_of_a_node_spawned_after_the_snapshot():
+    """`restore` rolls back the nodes the snapshot holds. A node spawned
+    after the snapshot keeps its live state, as its runtime and fabric
+    wiring stay, and the snapshot itself gains nothing."""
+    world = make_world()
+    loaded_node(world, "cell-1")
+    snap = world.snapshot()
+    world.state.set_knob("cell-1", "admission-rate", Fraction(1, 2))
+    loaded_node(world, "cell-2", offered="1/2", admission="3/4")
+    world.state.set_knob("cell-2", "admission-rate", Fraction(1, 4))
+    sub_id = watch_telemetry(world, "cell-2")
+    for _ in range(2):
+        world.restore(snap)
+        assert world.state.get_knob("cell-1", "admission-rate") == Fraction(1)
+        assert world.state.get_knob("cell-2", "admission-rate") == Fraction(1, 4)
+        assert list(snap.nodes) == ["cell-1"]
+        world.step(1)
+        assert [s.payload for s in world.fabric.drain(sub_id)] == [b"1/8"]
+    with pytest.raises(DuplicateNode):
+        loaded_node(world, "cell-2")
+
+
+# -- structural sharing ----------------------------------------------------------------
+
+
+_SHARED = ("n0", "n1", "n2", "n3")  # n2 declares no knob, n3 has no load model
+_SHARED_KNOBS = ("admission-rate", "rate-limit", "probe-rate")
+
+
+def _sharing_world():
+    world = SimWorld(Fabric(), seed=0)
+    nodes = {
+        "n0": ({"admission-rate": 1, "rate-limit": 100}, LoadModel(Fraction(4, 5))),
+        "n1": ({"admission-rate": Fraction(1, 2)}, LoadModel(Fraction(1, 3), Fraction(3, 2), 2)),
+        "n2": ({}, LoadModel(Fraction(1, 2))),
+        "n3": ({"probe-rate": 0}, None),
+    }
+    for node_id, (knobs, load) in nodes.items():
+        world.spawn_node(node_id, NodeKind.RIC, knobs=knobs, load=load)
+    return world
+
+
+def _plain(state):
+    """Each node as independent plain copies: knob dict, range dict and a
+    `[offered, service, depth]` list or None."""
+    return {
+        node_id: (
+            dict(node.knobs),
+            dict(node.knob_ranges),
+            None if node.load is None else list(dataclasses.astuple(node.load)),
+        )
+        for node_id, node in state.nodes.items()
+    }
+
+
+def _copy(model):
+    return {
+        node_id: (dict(knobs), dict(ranges), None if load is None else list(load))
+        for node_id, (knobs, ranges, load) in model.items()
+    }
+
+
+def _ref_set(model, node_id, knob, value):
+    knobs, ranges, _ = model[node_id]
+    if knob not in knobs:
+        raise KeyError(knob)
+    lo, hi = ranges[knob]
+    knobs[knob] = max(lo, min(hi, Fraction(value)))
+
+
+def _ref_texts(model, node_id):
+    knobs, _, load = model[node_id]
+    config = [f"{node_id}/{knob}={knobs[knob]}" for knob in sorted(knobs)]
+    state = config + ([] if load is None else [f"{node_id}/load={load[0]}:{load[1]}:{load[2]}"])
+    return "\n".join(config), "\n".join(state)
+
+
+def _ref_hash(model, part):
+    lines = [_ref_texts(model, node_id)[part] for node_id in sorted(model)]
+    text = "\n".join(line for line in lines if line)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _ref_metrics(model):
+    out, total = {}, Fraction(0)
+    for node_id in sorted(model):
+        knobs, _, load = model[node_id]
+        util = served = Fraction(0)
+        if load is not None:
+            admitted = load[0] * knobs.get("admission-rate", 1)
+            util = admitted / load[1]
+            served = min(admitted, load[1], knobs.get("rate-limit", load[1]))
+        out[f"utilization.{node_id}"], out[f"throughput.{node_id}"] = util, served
+        total += served
+    out["throughput.total"] = total
+    return out
+
+
+def _meddle(state):
+    """An invariant that writes its sandbox world and passes."""
+    for node_id in list(state.nodes):
+        if "admission-rate" in state.nodes[node_id].knobs:
+            state.set_knob(node_id, "admission-rate", Fraction(0))
+    try:
+        state.shift_load("n0", "n2", Fraction(1, 2))
+    except KeyError:  # an alias may have put a node without load there
+        pass
+    return True
+
+
+_shared_node = st.sampled_from(_SHARED)
+_share_value = st.fractions(min_value=0, max_value=2, max_denominator=12)
+_world_index = st.integers(0, 7)  # taken modulo the number of worlds
+_share_op = st.one_of(
+    st.tuples(st.just("set"), _world_index, _shared_node, st.sampled_from(_SHARED_KNOBS),
+              _share_value),
+    st.tuples(st.just("shift"), _world_index, _shared_node, _shared_node, _share_value),
+    st.tuples(st.just("control"), _shared_node, _share_value),
+    st.tuples(st.just("replace"), _world_index, _shared_node, _share_value, _share_value),
+    st.tuples(st.just("alias"), _world_index, _shared_node, _shared_node),
+    st.tuples(st.just("clone"), _world_index),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore"), _world_index),
+    st.tuples(st.just("sandbox"), _world_index, _shared_node, _share_value),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.lists(_share_op, max_size=30))
+@example(  # one node object under two ids, hashed under each in turn
+    [("alias", 0, "n1", "n0"), ("clone", 0), ("set", 1, "n0", "admission-rate", Fraction(1, 3))]
+)
+def test_worlds_sharing_nodes_equal_worlds_of_plain_copies(ops):
+    """Worlds that share immutable nodes (the live world, its clones, its
+    snapshots) read exactly as worlds of independent plain copies after
+    every write, clone, snapshot, restore and sandbox run: same state and
+    config hashes, same metrics, and each node's cached hash lines equal a
+    from-scratch render under every id it sits under."""
+    world = _sharing_world()
+    guard = Guard(world.fabric, world)
+    others = [None]  # index 0 is the live world, whose state `restore` rebinds
+    models = [_plain(world.state)]
+
+    def state(i):
+        return world.state if i == 0 else others[i]
+
+    for n, (kind, *args) in enumerate(ops):
+        w = args[0] % len(models) if args and kind not in ("control", "snapshot") else 0
+        if kind == "set":
+            _, node_id, knob, value = args
+            try:
+                _ref_set(models[w], node_id, knob, value)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    state(w).set_knob(node_id, knob, value)
+            else:
+                state(w).set_knob(node_id, knob, value)
+        elif kind == "shift":
+            _, src, dst, fraction = args
+            source, target = models[w][src][2], models[w][dst][2]
+            if source is None or target is None:
+                with pytest.raises(KeyError):
+                    state(w).shift_load(src, dst, fraction)
+            else:
+                moved = source[0] * max(0, min(1, fraction))
+                source[0] -= moved
+                target[0] += moved
+                assert state(w).shift_load(src, dst, fraction) == moved
+        elif kind == "control":
+            node_id, value = args
+            world.fabric.publish(
+                world.fabric.envelope(
+                    f"managed/{node_id}/knobs", f"admission-rate={value}", kind="control",
+                    session="ops", origin="operator",
+                )
+            )
+            try:
+                _ref_set(models[0], node_id, "admission-rate", value)
+            except KeyError:
+                pass
+        elif kind == "replace":
+            _, node_id, offered, probe = args
+            old = state(w).nodes[node_id]
+            state(w).nodes[node_id] = NodeState(
+                {**old.knobs, "probe-rate": probe},
+                {**old.knob_ranges, "probe-rate": (0, 1)},
+                LoadModel(offered),
+            )
+            knobs, ranges, _ = models[w][node_id]
+            models[w][node_id] = ({**knobs, "probe-rate": probe},
+                                  {**ranges, "probe-rate": (0, 1)}, [offered, 1, 0])
+        elif kind == "alias":
+            _, src, dst = args
+            state(w).nodes[dst] = state(w).nodes[src]
+            models[w][dst] = _copy({src: models[w][src]})[src]
+        elif kind == "clone":
+            others.append(state(w).clone())
+            models.append(_copy(models[w]))
+        elif kind == "snapshot":
+            others.append(world.snapshot())
+            models.append(_copy(models[0]))
+        elif kind == "restore":
+            world.restore(state(w))
+            models[0] = _copy(models[w])
+        elif kind == "sandbox":
+            _, node_id, value = args
+            source = f"set {node_id} admission-rate {value}"
+            guard.sandbox_run(
+                GuardedProgram(f"p-{n}", source, (), "planner"),
+                [NamedInvariant("meddles", _meddle)],
+                model=state(w),
+            )
+        for i, model in enumerate(models):
+            assert state(i).state_hash() == _ref_hash(model, 1)
+            assert state(i).config_hash() == _ref_hash(model, 0)
+            assert state(i).metrics() == _ref_metrics(model)
+            for node_id, node in state(i).nodes.items():
+                assert node._hash_texts(node_id) == (node_id, *_ref_texts(model, node_id))
