@@ -68,7 +68,9 @@ ORIGIN_KEY = "origin-node"
 REQUIRED_METADATA = (KIND_KEY, SESSION_KEY, ORIGIN_KEY)
 # Metadata copied into journal records, which are `|`-separated lines.
 _JOURNALED_METADATA = (SESSION_KEY, ORIGIN_KEY, "model-id", "detail")
-_RECORD_BREAK = re.compile(r"[|\r\n]")
+# `|` and every boundary `str.splitlines` splits at, so `parse_trace` reads
+# a journaled value back as one field of one line.
+_RECORD_BREAK = re.compile(r"[|\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 # The ids publish mints; a caller-set id may not take one.
 _MINTED_ID = re.compile(r"m[0-9]+")
 
@@ -81,8 +83,10 @@ MESSAGE_KINDS = frozenset(
     {KIND_DATA, KIND_PROMPT, KIND_INFERENCE_RESULT, KIND_MODEL_UPDATE, KIND_CONTROL}
 )
 
-_SEGMENT_RE = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
-_KEY_RE = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
+# Matched with `fullmatch`: a `$` would let a trailing "\n" through, and a
+# topic holding one would split its journal line.
+_SEGMENT_RE = re.compile(r"[a-z0-9][a-z0-9._-]*")
+_KEY_RE = re.compile(r"[a-z0-9][a-z0-9._-]*")
 
 
 @dataclass(slots=True)
@@ -147,14 +151,14 @@ class Selector:
             if seg == "**":
                 if i != len(segments) - 1:
                     raise SelectorSyntax(f"'**' must be the final segment: {pattern!r}")
-            elif seg != "*" and not _SEGMENT_RE.match(seg):
+            elif seg != "*" and not _SEGMENT_RE.fullmatch(seg):
                 raise SelectorSyntax(f"bad segment {seg!r} in pattern {pattern!r}")
         predicates = []
         for raw in parts[1:]:
             for symbol, op in (("!=", "neq"), ("~=", "prefix"), ("=", "eq")):
                 if symbol in raw:
                     key, _, value = raw.partition(symbol)
-                    if not _KEY_RE.match(key) or not value:
+                    if not _KEY_RE.fullmatch(key) or not value:
                         raise SelectorSyntax(f"bad predicate {raw!r}")
                     predicates.append(TagPredicate(key, op, value))
                     break
@@ -448,7 +452,7 @@ class Fabric:
         if name in self._topics:
             return
         for seg in name.split("/"):
-            if not _SEGMENT_RE.match(seg):
+            if not _SEGMENT_RE.fullmatch(seg):
                 raise ValueError(f"bad topic segment {seg!r} in {name!r}")
         self._topics.add(name)
 
@@ -591,11 +595,12 @@ class Fabric:
         Before anything is journaled, raises InvalidMetadata for a topic
         that is not a `str`, a payload that is not `bytes`, metadata that is
         not a `dict`, an id or a metadata value that is not a `str`, for
-        missing or unknown metadata and for a `|` or a line break in the id,
-        session, origin-node, model-id or detail, which would split its
-        trace line. A caller-set id of the form `m<digits>` is rejected as
-        reserved, and one already published as a duplicate; minted ids are
-        unique by their counter, so only caller-set ids are remembered.
+        missing or unknown metadata and for a `|` or a line break (any
+        boundary `str.splitlines` splits at) in the id, session,
+        origin-node, model-id or detail, which would split its trace line.
+        A caller-set id of the form `m<digits>` is rejected as reserved, and
+        one already published as a duplicate; minted ids are unique by
+        their counter, so only caller-set ids are remembered.
 
         Matches are found through the topic-segment index, so a publish
         costs the subscriptions its topic can reach, not every subscription.

@@ -170,11 +170,11 @@ class GuardedProgram:
 class NamedInvariant:
     """A named predicate over post-run world state.
 
-    Invariants only read. The predicate receives the whole sandbox world, a
-    clone that shares its nodes with the live world; a write (`set_knob`,
-    `shift_load`) replaces a node in the sandbox world only, so it cannot
-    reach live state, but the verdict's metric deltas cover only the nodes
-    the program writes.
+    Invariants only read, and one whose predicate raises rejects the run.
+    The predicate receives the whole sandbox world, a clone that shares its
+    nodes with the live world; a write (`set_knob`, `shift_load`) replaces
+    a node in the sandbox world only, so it cannot reach live state, but
+    the verdict's metric deltas cover only the nodes the program writes.
     """
 
     name: str
@@ -417,6 +417,8 @@ class Guard:
         `throughput.total` is the sum of the written nodes' deltas. An
         accepted run keeps the parsed program for one deploy; a rejection
         drops any earlier acceptance of the id and emits planner feedback.
+        An invariant whose predicate raises fails closed: the run is
+        rejected as `InvariantError(<name>)`, like a violated one.
         """
         base = model if model is not None else self._world.state
         work = base.clone()
@@ -435,7 +437,12 @@ class Guard:
                 reason = exc.kind
             else:
                 for invariant in invariants:
-                    if not invariant.predicate(work):
+                    try:
+                        held = invariant.predicate(work)
+                    except Exception:
+                        reason = f"InvariantError({invariant.name})"
+                        break
+                    if not held:
                         reason = f"InvariantViolation({invariant.name})"
                         break
 

@@ -21,7 +21,18 @@ uses.
 
 Comparison is structural: message ids in both traces are canonicalized by
 order of first appearance before diffing, so id-assignment drift between
-otherwise identical runs does not register as a difference.
+otherwise identical runs does not register as a difference. Equal record
+lists (a replay that reproduces its golden, ids included) return an empty
+diff after one list comparison, rendering nothing; any other pair runs
+`difflib.SequenceMatcher` over the canonical lines.
+
+The list comparison assumes well-typed records: every field an `int`, a
+`str` (an `AuditOp` is one) or `None`, as the fabric and `parse_trace` build
+them. Equal values of those types render the same line, and an `A` record
+never equals an `M` record, whose second field is a `str` where the `A`
+record's is an `int`. A `bool` or a `float` where an `int` belongs could
+compare equal to a value that renders differently, so it is outside the
+contract.
 """
 
 from __future__ import annotations
@@ -254,7 +265,15 @@ class TraceDiff:
 
 
 def compare_traces(produced: Trace, golden: Trace) -> TraceDiff:
-    """Structural diff after canonicalizing message ids on both sides."""
+    """Structural diff after canonicalizing message ids on both sides.
+
+    `canonicalize_lines` defines a match. Equal record lists return at
+    once, which is exact for well-typed records (every field an `int`, a
+    `str` or `None`; see the module docstring); any other pair gets the
+    matcher's entries.
+    """
+    if produced.events == golden.events:
+        return TraceDiff()
     left = canonicalize_lines(produced.lines())
     right = canonicalize_lines(golden.lines())
     matcher = difflib.SequenceMatcher(a=left, b=right, autojunk=False)

@@ -140,6 +140,10 @@ def test_create_topic_rejects_bad_segments():
     fabric = make_fabric()
     with pytest.raises(ValueError):
         fabric.create_topic("net/Cell/load")
+    # A trailing line break would split the topic's journal lines.
+    with pytest.raises(ValueError):
+        fabric.create_topic("a/b\n")
+    assert fabric.topics() == []
 
 
 def test_publish_to_missing_topic_raises():
@@ -201,7 +205,11 @@ def test_caller_set_ids_cannot_claim_the_fabrics_own_ids():
     assert fabric._seen_ids == {"msg-1"}
 
 
-@pytest.mark.parametrize("separator", ["|", "\n", "\r"])
+# The boundaries `str.splitlines` splits at besides "\n" and "\r".
+_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("separator", ["|", "\n", "\r", *_LINE_BREAKS])
 @pytest.mark.parametrize("field", ["origin", "session", "model_id", "detail", "id"])
 def test_publish_rejects_record_separators_in_journaled_fields(field, separator):
     fabric = make_fabric("node-a")
@@ -218,6 +226,19 @@ def test_publish_rejects_record_separators_in_journaled_fields(field, separator)
         fabric.publish(bad)
     assert len(fabric.journal.events) == journaled
     assert parse_trace(fabric.journal.render()).lines() == fabric.journal.lines()
+
+
+@pytest.mark.parametrize("char", ["\t", "\x1f", "\xa0", "\u2027"], ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("field", ["origin", "session", "model_id", "detail", "id"])
+def test_publish_accepts_characters_that_do_not_break_a_line(field, char):
+    fabric = make_fabric("node-a")
+    fabric.create_topic("a/b")
+    value = f"x{char}y"
+    envelope = data_envelope(fabric, "a/b", **({} if field == "id" else {field: value}))
+    if field == "id":
+        envelope.id = value
+    fabric.publish(envelope)
+    assert parse_trace(fabric.journal.render()).events == fabric.journal.events
 
 
 @pytest.mark.parametrize("topic", ["telemetry/rogue/load", "managed/n0/knobs"])
@@ -319,6 +340,13 @@ _REJECTIONS = [
     _rejection("metadata 'model-id' holds a record separator: 'a\\rb'", "c|d", model_id="a\rb"),
     _rejection("message id 5 is not a str", 5, semantic_tags="a|b"),
     _rejection("message id 'm1|' holds a record separator", "m1|"),
+    # Other line breaks, one per field, last so that the cases above keep
+    # their ids.
+    *(
+        _rejection(f"metadata {key!r} holds a record separator: {value!r}", **{key: value})
+        for key, value in zip(_JOURNALED, ("a\x0bb", "a\x85b", "a\u2028b", "a\u2029b"))
+    ),
+    _rejection("message id 'a\\x1cb' holds a record separator", "a\x1cb"),
 ]
 
 

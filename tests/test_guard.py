@@ -342,6 +342,39 @@ def test_rejection_feeds_back_to_the_author():
     assert b"refine prog-1" in feedback.payload
 
 
+def test_an_invariant_that_raises_rejects_the_run_and_drops_the_earlier_verdict():
+    """A predicate that raises fails closed: the run is rejected, audited and
+    fed back like a violation, and an earlier acceptance of the id cannot
+    deploy."""
+    fabric, world, guard = make_rig()
+    fabric.register_node("planner-0")
+    fabric.create_topic("planner/planner-0/feedback")
+    sub_id = fabric.subscribe(
+        Subscription(Selector.parse("planner/planner-0/feedback"), "planner-0")
+    )
+    accepted = program("set ran-1 admission-rate 1/2")
+    assert guard.sandbox_run(accepted).accepted
+    reads_a_missing_node = NamedInvariant(
+        "ran-9-admits", lambda state: state.get_knob("ran-9", "admission-rate") > 0
+    )
+    live = world.state_hash()
+
+    verdict = guard.sandbox_run(
+        program("set ran-1 admission-rate 0"), [reads_a_missing_node]
+    )
+
+    assert (verdict.accepted, verdict.reason) == (False, "InvariantError(ran-9-admits)")
+    assert verdict.metric_deltas == {}
+    assert world.state_hash() == live
+    outcomes = [r.outcome for r in fabric.audit_log.query(ops=["sandbox"])]
+    assert outcomes == ["ok", "error(InvariantError(ran-9-admits))"]
+    (feedback,) = fabric.drain(sub_id)
+    assert feedback.metadata["detail"] == "refine InvariantError(ran-9-admits)"
+    with pytest.raises(DeployWithoutVerdict):
+        guard.deploy(accepted, "ran-1")
+    assert world.state_hash() == live
+
+
 # -- deploy and rollback ----------------------------------------------------------------
 
 

@@ -1,13 +1,18 @@
 """Trace records, serialization, and golden comparison."""
 
+import difflib
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from interconnect.cli import golden_path
 from interconnect.errors import GoldenParseError
-from interconnect.scenarios import SCENARIOS
+from interconnect.scenarios import SCENARIOS, run_scenario
 from interconnect.trace import (
     AuditEvent,
     AuditOp,
+    DiffEntry,
     EnvelopeEvent,
     Trace,
     canonicalize_lines,
@@ -149,3 +154,90 @@ def test_replaced_line_is_diff_of_size_one():
     assert diff.size == 1
     assert diff.entries[0].op == "replace"
     assert "a/b" in diff.render() and "a/c" in diff.render()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_replay_equals_its_golden_record_for_record(name):
+    """Replays reproduce their goldens ids included, so golden checks take
+    `compare_traces`'s first path: one list comparison."""
+    golden = parse_trace(golden_path(name).read_text(encoding="utf-8"))
+    assert run_scenario(name).events == golden.events
+
+
+def _reference_compare(produced, golden):
+    """`compare_traces` without its fast path: the matcher on every pair."""
+    left = canonicalize_lines(produced.lines())
+    right = canonicalize_lines(golden.lines())
+    matcher = difflib.SequenceMatcher(a=left, b=right, autojunk=False)
+    return [
+        DiffEntry(op=op, position=i1, got=tuple(left[i1:i2]), want=tuple(right[j1:j2]))
+        for op, i1, i2, j1, j2 in matcher.get_opcodes()
+        if op != "equal"
+    ]
+
+
+# Well-typed field values, with the ones canonicalization treats specially:
+# the absent forms (None, "", "-") and a `|` that shifts a line's columns.
+_IDS = st.sampled_from(["m1", "m2", "m3", "m7", "x-1"])
+_TEXT = st.sampled_from(["", "-", "a", "b|c", "m1"])
+_SMALL = st.integers(0, 3)
+_RECORD = st.one_of(
+    st.builds(
+        AuditEvent,
+        seq=_SMALL,
+        logical_time=_SMALL,
+        op=st.sampled_from([AuditOp.PUBLISH, AuditOp.DELIVER, "deliver"]),
+        actor=_TEXT,
+        message_id=st.none() | _IDS | _TEXT,
+        model_id=st.none() | _TEXT,
+        outcome=_TEXT,
+    ),
+    st.builds(
+        EnvelopeEvent,
+        logical_time=_SMALL,
+        topic=st.sampled_from(["a/b", "a/c"]),
+        kind=st.just("data"),
+        session=_TEXT,
+        origin=_TEXT,
+        message_id=_IDS | _TEXT,
+        detail=st.none() | _TEXT,
+    ),
+)
+
+
+@st.composite
+def _trace_pairs(draw):
+    """A record list and a copy whose ids drift by a drawn renaming (not
+    always one-to-one), then take insert, delete, replace and move edits."""
+    produced = draw(st.lists(_RECORD, max_size=10))
+    rename = draw(st.dictionaries(_IDS, _IDS, max_size=3))
+    golden = [r._replace(message_id=rename.get(r.message_id, r.message_id)) for r in produced]
+    edit = st.tuples(
+        st.sampled_from(["insert", "delete", "replace", "move"]), st.integers(0, 10), _RECORD
+    )
+    for op, at, record in draw(st.lists(edit, max_size=3)):
+        at = min(at, len(golden))
+        if op == "insert":
+            golden.insert(at, record)
+        elif op == "move":
+            golden[:0] = golden[at : at + 1]
+            del golden[at + 1 : at + 2]
+        elif at < len(golden):
+            golden[at : at + 1] = [record] if op == "replace" else []
+    pair = (Trace(produced), Trace(golden))
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+def _three(message_id="m1", detail="a"):
+    return Trace([_envelope(1, message_id, detail=detail), _audit(1, 2, message_id), _audit(2, 3)])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_trace_pairs())
+@example((_three(), _three()))  # identical lists
+@example((_three(), parse_trace(_three().render())))  # identical, `op` a str vs an AuditOp
+@example((_three(), _three(message_id="m5")))  # only ids drifted
+@example((_three(), _three(detail="b")))  # one real difference
+def test_compare_traces_entries_equal_the_matchers_on_every_pair(pair):
+    produced, golden = pair
+    assert compare_traces(produced, golden).entries == _reference_compare(produced, golden)
