@@ -5,10 +5,13 @@ received a message beyond a delivery count), time (durable subscriptions
 buffer messages until drained), and synchronization (one-shot requests and
 participate* calls return completion tokens instead of blocking).
 
-Every accepted operation appends exactly one audit record to the fabric's
-journal, stamped with fabric-local logical time; `audit_log` is a read-only
-view of those records. There is no wall clock anywhere; a single monotone
-counter orders everything, which makes whole runs replayable byte for byte.
+Every accepted operation is journaled, stamped with fabric-local logical
+time: `audit` appends its record, and `publish` appends one entry that
+stands for its envelope record, its publish record and one deliver record
+per match, built when the journal is read (see `trace`). `audit_log` is a
+read-only view of the audit records. There is no wall clock anywhere; a
+single monotone counter orders everything, which makes whole runs
+replayable byte for byte.
 The fabric is single-threaded and holds no lock. Delivery handlers and token
 callbacks run after a publish has updated every table, so a handler may
 publish, subscribe or unsubscribe.
@@ -23,23 +26,31 @@ carries instead of testing every such subscription. The candidates found
 this way still have their whole predicate list checked. `Selector.matches`
 remains the definition of a match: a publish reaches exactly the
 subscriptions whose selector accepts the envelope, in subscription-creation
-order. A subscription's selector is read once, at `subscribe`; assigning
-`subscription.selector` afterwards does not change what it receives.
+order. A subscription's selector, subscriber node and mode are read once,
+at `subscribe`; assigning `subscription.selector`, `.subscriber_node` or
+`.mode` afterwards changes nothing that is delivered or journaled.
 
 The trie walk for a topic is cached: `_routes` maps each topic published
 since its route last changed to a `_Route`, so a publish on a known topic
-skips the walk. When no bucket the walk reaches holds an `eq`-filed entry or
-an entry with predicates, as for `telemetry/**` alone or a result topic with
-one subscriber, every publish on the topic matches the same subscriptions,
-and the route holds them in creation order; a publish takes that tuple as
-its matches, with no candidate collection, predicate test or sort. Any other
-route holds the non-empty buckets and is filtered per publish. A bucket's
-contents change, and a trie node appears or goes, only in `_index_entry` and
-`_unindex` (subscribe, re-subscribe, unsubscribe and a fired one-shot). A
-pattern without `*` is reached by one topic, the one named like it, so those
-two drop only that topic's route; a pattern holding `*` may reach any
-number of topics and clears the whole cache. It holds at most one route per
-created topic.
+skips the walk. A route carries a delivery plan: the matched entries in
+creation order, their handlers, their subscriber nodes (the tuple the
+journal entry shares) and the one-shots among them. When no bucket the walk
+reaches holds an `eq`-filed entry or an entry with predicates, as for
+`telemetry/**` alone or a result topic with one subscriber, every publish on
+the topic matches the same subscriptions, and the plan is built with the
+route; a publish takes it with no candidate collection, predicate test or
+sort. Any other route holds the non-empty buckets and the metadata keys
+their predicates read. It keeps the plan of its last filter, keyed by those
+keys' values (an absent key counts as `None`), which decide every predicate
+and `eq` lookup on the route; a publish whose values differ filters the
+buckets again and replaces the plan.
+
+A bucket's contents change, and a trie node appears or goes, only in
+`_index_entry` and `_unindex` (subscribe, re-subscribe, unsubscribe and a
+fired one-shot). A pattern without `*` is reached by one topic, the one
+named like it, so those two drop only that topic's route, and its plan with
+it; a pattern holding `*` may reach any number of topics and clears the
+whole cache. It holds at most one route per created topic.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyObjective,
@@ -59,7 +70,7 @@ from .errors import (
     UnknownNode,
     UnknownTopic,
 )
-from .trace import AuditEvent, AuditOp, EnvelopeEvent, Trace
+from .trace import AuditEvent, AuditOp, Trace
 
 # Required metadata on every envelope.
 KIND_KEY = "kind"
@@ -286,11 +297,15 @@ class AuditLog:
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class _SubEntry:
     sub: Subscription
     handler: Callable[[MessageEnvelope], None] | None
-    selector: Selector  # as read at subscribe; the index files it by this
+    # Read at subscribe: the index files the entry by its selector, and
+    # delivery plans copy its node and mode.
+    selector: Selector
+    node: str
+    one_shot: bool
     seq: int  # creation order; delivery order sorts by it
     mailbox: list[MessageEnvelope] = field(default_factory=list)
 
@@ -342,6 +357,12 @@ class _Bucket:
             if not by_value:
                 del self.eq[predicate.key]
 
+    def entries(self) -> Iterator[_SubEntry]:
+        yield from self.plain.values()
+        for by_value in (self.eq or {}).values():
+            for filed in by_value.values():
+                yield from filed.values()
+
     def collect(self, metadata: dict[str, str], out: list[_SubEntry]) -> None:
         """Append the candidates for `metadata`: every plain entry, and every
         filed entry whose `eq` key the metadata carries with its value."""
@@ -376,33 +397,74 @@ def _pattern_path(pattern: str) -> tuple[list[str], bool]:
     return segments, False
 
 
-class _Route:
-    """What a publish on one topic reaches.
+# What one publish does: (matched entries in creation order, their
+# handlers, their subscriber nodes, the one-shots among them).
+_Plan = tuple[
+    tuple[_SubEntry, ...],
+    tuple[Callable[[MessageEnvelope], None], ...],
+    tuple[str, ...],
+    tuple[_SubEntry, ...],
+]
+_NO_PLAN: _Plan = ((), (), (), ())
+_ONE_SHOT = SubscriptionMode.ONE_SHOT  # read per subscribe
 
-    `subscribers` is the creation-ordered tuple of every subscription on the
-    walk when none of its buckets holds an `eq`-filed entry or an entry with
-    predicates, so each publish matches all of them; `buckets` is then empty.
-    Otherwise `subscribers` is None and `buckets` holds the walk's non-empty
-    buckets, filtered per publish."""
 
-    __slots__ = ("buckets", "subscribers")
-
-    def __init__(
-        self, buckets: tuple[_Bucket, ...], subscribers: tuple[_SubEntry, ...] | None
-    ) -> None:
-        self.buckets = buckets
-        self.subscribers = subscribers
+def _plan(matched: Sequence[_SubEntry]) -> _Plan:
+    if not matched:
+        return _NO_PLAN
+    handlers = []
+    nodes = []
+    one_shots = []
+    for entry in matched:
+        if entry.handler is not None:
+            handlers.append(entry.handler)
+        nodes.append(entry.node)
+        if entry.one_shot:
+            one_shots.append(entry)
+    return tuple(matched), tuple(handlers), tuple(nodes), tuple(one_shots)
 
 
 _by_seq = attrgetter("seq")
-# Journal records are built as `_new_record(AuditEvent, (seven fields))`:
-# the named tuple's own constructor is a Python function, this is not.
-_new_record = tuple.__new__
-# Read per publish and delivery; taking a member off its enum class costs
-# about 0.15 us.
-_PUBLISH = AuditOp.PUBLISH
-_DELIVER = AuditOp.DELIVER
-_ONE_SHOT = SubscriptionMode.ONE_SHOT
+
+
+def _filter(buckets: tuple[_Bucket, ...], metadata: dict[str, str]) -> _Plan:
+    """The plan of a publish with `metadata` over a route's buckets: each
+    yields its plain entries and the entries filed under the `eq` values
+    the metadata carries; only those candidates have their predicates
+    checked."""
+    candidates: list[_SubEntry] = []
+    for bucket in buckets:
+        bucket.collect(metadata, candidates)
+    matched = []
+    for entry in candidates:
+        for predicate in entry.selector.predicates:
+            if not predicate.holds(metadata):
+                break
+        else:
+            matched.append(entry)
+    matched.sort(key=_by_seq)
+    return _plan(matched)
+
+
+class _Route:
+    """What a publish on one topic reaches.
+
+    When none of the walk's buckets holds an `eq`-filed entry or an entry
+    with predicates, each publish matches all of their subscriptions:
+    `keys` is None, `buckets` empty and `plan` theirs. Otherwise `buckets`
+    holds the walk's non-empty buckets, `keys` the sorted metadata keys
+    their predicates read, and `plan` the last filter's, made for the
+    values `plan_key` (None before the first)."""
+
+    __slots__ = ("buckets", "keys", "plan", "plan_key")
+
+    def __init__(
+        self, buckets: tuple[_Bucket, ...], keys: tuple[str, ...] | None, plan: _Plan | None
+    ) -> None:
+        self.buckets = buckets
+        self.keys = keys
+        self.plan = plan
+        self.plan_key: tuple[str | None, ...] | None = None
 
 
 @dataclass(eq=False)
@@ -464,7 +526,13 @@ class Fabric:
         return sorted(self._topics)
 
     def register_node(self, node_id: str) -> None:
-        """Idempotently register a node identity with the fabric."""
+        """Idempotently register a node identity with the fabric.
+
+        A node id becomes the actor of journal lines, so it must be one
+        topic segment (see `create_topic`); any other id raises ValueError
+        before it is registered."""
+        if not isinstance(node_id, str) or not _SEGMENT_RE.fullmatch(node_id):
+            raise ValueError(f"node id {node_id!r} must be a single topic segment")
         self._nodes.add(node_id)
 
     def host_model(
@@ -508,7 +576,7 @@ class Fabric:
         model_id: str | None = None,
         outcome: str = "ok",
     ) -> AuditEvent:
-        """Append one audit record to the journal at a fresh logical tick."""
+        """Journal one audit record at a fresh logical tick."""
         self._audit_seq += 1
         self._now += 1
         record = AuditEvent(self._audit_seq, self._now, op, actor, message_id, model_id, outcome)
@@ -606,9 +674,13 @@ class Fabric:
         costs the subscriptions its topic can reach, not every subscription.
         They are exactly the subscriptions whose selector, as read at
         `subscribe`, accepts the envelope under `Selector.matches`. Mailboxes
-        fill, deliver records are audited and handlers run in
+        fill, deliver records are journaled and handlers run in
         subscription-creation order; re-subscribing under an existing id
-        keeps the original place.
+        keeps the original place. The journal gets one entry, which stands
+        for the envelope record, the publish record and one deliver record
+        per match, at consecutive ticks and audit seqs, naming each
+        subscriber node as read at `subscribe`; reading `journal.events`
+        builds them.
         """
         topic = envelope.topic
         if not isinstance(topic, str):
@@ -627,48 +699,26 @@ class Fabric:
             raise InvalidMetadata(f"duplicate message id {envelope.id!r}")
         else:
             self._seen_ids.add(envelope.id)
-        message_id = envelope.id
 
-        # The envelope record, the publish record and one deliver record per
-        # match, each at the next tick (and audit seq), as `audit` would
-        # stamp them. Fired one-shots leave the index before any handler runs.
-        origin = metadata[ORIGIN_KEY]
-        model_id = metadata.get("model-id")
+        # The envelope record takes the next tick, the publish record the
+        # next audit seq and tick, and each delivery one more of both, as
+        # `audit` would stamp them. Fired one-shots leave the index before
+        # any handler runs.
+        entries, handlers, nodes, one_shots = self._delivery(topic, metadata)
         seq, now = self._audit_seq + 1, self._now + 1
         envelope.logical_time = now
-        journal = self.journal.events
-        journal.append(
-            _new_record(
-                EnvelopeEvent,
-                (
-                    now, topic, metadata[KIND_KEY], metadata[SESSION_KEY], origin, message_id,
-                    metadata.get("detail"),
-                ),
+        self.journal.append(
+            (
+                now, topic, metadata[KIND_KEY], metadata[SESSION_KEY], metadata[ORIGIN_KEY],
+                envelope.id, metadata.get("detail"), seq, metadata.get("model-id"), nodes,
             )
         )
-        now += 1
-        journal.append(
-            _new_record(AuditEvent, (seq, now, _PUBLISH, origin, message_id, model_id, "ok"))
-        )
-        matched = self._matching(topic, metadata)
-        handlers: list[Callable[[MessageEnvelope], None]] = []
-        for entry in matched:
-            sub = entry.sub
-            if sub.mode is _ONE_SHOT:
-                del self._subs[sub.id]
-                self._unindex(entry)
+        self._audit_seq, self._now = seq + len(nodes), now + 1 + len(nodes)
+        for entry in one_shots:
+            del self._subs[entry.sub.id]
+            self._unindex(entry)
+        for entry in entries:
             entry.mailbox.append(envelope)
-            seq += 1
-            now += 1
-            journal.append(
-                _new_record(
-                    AuditEvent,
-                    (seq, now, _DELIVER, sub.subscriber_node, message_id, model_id, "ok"),
-                )
-            )
-            if entry.handler is not None:
-                handlers.append(entry.handler)
-        self._audit_seq, self._now = seq, now
         self._retained[topic] = envelope
 
         settled: list[tuple[Callable[[CompletionToken], None], CompletionToken]] = []
@@ -694,33 +744,22 @@ class Fabric:
             handler(envelope)
         for callback, token in settled:
             callback(token)
-        return len(matched)
+        return len(entries)
 
-    def _matching(self, topic: str, metadata: dict[str, str]) -> Sequence[_SubEntry]:
-        """Subscriptions accepting `topic` and `metadata`, in creation order.
-
-        A predicate-free route is its own answer. Otherwise each bucket on
-        the route yields its plain entries and the entries filed under the
-        `eq` values the metadata carries; only those candidates have their
-        predicates checked.
-        """
+    def _delivery(self, topic: str, metadata: dict[str, str]) -> _Plan:
+        """The plan of a publish: the subscriptions accepting `topic` and
+        `metadata`, in creation order, from the topic's cached route."""
         route = self._routes.get(topic)
         if route is None:
             route = self._routes[topic] = self._route(topic)
-        if route.subscribers is not None:
-            return route.subscribers
-        candidates: list[_SubEntry] = []
-        for bucket in route.buckets:
-            bucket.collect(metadata, candidates)
-        matched = []
-        for entry in candidates:
-            for predicate in entry.selector.predicates:
-                if not predicate.holds(metadata):
-                    break
-            else:
-                matched.append(entry)
-        matched.sort(key=_by_seq)
-        return matched
+        keys = route.keys
+        if keys is None:
+            return route.plan
+        values = tuple(map(metadata.get, keys))
+        if values != route.plan_key:
+            route.plan = _filter(route.buckets, metadata)
+            route.plan_key = values
+        return route.plan
 
     def _route(self, topic: str) -> _Route:
         """Walk the index along a topic's segments, following the exact and
@@ -744,10 +783,18 @@ class Fabric:
         subscribers: list[_SubEntry] = []
         for bucket in buckets:
             if bucket.eq or any(entry.selector.predicates for entry in bucket.plain.values()):
-                return _Route(tuple(buckets), None)
+                break
             subscribers.extend(bucket.plain.values())
-        subscribers.sort(key=_by_seq)
-        return _Route((), tuple(subscribers))
+        else:
+            subscribers.sort(key=_by_seq)
+            return _Route((), None, _plan(subscribers))
+        keys = {
+            predicate.key
+            for filtered in buckets
+            for entry in filtered.entries()
+            for predicate in entry.selector.predicates
+        }
+        return _Route(tuple(buckets), tuple(sorted(keys)), None)
 
     def _drop_routes(self, pattern: str) -> None:
         """Forget the cached routes an (un)indexed pattern can reach."""
@@ -799,8 +846,10 @@ class Fabric:
         The selector must already parse (pass a Selector, or text via
         Selector.parse). Subscriptions of kind `inference` additionally hand
         the subscription to the attached broker hook, which turns the carried
-        prompt into a task plan. The selector is read here, once: assigning
-        `subscription.selector` later does not change what it receives.
+        prompt into a task plan. The selector, subscriber node and mode are
+        read here, once: assigning `subscription.selector`,
+        `.subscriber_node` or `.mode` later changes nothing that is
+        delivered or journaled.
         Re-subscribing under an existing id replaces that subscription and
         keeps its place in delivery order.
         """
@@ -819,7 +868,14 @@ class Fabric:
         else:
             self._unindex(old)
             seq = old.seq
-        entry = _SubEntry(subscription, handler, selector, seq)
+        entry = _SubEntry(
+            subscription,
+            handler,
+            selector,
+            subscription.subscriber_node,
+            subscription.mode is _ONE_SHOT,
+            seq,
+        )
         self._subs[subscription.id] = entry
         self._index_entry(entry)
         self.audit(AuditOp.SUBSCRIBE, actor=subscription.subscriber_node)
@@ -833,7 +889,7 @@ class Fabric:
         if entry is None:
             raise ValueError(f"unknown subscription {subscription_id!r}")
         self._unindex(entry)
-        self.audit(AuditOp.UNSUBSCRIBE, actor=entry.sub.subscriber_node)
+        self.audit(AuditOp.UNSUBSCRIBE, actor=entry.node)
 
     def drain(self, subscription_id: str) -> list[MessageEnvelope]:
         """Pop and return everything buffered for a subscription."""

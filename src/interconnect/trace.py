@@ -12,12 +12,24 @@ line is the only on-disk audit format: `interconnect audit` reads a trace
 file and prints the `A` lines it selects. Both record types are immutable
 named tuples, compared and hashed by value, and the garbage collector stops
 tracking an `EnvelopeEvent`, which holds only strings, ints and `None`.
-`Fabric.publish`, which journals an envelope record, a publish record and
-one deliver record per match, builds them as `tuple.__new__(AuditEvent,
-(all seven fields))`: that skips the named tuple's `__new__`, a Python
-function, and yields the same type, value and rendered line as the keyword
-constructor, which every other producer (`Fabric.audit`, `parse_trace`)
-uses.
+
+A `Trace` stores records and publish entries. `Fabric.publish` appends one
+plain tuple per publish,
+
+    (logical_time, topic, kind, session, origin, message_id, detail,
+     seq, model_id, subscriber_nodes)
+
+which stands for the records it journals: the envelope record at
+`logical_time`, the publish record (audit seq `seq`) at the next tick, and
+one deliver record per node of `subscriber_nodes`, in order, at the
+following seqs and ticks. Reading `Trace.events` builds those records and
+puts them in the entry's place, in the list itself, starting from the first
+entry not yet built; so a reader pays for building the records, and a
+journal nobody reads holds one tuple per publish. The records are built as
+`tuple.__new__(AuditEvent, (all seven fields))`: that skips the named
+tuple's `__new__`, a Python function, and yields the same type, value and
+rendered line as the keyword constructor, which every other producer
+(`Fabric.audit`, `parse_trace`) uses.
 
 Comparison is structural: message ids in both traces are canonicalized by
 order of first appearance before diffing, so id-assignment drift between
@@ -40,7 +52,7 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import GoldenParseError
 
@@ -137,14 +149,58 @@ class EnvelopeEvent(NamedTuple):
 TraceEvent = AuditEvent | EnvelopeEvent
 
 
-@dataclass
+# Read per record built; taking a member off its enum class costs about
+# 0.15 us.
+_PUBLISH = AuditOp.PUBLISH
+_DELIVER = AuditOp.DELIVER
+_new_record = tuple.__new__
+
+
 class Trace:
-    """Ordered journal of one run."""
+    """Ordered journal of one run.
 
-    events: list[TraceEvent] = field(default_factory=list)
+    `append` takes a record or a publish entry (see the module docstring);
+    it is the entry list's own `append`, so a publish pays no Python call
+    for it. `events` is the record list, with every entry appended since
+    the last read built into its records. A list read from `events` is the
+    journal's own: entries appended later sit at its tail until `events` is
+    read again.
+    """
 
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
+    __slots__ = ("_entries", "_built", "append")
+
+    def __init__(self, events: list[TraceEvent] | None = None) -> None:
+        self._entries: list = [] if events is None else events
+        self._built = len(self._entries)  # entries before this are records
+        self.append: Callable[[TraceEvent | tuple], None] = self._entries.append
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        entries = self._entries
+        if self._built < len(entries):
+            self._build()
+        return entries
+
+    def _build(self) -> None:
+        """Replace the entries from `_built` on with their records."""
+        entries = self._entries
+        start = self._built
+        records: list[TraceEvent] = []
+        add = records.append
+        for entry in entries[start:]:
+            if type(entry) is not tuple:
+                add(entry)
+                continue
+            now, _, _, _, origin, message_id, _, seq, model_id, nodes = entry
+            add(_new_record(EnvelopeEvent, entry[:7]))
+            now += 1
+            add(_new_record(AuditEvent, (seq, now, _PUBLISH, origin, message_id, model_id, "ok")))
+            for node in nodes:
+                seq += 1
+                now += 1
+                add(_new_record(AuditEvent, (seq, now, _DELIVER, node, message_id, model_id, "ok")))
+        entries[start:] = records
+        self._built = len(entries)
 
     def lines(self) -> list[str]:
         return [e.render() for e in self.events]

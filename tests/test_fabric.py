@@ -27,6 +27,7 @@ from interconnect.fabric import (
     SubscriptionMode,
     TagPredicate,
     TokenState,
+    _filter,
 )
 from interconnect.registry import ModelRegistry, parse_descriptor
 from interconnect.trace import AuditEvent, EnvelopeEvent, parse_trace
@@ -406,6 +407,22 @@ def test_subscribe_requires_registered_node():
         fabric.subscribe(Subscription(Selector.parse("a/b"), "ghost"))
 
 
+@pytest.mark.parametrize("node_id", ["n|x", "n\nx", "n\u2028x", "a/b", "", "Node", 7])
+def test_register_node_rejects_an_id_that_is_not_one_topic_segment(node_id):
+    """A node id becomes the actor of subscribe, unsubscribe and deliver
+    records, so one holding a `|` or a line break would split its trace
+    line; it is refused before it is registered, and a subscription for it
+    is then refused too."""
+    fabric = make_fabric("node-a")
+    fabric.create_topic("a/b")
+    with pytest.raises(ValueError, match="must be a single topic segment"):
+        fabric.register_node(node_id)
+    with pytest.raises(UnknownNode):
+        fabric.subscribe(Subscription(Selector.parse("a/b"), node_id))
+    assert fabric.publish(data_envelope(fabric, "a/b")) == 0
+    assert parse_trace(fabric.journal.render()).events == fabric.journal.events
+
+
 def test_unsubscribe_stops_delivery_and_rejects_unknown_ids():
     fabric = make_fabric("node-a", "node-b")
     fabric.create_topic("a/b")
@@ -678,19 +695,190 @@ def test_indexed_dispatch_equals_reference_scan(operations):
         fabric.unsubscribe(sub_id)
     root = fabric._index
     assert not (root.children or root.here or root.tail)
-    assert not any(route.buckets or route.subscribers for route in fabric._routes.values())
+    assert all(route.keys is None and route.plan == ((), (), (), ())
+               for route in fabric._routes.values())
+
+
+# -- the journal against a reference model ---------------------------------------
+
+_NODES = ("n0", "n1", "n2")
+# Few topics, so the same topic is published with repeated and with changing
+# predicate values and its route's kept plan is both reused and replaced.
+_ORACLE_TOPICS = ("a", "a/b", "b/a", "a/b/a")
+_envelope_values = st.tuples(
+    st.sampled_from(_ORACLE_TOPICS),
+    st.sampled_from(("s1", "s2")),
+    st.sampled_from((None, "north", "south")),
+)
+_subscribe_args = (
+    _selectors,
+    st.sampled_from(_NODES),
+    st.booleans(),
+    st.none() | st.integers(min_value=0, max_value=50),
+)
+_oracle_actions = st.one_of(
+    st.none(),
+    st.tuples(st.just("publish"), _envelope_values),
+    st.tuples(st.just("subscribe"), *_subscribe_args, st.none()),
+    st.tuples(st.just("unsubscribe"), st.integers(min_value=0, max_value=50)),
+)
+_oracle_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("subscribe"), *_subscribe_args, _oracle_actions),
+        st.tuples(st.just("unsubscribe"), st.integers(min_value=0, max_value=50)),
+        st.tuples(st.just("publish"), _envelope_values, st.integers(min_value=1, max_value=3)),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+def _run_against_model(operations, read_each):
+    """Apply `operations` to a fresh fabric while a model tracks the live
+    subscriptions in creation order; returns the fabric and, per message id,
+    the subscriber nodes `Selector.matches` over the model gives. Handlers
+    act on their first delivery only. With `read_each`, `journal.events` is
+    read after every operation and before every handler action. After every
+    operation each cached route is checked against a fresh one."""
+    fabric = make_fabric("pub", *_NODES)
+    for topic in _ORACLE_TOPICS:
+        fabric.create_topic(topic)
+    live: dict[str, tuple[Selector, str, bool]] = {}  # dict order is creation order
+    issued: list[str] = []
+    expected: dict[str, list[str]] = {}
+
+    def read():
+        if read_each:
+            fabric.journal.events
+
+    def publish(values):
+        topic, session, zone = values
+        envelope = data_envelope(
+            fabric, topic, session=session, origin="pub", extra={"zone": zone} if zone else None
+        )
+        matched = [sid for sid, (sel, _, _) in live.items() if sel.matches(topic, envelope.metadata)]
+        nodes = [live[sid][1] for sid in matched]
+        for sid in matched:
+            if live[sid][2]:
+                del live[sid]
+        assert fabric.publish(envelope) == len(nodes)
+        expected[envelope.id] = nodes
+
+    def unsubscribe(index):
+        target = issued[index % len(issued)] if issued else "s0"
+        if target in live:
+            fabric.unsubscribe(target)
+            del live[target]
+        else:
+            with pytest.raises(ValueError):
+                fabric.unsubscribe(target)
+
+    def subscribe(selector, node, one_shot, reuse, action):
+        sub_id = issued[reuse % len(issued)] if reuse is not None and issued else ""
+        mode = SubscriptionMode.ONE_SHOT if one_shot else SubscriptionMode.DURABLE
+        acted = []
+
+        def handler(envelope):
+            if action is None or acted:
+                return
+            acted.append(True)
+            read()
+            if action[0] == "publish":
+                publish(action[1])
+            elif action[0] == "subscribe":
+                subscribe(*action[1:])
+            else:
+                unsubscribe(action[1])
+
+        sub_id = fabric.subscribe(Subscription(selector, node, mode=mode, id=sub_id), handler)
+        live[sub_id] = (selector, node, one_shot)
+        if sub_id not in issued:
+            issued.append(sub_id)
+
+    for op in operations:
+        if op[0] == "subscribe":
+            subscribe(*op[1:])
+        elif op[0] == "unsubscribe":
+            unsubscribe(op[1])
+        else:
+            for _ in range(op[2]):
+                publish(op[1])
+        read()
+        _assert_cached_routes_are_fresh(fabric)
+    return fabric, expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_oracle_operations)
+@example(
+    [
+        ("subscribe", Selector("a/b", (_NORTH,)), "n0", False, None, None),
+        ("subscribe", Selector("a/*", (TagPredicate("session", "eq", "s1"),)), "n1", False,
+         None, None),
+        ("publish", ("a/b", "s1", "north"), 2),
+        ("publish", ("a/b", "s2", "north"), 1),
+        ("publish", ("a/b", "s1", "south"), 2),
+        ("subscribe", Selector("a/b"), "n2", True, None, ("publish", ("a/b", "s1", None))),
+        ("publish", ("a/b", "s1", "north"), 2),
+    ]
+)
+def test_journal_equals_the_reference_model_however_often_it_is_read(operations):
+    """Two fabrics run the same operations; one reads `journal.events` after
+    every operation (and inside handlers), the other only at the end. Both
+    hold the same records; each publish record is preceded by its envelope
+    record and followed by deliver records naming the reference subscribers
+    in creation order; every record takes the next tick and every audit
+    record the next seq; and the rendered journal parses back to the same
+    records."""
+    eager, expected = _run_against_model(operations, read_each=True)
+    lazy, lazy_expected = _run_against_model(operations, read_each=False)
+    assert lazy_expected == expected
+    events = lazy.journal.events
+    assert eager.journal.events == events
+    assert [type(e) for e in eager.journal.events] == [type(e) for e in events]
+    assert [e.logical_time for e in events] == list(range(1, len(events) + 1))
+    audits = [e for e in events if type(e) is AuditEvent]
+    assert [e.seq for e in audits] == list(range(1, len(audits) + 1))
+    publishes = 0
+    for position, event in enumerate(events):
+        if type(event) is not AuditEvent or event.op is not AuditOp.PUBLISH:
+            continue
+        publishes += 1
+        nodes = expected[event.message_id]
+        envelope = events[position - 1]
+        assert type(envelope) is EnvelopeEvent and envelope.message_id == event.message_id
+        deliveries = events[position + 1 : position + 1 + len(nodes)]
+        assert [(d.op, d.actor, d.message_id) for d in deliveries] == [
+            (AuditOp.DELIVER, node, event.message_id) for node in nodes
+        ]
+        follower = events[position + 1 + len(nodes) : position + 2 + len(nodes)]
+        assert not any(type(f) is AuditEvent and f.op is AuditOp.DELIVER for f in follower)
+    assert publishes == len(expected)
+    assert parse_trace(lazy.journal.render()).events == events
 
 
 def _assert_cached_routes_are_fresh(fabric):
-    """Every cached route reaches what a walk of the index reaches now."""
+    """Every cached route reaches what a walk of the index reaches now, and
+    its plan is what a fresh filter of that walk makes: for a predicate-free
+    route the walk's own plan, for a filtered one the plan for the metadata
+    values it was kept for."""
     for topic, route in fabric._routes.items():
         fresh = fabric._route(topic)
         assert {id(bucket) for bucket in route.buckets} == {id(b) for b in fresh.buckets}
-        if fresh.subscribers is None:
-            assert route.subscribers is None
-        else:
-            assert [e.sub.id for e in route.subscribers] == [e.sub.id for e in fresh.subscribers]
-            assert all(a is b for a, b in zip(route.subscribers, fresh.subscribers))
+        assert route.keys == fresh.keys
+        if fresh.keys is None:
+            _assert_same_plan(route.plan, fresh.plan)
+        elif route.plan_key is not None:
+            metadata = {k: v for k, v in zip(route.keys, route.plan_key) if v is not None}
+            _assert_same_plan(route.plan, _filter(fresh.buckets, metadata))
+
+
+def _assert_same_plan(kept, fresh):
+    """Same entries, handlers and one-shots (by identity) and same nodes."""
+    (entries, handlers, nodes, one_shots), (entries2, handlers2, nodes2, one_shots2) = kept, fresh
+    assert nodes == nodes2
+    for part, part2 in ((entries, entries2), (handlers, handlers2), (one_shots, one_shots2)):
+        assert len(part) == len(part2) and all(a is b for a, b in zip(part, part2))
 
 
 def test_exact_pattern_changes_keep_other_topics_routes(monkeypatch):
@@ -755,6 +943,58 @@ def test_selector_is_read_once_at_subscribe():
     fabric.publish(data_envelope(fabric, "a/b"))
     fabric.publish(data_envelope(fabric, "a/c"))
     assert [e.topic for e in fabric.drain(sub_id)] == ["a/b"]
+
+
+def test_subscriber_node_and_mode_are_read_once_at_subscribe():
+    """Assigning `subscriber_node` or `mode` after `subscribe` changes
+    nothing that is delivered or journaled: a fabric whose subscriptions
+    are reassigned writes the same journal and fills the same mailboxes as
+    one whose subscriptions are left alone."""
+    journals, drained = [], []
+    for reassign in (False, True):
+        fabric = make_fabric("node-a", "node-b", "node-c")
+        fabric.create_topic("a/b")
+        durable = Subscription(Selector.parse("a/b"), "node-b")
+        one_shot = Subscription(Selector.parse("a/*"), "node-c", mode=SubscriptionMode.ONE_SHOT)
+        ids = [fabric.subscribe(durable), fabric.subscribe(one_shot)]
+        if reassign:
+            durable.subscriber_node, durable.mode = "node-c", SubscriptionMode.ONE_SHOT
+            one_shot.subscriber_node, one_shot.mode = "node-b", SubscriptionMode.DURABLE
+        assert [fabric.publish(data_envelope(fabric, "a/b")) for _ in range(3)] == [2, 1, 1]
+        fabric.unsubscribe(ids[0])
+        journals.append(fabric.journal.render())
+        drained.append([len(fabric.drain(sub_id)) for sub_id in ids])
+    assert journals[1] == journals[0]
+    assert drained[1] == drained[0] == [0, 0]
+    deliveries = [e.actor for e in parse_trace(journals[1]).events if e[2] == AuditOp.DELIVER]
+    assert deliveries == ["node-b", "node-c", "node-b", "node-b"]
+
+
+def test_publish_journals_one_entry_until_the_journal_is_read():
+    """N publishes to 17 subscribers leave N journal entries; reading
+    `journal.events` turns them into N x 19 records (an envelope record, a
+    publish record and 17 deliver records each), at consecutive ticks, and
+    a second read finds nothing left to build."""
+    fabric = make_fabric("pub", *(f"watch-{k}" for k in range(17)))
+    fabric.create_topic("telemetry/n1/load")
+    for k in range(8):
+        fabric.subscribe(Subscription(Selector.parse("telemetry/n1/load"), f"watch-{k}"))
+    fabric.subscribe(
+        Subscription(Selector.parse("telemetry/*/load origin-node=pub"), "watch-8")
+    )
+    for k in range(9, 17):
+        fabric.subscribe(Subscription(Selector.parse("telemetry/**"), f"watch-{k}"))
+    mark = len(fabric.journal.events)
+    publishes = 25
+    for _ in range(publishes):
+        assert fabric.publish(data_envelope(fabric, "telemetry/n1/load", origin="pub")) == 17
+    assert len(fabric.journal._entries) == mark + publishes
+    events = fabric.journal.events
+    assert len(events) == mark + publishes * 19
+    assert [e.logical_time for e in events] == list(range(1, len(events) + 1))
+    assert fabric.journal.events is events and len(events) == mark + publishes * 19
+    delivered = [e.actor for e in events[mark + 2 : mark + 19]]
+    assert delivered == [f"watch-{k}" for k in range(17)]
 
 
 # -- audit ---------------------------------------------------------------------
