@@ -20,7 +20,8 @@ class UnknownTopic(InterconnectError):
 
 
 class InvalidMetadata(InterconnectError):
-    """Envelope metadata is missing a required key or carries a bad value."""
+    """Envelope metadata is missing a required key or carries a bad value,
+    or an audit field cannot be journaled as one field of one trace line."""
 
 
 class SelectorSyntax(InterconnectError):

@@ -16,6 +16,18 @@ The fabric is single-threaded and holds no lock. Delivery handlers and token
 callbacks run after a publish has updated every table, so a handler may
 publish, subscribe or unsubscribe.
 
+A publish is its checks and one delivery core (`_deliver`: journal entry,
+mailboxes, retained envelope, token watches, handlers). `publish` checks
+the whole envelope each time. A channel (`channel(topic, metadata)`, after
+the DataWriter of OMG DDS 1.4, which is bound once to its topic) checks the
+topic and the metadata once, when it is made, and its sender checks only
+what varies per send, the payload and the `detail`, before it mints the id
+and enters the same core; so what a send delivers and journals, and every
+error it raises, are those of the equal `publish`. A journaled value is
+checked for record breaks by a fast exact test first (`|` absent and the
+text printable: every character `_RECORD_BREAK` matches is `|` or not
+printable), and by the regex only when that test fails.
+
 Dispatch is indexed by topic segments: `subscribe` files each subscription
 in a segment trie (exact, `*` and final `**` segments, after MQTT v5.0 topic
 filters), so a publish walks only the branches its topic can reach. Within
@@ -84,6 +96,28 @@ _JOURNALED_METADATA = (SESSION_KEY, ORIGIN_KEY, "model-id", "detail")
 _RECORD_BREAK = re.compile(r"[|\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 # The ids publish mints; a caller-set id may not take one.
 _MINTED_ID = re.compile(r"m[0-9]+")
+
+
+def _unbroken(text: str) -> bool:
+    """Whether `parse_trace` reads `text` back as one field of one line.
+
+    `|` absent and `text` printable is an exact accept, since every
+    character `_RECORD_BREAK` matches is `|` or not printable; only text
+    failing it is searched."""
+    return ("|" not in text and text.isprintable()) or not _RECORD_BREAK.search(text)
+
+
+def check_journaled(name: str, value: object) -> None:
+    """Raise InvalidMetadata, naming the value as `name`, unless it is a
+    `str` that `parse_trace` reads back as one field of one line.
+
+    `Fabric.audit` applies it to every field it journals; a caller that
+    changes state before it audits checks its values on entry with it."""
+    if not isinstance(value, str):
+        raise InvalidMetadata(f"{name} {value!r} is not a str")
+    if not _unbroken(value):
+        raise InvalidMetadata(f"{name} {value!r} holds a record separator")
+
 
 KIND_DATA = "data"
 KIND_PROMPT = "prompt"
@@ -487,7 +521,8 @@ class Fabric:
         self._sub_seq = 0
         self._now = 0
         self._audit_seq = 0
-        self._counters = {"m": 0, "s": 0, "tok": 0}
+        self._minted = 0  # message ids minted, `m<n>`
+        self._counters = {"s": 0, "tok": 0}
         self._seen_ids: set[str] = set()  # caller-set ids already published
         self._retained: dict[str, MessageEnvelope] = {}
         self._watches: dict[str, list[_TokenWatch]] = {}
@@ -576,7 +611,33 @@ class Fabric:
         model_id: str | None = None,
         outcome: str = "ok",
     ) -> AuditEvent:
-        """Journal one audit record at a fresh logical tick."""
+        """Journal one audit record at a fresh logical tick.
+
+        Before anything is journaled, raises InvalidMetadata (see
+        `check_journaled`) for an actor or outcome that is not a `str`, a
+        message or model id that is neither a `str` nor None, and for a `|`
+        or a line break in any of them, which would split the record's trace
+        line. One fast test covers the four; only when it fails are they
+        checked one by one, in argument order, to name the first bad one."""
+        try:
+            clean = _unbroken(
+                "".join(
+                    (
+                        actor,
+                        "" if message_id is None else message_id,
+                        "" if model_id is None else model_id,
+                        outcome,
+                    )
+                )
+            )
+        except TypeError:
+            clean = False
+        if not clean:
+            check_journaled("actor", actor)
+            for name, value in (("message id", message_id), ("model id", model_id)):
+                if value is not None:
+                    check_journaled(name, value)
+            check_journaled("outcome", outcome)
         self._audit_seq += 1
         self._now += 1
         record = AuditEvent(self._audit_seq, self._now, op, actor, message_id, model_id, outcome)
@@ -618,15 +679,19 @@ class Fabric:
         """Reject what cannot be journaled as one well-formed record, or
         matched: predicates and the `eq` index read values as strings.
 
-        Well-formed metadata passes one combined test: kind, session and
-        origin-node together, then one separator search over the journaled
-        values and the id joined. Only when that fails do the per-key checks
-        run, in their fixed order, to raise the first error they meet."""
+        Well-formed metadata passes two combined tests: every value a `str`
+        (one C-level join of the values), then kind, session and origin-node
+        together with one fast separator test (see `_unbroken`) over the
+        journaled values and the id joined. Only when a test fails do the
+        per-key checks run, in their fixed order, to raise the first error
+        they meet."""
         if not isinstance(metadata, dict):
             raise InvalidMetadata(f"metadata must be a dict, got {type(metadata).__name__}")
-        for key, value in metadata.items():
-            if not isinstance(value, str):
-                raise InvalidMetadata(f"metadata {key!r} is not a str: {value!r}")
+        try:
+            "".join(metadata.values())
+        except TypeError:
+            key, value = next((k, v) for k, v in metadata.items() if not isinstance(v, str))
+            raise InvalidMetadata(f"metadata {key!r} is not a str: {value!r}") from None
         get = metadata.get
         session = get(SESSION_KEY)
         origin = get(ORIGIN_KEY)
@@ -635,7 +700,7 @@ class Fabric:
             and origin
             and get(KIND_KEY) in MESSAGE_KINDS
             and isinstance(envelope_id, str)
-            and not _RECORD_BREAK.search(
+            and _unbroken(
                 session + origin + (get("model-id") or "") + (get("detail") or "") + envelope_id
             )
         ):
@@ -668,7 +733,9 @@ class Fabric:
         origin-node, model-id or detail, which would split its trace line.
         A caller-set id of the form `m<digits>` is rejected as reserved, and
         one already published as a duplicate; minted ids are unique by
-        their counter, so only caller-set ids are remembered.
+        their counter, so only caller-set ids are remembered. These checks
+        run on every call; a sender that publishes many envelopes on one
+        topic with one metadata template can take a `channel` instead.
 
         Matches are found through the topic-segment index, so a publish
         costs the subscriptions its topic can reach, not every subscription.
@@ -692,19 +759,80 @@ class Fabric:
         metadata = envelope.metadata
         self._validate_metadata(metadata, envelope.id)
         if not envelope.id:
-            envelope.id = self._next_id("m")
+            self._minted += 1
+            envelope.id = f"m{self._minted}"
         elif _MINTED_ID.fullmatch(envelope.id):
             raise InvalidMetadata(f"message id {envelope.id!r} is reserved for minted ids")
         elif envelope.id in self._seen_ids:
             raise InvalidMetadata(f"duplicate message id {envelope.id!r}")
         else:
             self._seen_ids.add(envelope.id)
+        return self._deliver(envelope, topic, metadata)
+
+    def channel(self, topic: str, metadata: dict[str, str]) -> Callable[[bytes, str], int]:
+        """A sender for many envelopes on one topic with one metadata
+        template; `send(payload, detail)` publishes one and returns its
+        delivery count.
+
+        What `publish` would check of the topic and the metadata is checked
+        here, once, with its exceptions and messages: the topic is a `str`
+        and exists, the metadata is a `dict` of `str`s with the required
+        keys and a known kind, and no journaled value holds a record break.
+        A `detail` in `metadata` is left out of these checks, since every
+        send replaces it. The topic check keeps holding because the fabric
+        never deletes a topic. The template is copied here, so changing the
+        caller's dict afterwards changes nothing sent.
+
+        Each send checks only the payload (`bytes`) and `detail` (a `str`
+        with no record break), with `publish`'s exceptions and messages,
+        before anything is counted or journaled. It then copies the
+        template, sets `detail` (last, unless the template holds one), mints
+        the next id and enters the delivery core `publish` uses. So a send
+        delivers, journals and raises exactly what `publish` does for
+        `MessageEnvelope(topic, payload, {**metadata, "detail": detail})`.
+        """
+        if not isinstance(topic, str):
+            raise InvalidMetadata(f"topic {topic!r} is not a str")
+        if topic not in self._topics:
+            raise UnknownTopic(f"topic {topic!r} does not exist")
+        template = {**metadata, "detail": ""} if isinstance(metadata, dict) else metadata
+        self._validate_metadata(template, "")
+        deliver = self._deliver
+
+        def send(payload: bytes, detail: str) -> int:
+            if not isinstance(payload, bytes):
+                raise InvalidMetadata(f"payload must be bytes, got {type(payload).__name__}")
+            if not isinstance(detail, str):
+                raise InvalidMetadata(f"metadata 'detail' is not a str: {detail!r}")
+            # `not _unbroken(detail)`, inlined: sends are the hot path.
+            if ("|" in detail or not detail.isprintable()) and _RECORD_BREAK.search(detail):
+                raise InvalidMetadata(f"metadata 'detail' holds a record separator: {detail!r}")
+            sent = template.copy()
+            sent["detail"] = detail
+            self._minted += 1
+            return deliver(MessageEnvelope(topic, payload, sent, f"m{self._minted}"), topic, sent)
+
+        return send
+
+    def _deliver(self, envelope: MessageEnvelope, topic: str, metadata: dict[str, str]) -> int:
+        """Deliver a checked envelope with its id set: the delivery core of
+        `publish` and of every channel's sender. The plan comes from the
+        topic's cached route (see the module docstring)."""
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._routes[topic] = self._route(topic)
+        keys = route.keys
+        if keys is not None:
+            values = tuple(map(metadata.get, keys))
+            if values != route.plan_key:
+                route.plan = _filter(route.buckets, metadata)
+                route.plan_key = values
+        entries, handlers, nodes, one_shots = route.plan
 
         # The envelope record takes the next tick, the publish record the
         # next audit seq and tick, and each delivery one more of both, as
         # `audit` would stamp them. Fired one-shots leave the index before
         # any handler runs.
-        entries, handlers, nodes, one_shots = self._delivery(topic, metadata)
         seq, now = self._audit_seq + 1, self._now + 1
         envelope.logical_time = now
         self.journal.append(
@@ -745,21 +873,6 @@ class Fabric:
         for callback, token in settled:
             callback(token)
         return len(entries)
-
-    def _delivery(self, topic: str, metadata: dict[str, str]) -> _Plan:
-        """The plan of a publish: the subscriptions accepting `topic` and
-        `metadata`, in creation order, from the topic's cached route."""
-        route = self._routes.get(topic)
-        if route is None:
-            route = self._routes[topic] = self._route(topic)
-        keys = route.keys
-        if keys is None:
-            return route.plan
-        values = tuple(map(metadata.get, keys))
-        if values != route.plan_key:
-            route.plan = _filter(route.buckets, metadata)
-            route.plan_key = values
-        return route.plan
 
     def _route(self, topic: str) -> _Route:
         """Walk the index along a topic's segments, following the exact and

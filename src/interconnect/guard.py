@@ -40,7 +40,7 @@ from .errors import (
     UnknownDeployment,
     UnknownTicket,
 )
-from .fabric import KIND_PROMPT, AuditOp, Fabric
+from .fabric import KIND_PROMPT, AuditOp, Fabric, check_journaled
 from .simnet import SimWorld, WorldState
 
 DEFAULT_INSTRUCTION_BUDGET = 10_000
@@ -419,7 +419,13 @@ class Guard:
         drops any earlier acceptance of the id and emits planner feedback.
         An invariant whose predicate raises fails closed: the run is
         rejected as `InvariantError(<name>)`, like a violated one.
+        The author and the invariant names are journaled in the run's audit
+        record, so one that is not a `str` or holds a record break raises
+        InvalidMetadata on entry, before the run or any verdict change.
         """
+        check_journaled("author", program.author)
+        for invariant in invariants:
+            check_journaled("invariant name", invariant.name)
         base = model if model is not None else self._world.state
         work = base.clone()
         instructions: list[Instruction] | None = None
@@ -495,8 +501,11 @@ class Guard:
         The source must parse to the instructions its verdict judged;
         formatting, comments and identifier case may differ. Only a success
         uses the verdict up: a redeploy, even after rollback, needs a fresh
-        sandbox run.
+        sandbox run. The target is journaled as the deploy's audit actor, so
+        one that is not a `str` or holds a record break raises
+        InvalidMetadata on entry, before the world changes.
         """
+        check_journaled("target", target)
         judged = self._verdicts.get(program.program_id)
         if judged is None:
             raise DeployWithoutVerdict(
@@ -576,7 +585,12 @@ class Guard:
     def hitl_resolve(
         self, ticket_id: str, decision: str, note: str = "", resolver: str = "operator"
     ) -> HitlTicket:
-        """Resolve a ticket exactly once; denial permanently blocks the subject."""
+        """Resolve a ticket exactly once; denial permanently blocks the subject.
+
+        The resolver is journaled as the audit actor, so one that is not a
+        `str` or holds a record break raises InvalidMetadata before the
+        ticket is resolved."""
+        check_journaled("resolver", resolver)
         if decision not in ("approve", "deny"):
             raise ValueError(f"decision must be approve or deny, got {decision!r}")
         state = TicketState.APPROVED if decision == "approve" else TicketState.DENIED

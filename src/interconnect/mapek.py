@@ -14,8 +14,11 @@ tolerance. Severity of a congestion finding is clamp((mean - theta) /
 load readings, indexed by key so a windowed read costs O(window) however
 long the loop has run, and the ids of the envelopes already monitored. Plans,
 executions and rollbacks are recorded in the fabric's audit log. `monitor`
-parses each distinct payload of a batch once; envelopes that repeat a payload
-share its `Fraction`. A windowed mean adds the window's numerators as ints,
+parses each distinct payload once per batch at most, and not at all when
+the previous batch held it: a node's reading repeats from tick to tick, so
+it keeps the last batch's parses, payload to value, and takes a value from
+them before it parses. Envelopes that repeat a payload share its
+`Fraction`. A windowed mean adds the window's numerators as ints,
 one sum per distinct denominator, and combines those few sums over their
 least common multiple, so it normalises once instead of after every add;
 the result is the same normalised `Fraction`.
@@ -168,6 +171,8 @@ class MapeKLoop:
         self.knowledge = KnowledgeBase()
         # Monitored origin -> its live `load.<origin>` list in knowledge.
         self._loads: dict[str, list] = {}
+        # The last `monitor` call's parses: payload -> value, None if malformed.
+        self._parsed: dict[bytes, Fraction | None] = {}
         self._plan_count = 0
         fabric.register_node(actor)
         self._sub_id = fabric.subscribe(
@@ -185,14 +190,18 @@ class MapeKLoop:
         audited as `error(MalformedTelemetry)` and skipped; the rest of the
         batch is still read. Exponent notation counts as malformed: simnet
         never emits it, and `1e60000` would build a 60,000-digit integer.
-        Each distinct payload is parsed once per call. An origin's series
-        list is taken from knowledge once, when the origin is first seen,
-        and each reading is appended to it directly.
+        A distinct payload is parsed at most once per call, and not at all
+        when the previous call's batch held it: the value is taken from that
+        call's parses, which this call's replace, so the memo holds one
+        batch's payloads. An origin's series list is taken from knowledge
+        once, when the origin is first seen, and each reading is appended to
+        it directly.
         """
         batch = envelopes if envelopes is not None else self._fabric.drain(self._sub_id)
         knowledge = self.knowledge
         seen = knowledge.seen_ids
         loads = self._loads
+        previous = self._parsed
         parsed: dict[bytes, Fraction | None] = {}  # payload -> value, None if malformed
         ingested = 0
         for envelope in batch:
@@ -203,7 +212,10 @@ class MapeKLoop:
             payload = envelope.payload
             value = parsed.get(payload, _UNPARSED)
             if value is _UNPARSED:
-                value = parsed[payload] = _parse_reading(payload)
+                value = previous.get(payload, _UNPARSED)
+                if value is _UNPARSED:
+                    value = _parse_reading(payload)
+                parsed[payload] = value
             if value is None:
                 self._fabric.audit(
                     AuditOp.MONITOR,
@@ -218,6 +230,7 @@ class MapeKLoop:
                 series = loads[origin] = knowledge.values_of(f"load.{origin}")
             series.append(value)
             ingested += 1
+        self._parsed = parsed
         return ingested
 
     def analyze(self) -> list[Finding]:

@@ -41,12 +41,13 @@ and needs no invalidation. A jittered node still draws from the generator
 every tick.
 
 A telemetry envelope differs from tick to tick only in its payload and its
-`detail`. Each node keeps the rest of its metadata (`kind`, `session`,
-`origin-node` and `semantic-tags`, in the order `Fabric.envelope` writes
-them) as a template beside its telemetry topic; a tick copies the template
-into a fresh dict, sets `detail` and builds the `MessageEnvelope` itself.
-The copy is the envelope's own, so a handler that changes a delivered
-envelope's metadata changes neither the template nor any other tick's.
+`detail`. So each loaded node sends through a fabric channel
+(`Fabric.channel`) on its telemetry topic, whose template is the rest of its
+metadata (`kind`, `session`, `origin-node` and `semantic-tags`, in the order
+`Fabric.envelope` writes them). The node's first reading makes the channel,
+which checks the topic and template once, and every tick's send checks only
+its payload and `detail`. Each send copies the template, so a handler that
+changes a delivered envelope's metadata changes no other tick's.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import DuplicateNode, ModelAlreadyHosted
 from .fabric import (
@@ -303,9 +304,9 @@ class _NodeRuntime:
     pending: set[str] = field(default_factory=set)  # hosted models with requests queued
     jitter: bool = False
     fail_requests: int = 0
-    telemetry_topic: str = ""
-    # Every telemetry envelope's metadata but its `detail`; copied per tick.
-    telemetry_metadata: dict[str, str] = field(default_factory=dict)
+    # The node's telemetry channel, `send(payload, detail)`; None until the
+    # node's first reading.
+    send: Callable[[bytes, str], int] | None = None
     # Last telemetry reading: its inputs (offered load, admission knob or
     # None, service rate), the utilization they give, that value's text and
     # the text's UTF-8 payload.
@@ -368,18 +369,7 @@ class SimWorld:
             MappingProxyType({k: ranges[k] for k in (knobs or {}) if k in ranges}),
             load,
         )
-        runtime = _NodeRuntime(
-            node_id=node_id,
-            kind=kind,
-            jitter=jitter,
-            telemetry_topic=f"telemetry/{node_id}/load",
-            telemetry_metadata={
-                KIND_KEY: KIND_DATA,
-                SESSION_KEY: "telemetry",
-                ORIGIN_KEY: node_id,
-                "semantic-tags": "load",
-            },
-        )
+        runtime = _NodeRuntime(node_id=node_id, kind=kind, jitter=jitter)
         self.fabric.register_node(node_id)
         self.state.nodes[node_id] = node_state
         self._runtimes[node_id] = runtime
@@ -395,7 +385,7 @@ class SimWorld:
             handler=lambda env, nid=node_id: self._apply_control(nid, env),
         )
         if load is not None:
-            self.fabric.create_topic(runtime.telemetry_topic)
+            self.fabric.create_topic(f"telemetry/{node_id}/load")
         for model_id in hosted_models:
             runtime.hosted[model_id] = self.fabric.host_model(
                 model_id, node_id, handler=lambda _env, mid=model_id: runtime.pending.add(mid)
@@ -454,9 +444,11 @@ class SimWorld:
                     self._serve_requests(runtime)
 
     def _emit_telemetry(self, node_id: str, runtime: _NodeRuntime, node: NodeState) -> None:
-        """Publish the node's utilization, recomputed only when its inputs
-        compare unequal to the last reading's, in an envelope built from the
-        node's metadata template (see the module docstring)."""
+        """Send the node's utilization on its telemetry channel, recomputed
+        only when its inputs compare unequal to the last reading's (see the
+        module docstring). The first reading makes the node's channel; for
+        a node spawned without a load, and so without a telemetry topic,
+        that raises UnknownTopic, as a publish on the topic would."""
         inputs = (node.load.offered_load, node.knobs.get(ADMISSION_KNOB), node.load.service_rate)
         if inputs != runtime.reading[0]:
             value = self.state.utilization(node_id)
@@ -467,9 +459,18 @@ class SimWorld:
             value *= 1 + Fraction(self.rng.randint(-10, 10), 1000)
             text = str(value)
             payload = text.encode("utf-8")
-        metadata = runtime.telemetry_metadata.copy()
-        metadata["detail"] = text
-        self.fabric.publish(MessageEnvelope(runtime.telemetry_topic, payload, metadata))
+        send = runtime.send
+        if send is None:
+            send = runtime.send = self.fabric.channel(
+                f"telemetry/{node_id}/load",
+                {
+                    KIND_KEY: KIND_DATA,
+                    SESSION_KEY: "telemetry",
+                    ORIGIN_KEY: node_id,
+                    "semantic-tags": "load",
+                },
+            )
+        send(payload, text)
 
     def _serve_requests(self, runtime: _NodeRuntime) -> None:
         """Serve the node's pending models in model-id order (see the module

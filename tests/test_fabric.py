@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from interconnect.errors import (
     EmptyObjective,
     GoldenParseError,
+    InterconnectError,
     InvalidMetadata,
     ModelAlreadyHosted,
     NoEligibleModel,
@@ -19,7 +20,9 @@ from interconnect.errors import (
     UnknownTopic,
 )
 from interconnect.fabric import (
+    _RECORD_BREAK,
     AuditOp,
+    CompletionToken,
     Fabric,
     MessageEnvelope,
     Selector,
@@ -28,6 +31,7 @@ from interconnect.fabric import (
     TagPredicate,
     TokenState,
     _filter,
+    _TokenWatch,
 )
 from interconnect.registry import ModelRegistry, parse_descriptor
 from interconnect.trace import AuditEvent, EnvelopeEvent, parse_trace
@@ -348,6 +352,22 @@ _REJECTIONS = [
         for key, value in zip(_JOURNALED, ("a\x0bb", "a\x85b", "a\u2028b", "a\u2029b"))
     ),
     _rejection("message id 'a\\x1cb' holds a record separator", "a\x1cb"),
+    # Non-str values in first, middle and last position: the join-based type
+    # check still names the first non-str key.
+    *(
+        (metadata, "", f"metadata {key!r} is not a str: {bad!r}")
+        for bad in (5, b"x", None)
+        for key, metadata in (
+            ("zone", {"zone": bad, **_VALID}),
+            ("session", {"kind": "data", "session": bad, "origin-node": "node-a"}),
+            ("zone", {**_VALID, "zone": bad}),
+        )
+    ),
+    (
+        {"kind": "data", "a": None, "session": 5, "origin-node": b"x"},
+        "",
+        "metadata 'a' is not a str: None",
+    ),
 ]
 
 
@@ -360,6 +380,230 @@ def test_publish_rejection_messages_and_precedence(metadata, message_id, message
     with pytest.raises(InvalidMetadata, match=f"^{re.escape(message)}$"):
         fabric.publish(MessageEnvelope("a/b", b"x", metadata, id=message_id))
     assert len(fabric.journal.events) == journaled
+
+
+# The characters `_RECORD_BREAK` matches.
+_BREAKS = "|\n\r" + "".join(_LINE_BREAKS)
+
+
+def _journal_value(fabric, field, value):
+    """Journal `value` in `field` of a publish, a channel send or an audit
+    on `fabric`; raises what the fabric raises."""
+    metadata = dict(_VALID)
+    if field == "channel-detail":
+        fabric.channel("a/b", metadata)(b"x", value)
+    elif field.startswith("audit-"):
+        fields = {"actor": "node-a", field[len("audit-"):].replace("-", "_"): value}
+        fabric.audit(AuditOp.PLAN, **fields)
+    elif field == "id":
+        fabric.publish(MessageEnvelope("a/b", b"x", metadata, id=value))
+    else:
+        metadata[field] = value
+        fabric.publish(MessageEnvelope("a/b", b"x", metadata))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        *_JOURNALED,
+        "id",
+        "channel-detail",
+        "audit-actor",
+        "audit-message-id",
+        "audit-model-id",
+        "audit-outcome",
+    ],
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.text())
+@example("")
+@example("\t")
+@example("\x1f")
+@example("\xa0")
+@example("\u2027")
+@example("\U0001f600")  # astral
+@example(_BREAKS)
+def test_a_journaled_value_is_accepted_exactly_when_no_record_break_is_found(field, text):
+    """Each journaled field takes a value exactly when `_RECORD_BREAK` finds
+    nothing in it: the fast test (no `|`, printable) never rejects what the
+    search would accept, nor accepts what it would reject. An accepted value
+    reads back as one field of one line."""
+    for char in ("", *_BREAKS):  # each break character, also as the whole tail
+        value = f"x{text}{char}"
+        fabric = make_fabric("node-a")
+        fabric.create_topic("a/b")
+        if _RECORD_BREAK.search(value):
+            with pytest.raises(InvalidMetadata, match="holds a record separator"):
+                _journal_value(fabric, field, value)
+            assert fabric.journal.events == []
+        else:
+            _journal_value(fabric, field, value)
+            assert parse_trace(fabric.journal.render()).lines() == fabric.journal.lines()
+
+
+_AUDIT_REJECTIONS = [
+    ({"actor": "a|b"}, "actor 'a|b' holds a record separator"),
+    ({"actor": "a\u2028b"}, "actor 'a\\u2028b' holds a record separator"),
+    ({"actor": 5}, "actor 5 is not a str"),
+    ({"message_id": "m\n1"}, "message id 'm\\n1' holds a record separator"),
+    ({"message_id": 0}, "message id 0 is not a str"),
+    ({"model_id": "a\x85b"}, "model id 'a\\x85b' holds a record separator"),
+    ({"model_id": b"x"}, "model id b'x' is not a str"),
+    ({"outcome": "error(a|b)"}, "outcome 'error(a|b)' holds a record separator"),
+    ({"outcome": None}, "outcome None is not a str"),
+    # Several bad fields: the first in argument order is named.
+    ({"actor": "a|b", "outcome": 5}, "actor 'a|b' holds a record separator"),
+    ({"model_id": 5, "message_id": "x\ry"}, "message id 'x\\ry' holds a record separator"),
+]
+
+
+@pytest.mark.parametrize("fields,message", _AUDIT_REJECTIONS)
+def test_audit_rejects_a_field_that_would_split_its_line(fields, message):
+    fabric = make_fabric("node-a")
+    fabric.audit(AuditOp.PLAN, actor="node-a")
+    journal = fabric.journal.render()
+    with pytest.raises(InvalidMetadata, match=f"^{re.escape(message)}$"):
+        fabric.audit(AuditOp.PLAN, **{"actor": "node-a", **fields})
+    assert (fabric.journal.render(), fabric.now) == (journal, 1)
+    fabric.audit(AuditOp.EXECUTE, "node-a", None, None, "ok")
+    assert parse_trace(fabric.journal.render()).events == fabric.journal.events
+
+
+# -- channels ------------------------------------------------------------------
+
+_ORACLE_TOPIC = "telemetry/n1/load"
+_oracle_text = st.one_of(
+    st.text(alphabet=st.sampled_from(f"a1/-{_BREAKS}\t\xa0\u2027"), max_size=3),
+    st.text(max_size=3),
+)
+_oracle_value = st.one_of(_oracle_text, st.integers(0, 2), st.none(), st.just(b"x"))
+
+
+def _mostly(value):
+    """`value` three times in four, else any oracle value."""
+    return st.integers(0, 3).flatmap(lambda k: st.just(value) if k else _oracle_value)
+
+
+@st.composite
+def _templates(draw):
+    """Valid and invalid templates: known and unknown kinds, journaled values
+    with and without breaks, missing, empty and non-str values, an optional
+    `detail` (replaced by every send) and extra keys, in any order."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([None, [("kind", "data")]]))
+    pairs = [
+        ("kind", draw(st.sampled_from(["data", "control", "gossip", ""]))),
+        ("session", draw(_mostly(draw(st.sampled_from(["telemetry", "s1"]))))),
+        ("origin-node", draw(_mostly(draw(st.sampled_from(["n1", "n2"]))))),
+        ("model-id", draw(_mostly("mdl"))),
+        ("detail", draw(_oracle_value)),
+        ("semantic-tags", draw(_mostly("load"))),
+        ("error", draw(st.sampled_from(["", "down"]))),
+    ]
+    kept = draw(st.lists(st.sampled_from(range(len(pairs))), unique=True))
+    if draw(st.integers(0, 3)):  # mostly a valid core and few extras, in any order
+        kept = [0, 1, 2, *(k for k in kept if k > 2 and draw(st.booleans()))]
+        pairs[:3] = [("kind", "data"), ("session", "telemetry"), ("origin-node", "n1")]
+    return dict(pairs[k] for k in draw(st.permutations(kept)))
+
+
+def _oracle_fabric(log):
+    """A fabric with durable, filtered and one-shot subscriptions, handlers
+    and a token watch on the oracle topic; what they see goes to `log`."""
+    fabric = make_fabric("w1", "w2", "w3")
+    for topic in (_ORACLE_TOPIC, "other/t"):
+        fabric.create_topic(topic)
+
+    def seen(tag):
+        return lambda e: log.append((tag, e.id, e.topic, e.payload, list(e.metadata.items())))
+
+    subs = [
+        fabric.subscribe(Subscription(Selector.parse("telemetry/**"), "w1"), seen("all")),
+        fabric.subscribe(Subscription(Selector.parse("telemetry/*/load detail~=a"), "w2")),
+        fabric.subscribe(
+            Subscription(Selector.parse(f"{_ORACLE_TOPIC} origin-node=n1"), "w3",
+                         mode=SubscriptionMode.ONE_SHOT),
+            seen("once"),
+        ),
+        fabric.subscribe(Subscription(Selector.parse("telemetry/n1/* session!=s1"), "w2")),
+    ]
+    token = CompletionToken("tok-1", _ORACLE_TOPIC)
+    fabric._watch(_TokenWatch(_ORACLE_TOPIC, "data", "telemetry", token))
+    token.on_complete(lambda t: log.append(("token", t.state, t.result.id, t.failure)))
+    return fabric, subs
+
+
+def _outcome(call):
+    try:
+        return call()
+    except InterconnectError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([*[_ORACLE_TOPIC] * 6, "other/t", "no/such", 5]),
+    _templates(),
+    st.lists(
+        st.tuples(
+            st.one_of(st.binary(max_size=2), _mostly(b"1/2")),
+            st.one_of(_mostly("1/2"), _oracle_text),
+        ),
+        max_size=4,
+    ),
+    st.booleans(),
+)
+@example(_ORACLE_TOPIC, {"kind": "data", "session": "telemetry", "origin-node": "n1"},
+         [(b"1/2", "a|b"), (b"1/2", "1/2"), ("1/2", "x"), (b"", 5)], True)
+@example(_ORACLE_TOPIC, {"detail": 5, "kind": "data", "session": "s1", "origin-node": "n1"},
+         [(b"1", "a\u2028"), (b"2", "\t\xa0\u2027")], False)
+@example(_ORACLE_TOPIC, {"kind": "data", "x": 5, "session": "s|1", "origin-node": "n1"},
+         [(b"1", "ok")], False)
+@example(_ORACLE_TOPIC, {"kind": "data", "session": "s1", "origin-node": "n\u2028"},
+         [(b"1", "ok")], False)
+def test_a_channel_send_equals_the_publish_of_its_envelope(topic, template, sends, mutate):
+    """Two fabrics with the same subscriptions, one-shots, handlers and token
+    watch: one sends through `channel(topic, template)`, the other
+    publishes `MessageEnvelope(topic, payload, {**template, "detail":
+    detail})`. A channel refused at creation is refused with the error the
+    publish raises for a bytes payload and a clean detail. Otherwise each
+    send raises what its publish raises, or both deliver alike: equal
+    journals, handler calls, token settlement, mailboxes (metadata key
+    order included) and next minted id. Changing the caller's template
+    after `channel()` changes nothing sent."""
+    log_a, log_b = [], []
+    (a, subs), (b, _) = _oracle_fabric(log_a), _oracle_fabric(log_b)
+    caller = dict(template) if isinstance(template, dict) else template
+
+    def envelope(payload, detail):
+        metadata = {**template, "detail": detail} if isinstance(template, dict) else template
+        return MessageEnvelope(topic, payload, metadata)
+
+    made = _outcome(lambda: a.channel(topic, caller))
+    if not callable(made):
+        assert made == _outcome(lambda: b.publish(envelope(b"x", "ok")))
+        assert a.journal.render() == b.journal.render() != ""  # only the subscribes
+        return
+    if mutate:
+        caller.clear()
+        caller.update({"kind": "gossip", "session": "a|b", "zone": 5})
+    for payload, detail in sends:
+        sent = _outcome(lambda: made(payload, detail))
+        assert sent == _outcome(lambda: b.publish(envelope(payload, detail)))
+        assert a.journal.render() == b.journal.render()
+    assert log_a == log_b
+    for sub in subs:
+        assert [
+            (e.id, e.topic, e.payload, list(e.metadata.items()), e.logical_time)
+            for e in a.drain(sub)
+        ] == [
+            (e.id, e.topic, e.payload, list(e.metadata.items()), e.logical_time)
+            for e in b.drain(sub)
+        ]
+    probes = [MessageEnvelope("other/t", b"", dict(_VALID)) for _ in (a, b)]
+    a.publish(probes[0])
+    b.publish(probes[1])
+    assert probes[0].id == probes[1].id
 
 
 def test_publish_retains_latest_envelope():

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from interconnect.errors import (
     DeployWithoutVerdict,
     ExecutionFailed,
+    InvalidMetadata,
     TicketClosed,
     TicketStoreCorrupt,
     UnknownDeployment,
@@ -36,6 +38,7 @@ from interconnect.guard import (
 )
 import interconnect
 from interconnect.simnet import LoadModel, NodeKind, NodeState, SimWorld, WorldState
+from interconnect.trace import parse_trace
 
 
 def make_rig(policy="escalate-only", ticket_store=None, budget=10_000):
@@ -439,6 +442,64 @@ def test_deploy_audits_execute_and_rollback_audits_rollback():
     guard.rollback(record.deployment_id)
     assert [r.actor for r in fabric.audit_log.query(ops=["execute"])] == ["ran-1"]
     assert [r.actor for r in fabric.audit_log.query(ops=["rollback"])] == ["ran-1"]
+
+
+# A `|` and a line break `str.splitlines` splits at: either would split the
+# audit line that journals the value.
+_SPLITTING = ["a|b", "a\u2028b"]
+
+
+@pytest.mark.parametrize("author", _SPLITTING, ids=["pipe", "U+2028"])
+def test_sandbox_run_rejects_an_author_that_would_split_its_audit_line(author):
+    fabric, world, guard = make_rig()
+    journal = fabric.journal.render()
+    sneaky = program("set ran-1 admission-rate 1/2", author=author)
+    with pytest.raises(InvalidMetadata, match="^author .* holds a record separator$"):
+        guard.sandbox_run(sneaky)
+    assert fabric.journal.render() == journal
+    assert parse_trace(fabric.journal.render()).lines() == fabric.journal.lines()
+    with pytest.raises(DeployWithoutVerdict):  # no verdict was recorded
+        guard.deploy(sneaky, "ran-1")
+
+
+@pytest.mark.parametrize("name", _SPLITTING, ids=["pipe", "U+2028"])
+def test_sandbox_run_rejects_an_invariant_name_that_would_split_its_audit_line(name):
+    # A failing invariant's name is journaled in the rejection's outcome.
+    fabric, world, guard = make_rig()
+    good = program("set ran-1 admission-rate 1/2")
+    assert guard.sandbox_run(good).accepted
+    journal = fabric.journal.render()
+    with pytest.raises(InvalidMetadata, match="^invariant name .* holds a record separator$"):
+        guard.sandbox_run(good, [NamedInvariant(name, lambda state: False)])
+    assert fabric.journal.render() == journal
+    # The earlier acceptance still stands.
+    assert guard.deploy(good, "ran-1").status == "Applied"
+
+
+def test_deploy_rejects_a_target_that_would_split_its_audit_line():
+    fabric, world, guard = make_rig()
+    good = program("set ran-1 admission-rate 1/2")
+    assert guard.sandbox_run(good).accepted
+    before = world.config_hash()
+    journal = fabric.journal.render()
+    with pytest.raises(InvalidMetadata, match=re.escape("target 'x\\ny' holds a record separator")):
+        guard.deploy(good, "x\ny")
+    assert world.config_hash() == before
+    assert fabric.journal.render() == journal
+    with pytest.raises(UnknownDeployment):  # no applied record
+        guard.rollback("dep-1")
+    # The verdict is not used up: a deploy to a good target is the first.
+    assert guard.deploy(good, "ran-1").deployment_id == "dep-1"
+
+
+def test_hitl_resolve_rejects_a_resolver_that_would_split_its_audit_line(tmp_path):
+    fabric, world, guard = make_rig(ticket_store=tmp_path / "tickets.ndjson")
+    ticket = guard.open_ticket("ConsensusDisagreement", "prog-1")
+    journal = fabric.journal.render()
+    with pytest.raises(InvalidMetadata, match="^resolver 'a\\|b' holds a record separator$"):
+        guard.hitl_resolve(ticket.ticket_id, "approve", resolver="a|b")
+    assert fabric.journal.render() == journal
+    assert [t.state for t in guard.tickets()] == [TicketState.OPEN]
 
 
 def test_deploy_rejects_a_source_other_than_the_one_sandboxed():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interconnect.errors import ExecutionFailed, InsufficientData, NoApplicableAction
+from interconnect import mapek
 from interconnect.fabric import KIND_DATA, Fabric, MessageEnvelope, Selector, Subscription
 from interconnect.mapek import (
     AdaptationPlan,
@@ -153,6 +154,46 @@ def test_monitor_reads_repeated_payloads_and_audits_each_malformed_envelope():
     assert {a.outcome for a in audits} == {"error(MalformedTelemetry)"}
 
 
+def test_monitor_reuses_the_last_batchs_parses(monkeypatch):
+    """A payload the previous batch held is not parsed again: equal payloads
+    in consecutive batches share one value. A batch replaces the memo, so a
+    payload two batches back is parsed anew. Each malformed envelope is
+    still audited."""
+    fabric, world, loop = make_loop()
+    parses = []
+    parse = mapek._parse_reading
+    monkeypatch.setattr(mapek, "_parse_reading", lambda p: parses.append(p) or parse(p))
+    ids = iter(range(100))
+
+    def monitor(*payloads):
+        batch = [
+            MessageEnvelope(
+                "telemetry/core-1/load",
+                payload,
+                {"kind": KIND_DATA, "session": "telemetry", "origin-node": "core-1"},
+                id=f"e{next(ids)}",
+            )
+            for payload in payloads
+        ]
+        loop.monitor(batch)
+        return [e.id for e in batch]
+
+    bad = monitor(b"1/2", b"bad", b"1/2")[1:2]
+    bad += monitor(b"bad", b"1/2", b"3/4")[:1]
+    assert parses == [b"1/2", b"bad", b"3/4"]
+    series = loop.knowledge.series("load.core-1", 10)
+    assert series == [Fraction(1, 2)] * 3 + [Fraction(3, 4)]
+    assert series[0] is series[1] is series[2]
+    assert loop._parsed.keys() == {b"bad", b"1/2", b"3/4"}
+    monitor(b"5/8", b"3/4")
+    assert loop._parsed.keys() == {b"5/8", b"3/4"}
+    bad += monitor(b"1/2", b"bad")[1:]
+    assert parses == [b"1/2", b"bad", b"3/4", b"5/8", b"1/2", b"bad"]
+    assert loop.knowledge.series("load.core-1", 1)[0] is not series[0]
+    audits = fabric.audit_log.query(ops=["monitor"])
+    assert [a.message_id for a in audits] == bad
+
+
 _FOLD_ORIGINS = ("core-1", "rogue", "late")
 _FOLD_PAYLOADS = (b"19/20", b"1/2", b"3/4", b"bad", b"\xff", b"1e3", b"1/0")
 _FOLD_POOL = [(o, p) for o in _FOLD_ORIGINS for p in _FOLD_PAYLOADS]
@@ -197,12 +238,15 @@ def test_monitor_equals_a_reference_fold(batches):
         for k, (origin, payload) in enumerate(_FOLD_POOL * 2)
     ]
     reference, seen, audits, counts, origins = KnowledgeBase(), set(), [], [], set()
+    memos = []  # per batch: the payloads of the envelopes it monitored
     for batch in batches:
         ingested = 0
+        memos.append(set())
         for envelope in (envelopes[k] for k in batch):
             if envelope.id in seen:
                 continue
             seen.add(envelope.id)
+            memos[-1].add(envelope.payload)
             value = _reference_reading(envelope.payload)
             if value is None:
                 audits.append(("mapek", envelope.id, "error(MalformedTelemetry)"))
@@ -211,7 +255,10 @@ def test_monitor_equals_a_reference_fold(batches):
             reference.add(f"load.{envelope.metadata['origin-node']}", value)
             ingested += 1
         counts.append(ingested)
-    assert [loop.monitor([envelopes[k] for k in batch]) for batch in batches] == counts
+    for batch, count, memo in zip(batches, counts, memos):
+        assert loop.monitor([envelopes[k] for k in batch]) == count
+        # The memo holds this batch's payloads only.
+        assert loop._parsed.keys() == memo
     for origin in _FOLD_ORIGINS:
         key = f"load.{origin}"
         assert loop.knowledge.series(key, 10**6) == reference.series(key, 10**6)

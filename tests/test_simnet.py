@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interconnect.errors import DuplicateNode, ModelAlreadyHosted
+from interconnect.errors import DuplicateNode, ModelAlreadyHosted, UnknownTopic
 from interconnect.fabric import Fabric, Selector, Subscription, TokenState
 from interconnect.guard import Guard, GuardedProgram, NamedInvariant
 from interconnect.registry import ModelRegistry, parse_descriptor
@@ -94,6 +94,19 @@ def test_spawn_wires_control_and_telemetry_topics():
 # -- stepping and telemetry ------------------------------------------------------
 
 
+def test_a_node_spawned_without_a_load_has_no_telemetry_topic_to_send_on():
+    # Only a node spawned with a load gets a telemetry topic. One given a
+    # load later fails its first reading, which makes its channel, as a
+    # publish on the missing topic would, before anything is journaled.
+    world = make_world()
+    world.spawn_node("app-1", NodeKind.APP)
+    world.state.nodes["app-1"] = NodeState(load=LoadModel(Fraction(1, 2)))
+    journaled = len(world.fabric.journal.events)
+    with pytest.raises(UnknownTopic, match="telemetry/app-1/load"):
+        world.step(1)
+    assert len(world.fabric.journal.events) == journaled
+
+
 def test_step_zero_ticks_is_a_no_op():
     world = make_world()
     loaded_node(world)
@@ -163,14 +176,13 @@ def test_jitter_draws_from_the_world_seed():
 def test_telemetry_envelope_equals_the_keyword_built_one(jitter):
     """Each tick's telemetry envelope has the payload and the metadata, keys
     in the same order, that `Fabric.envelope` builds for the same reading.
-    A handler that rewrites a delivered envelope's metadata changes neither
-    the node's metadata template nor the next tick's envelope."""
+    A handler that rewrites a delivered envelope's metadata does not change
+    the next tick's envelope."""
     world = SimWorld(Fabric(), seed=5)
     mirror = random.Random(5)
     loaded_node(world, offered="9/10", admission="4/5")
     world.spawn_node("cell-2", NodeKind.UE_GEN, load=LoadModel(Fraction(1, 3)), jitter=jitter)
     fabric = world.fabric
-    template = dict(world._runtimes["cell-2"].telemetry_metadata)
     delivered = []
 
     def record(envelope):
@@ -202,8 +214,6 @@ def test_telemetry_envelope_equals_the_keyword_built_one(jitter):
             )
             expected.append((built.topic, built.payload, list(built.metadata.items())))
     assert delivered == expected
-    assert world._runtimes["cell-2"].telemetry_metadata == template
-    assert list(template) == ["kind", "session", "origin-node", "semantic-tags"]
 
 
 _ORACLE_NODES = ("n0", "n1", "n2")  # n2 declares no admission knob
