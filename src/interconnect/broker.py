@@ -45,6 +45,7 @@ from .registry import ModelRegistry
 from .simnet import ADMISSION_KNOB
 
 _STREAM_TOKEN = re.compile(r"[a-z0-9*._-]+(?:/[a-z0-9*._-]+)+")
+_SETTLE_BUDGET = 64  # settle calls an inference task waits for its reply
 
 # First stem that occurs in the lowered intent text wins; order is fixed.
 VERB_STEMS = (
@@ -307,13 +308,7 @@ class TaskBroker:
 
     # -- execution -----------------------------------------------------------
 
-    def execute_plan(
-        self,
-        plan: TaskPlan,
-        *,
-        settle=None,
-        settle_budget: int = 64,
-    ) -> PlanResult:
+    def execute_plan(self, plan: TaskPlan, *, settle=None) -> PlanResult:
         """Run tasks in order; `settle` advances the world between polls."""
         validate_plan(plan)
         outputs: dict[str, bytes] = {}
@@ -343,7 +338,7 @@ class TaskBroker:
             if task.kind is TaskKind.INGEST:
                 output = resolved[0]
             elif task.kind is TaskKind.INFER:
-                output = self._run_infer(plan, task, resolved, settle, settle_budget, fail)
+                output = self._run_infer(plan, task, resolved, settle, fail)
             elif task.kind is TaskKind.AGGREGATE:
                 output = json.dumps(
                     {
@@ -377,7 +372,7 @@ class TaskBroker:
             final_payload=last_payload,
         )
 
-    def _run_infer(self, plan, task, resolved, settle, settle_budget, fail) -> bytes:
+    def _run_infer(self, plan, task, resolved, settle, fail) -> bytes:
         request = json.dumps(
             {
                 "plan": plan.plan_id,
@@ -404,7 +399,7 @@ class TaskBroker:
         if plan.domain_hint:
             session_meta["domain"] = plan.domain_hint
         token = self._fabric.participate_inference(carrier, session_meta)
-        budget = settle_budget
+        budget = _SETTLE_BUDGET
         while token.state is TokenState.PENDING and settle is not None and budget > 0:
             settle()
             budget -= 1

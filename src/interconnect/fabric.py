@@ -131,7 +131,6 @@ MESSAGE_KINDS = frozenset(
 # Matched with `fullmatch`: a `$` would let a trailing "\n" through, and a
 # topic holding one would split its journal line.
 _SEGMENT_RE = re.compile(r"[a-z0-9][a-z0-9._-]*")
-_KEY_RE = re.compile(r"[a-z0-9][a-z0-9._-]*")
 
 
 @dataclass(slots=True)
@@ -203,7 +202,7 @@ class Selector:
             for symbol, op in (("!=", "neq"), ("~=", "prefix"), ("=", "eq")):
                 if symbol in raw:
                     key, _, value = raw.partition(symbol)
-                    if not _KEY_RE.fullmatch(key) or not value:
+                    if not _SEGMENT_RE.fullmatch(key) or not value:
                         raise SelectorSyntax(f"bad predicate {raw!r}")
                     predicates.append(TagPredicate(key, op, value))
                     break

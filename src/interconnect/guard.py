@@ -24,7 +24,6 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import json
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,17 +34,16 @@ from typing import Callable, Iterator
 from .errors import (
     DeployWithoutVerdict,
     ExecutionFailed,
+    InvalidMetadata,
     TicketClosed,
     TicketStoreCorrupt,
     UnknownDeployment,
     UnknownTicket,
 )
-from .fabric import KIND_PROMPT, AuditOp, Fabric, check_journaled
+from .fabric import _SEGMENT_RE, KIND_PROMPT, AuditOp, Fabric, check_journaled
 from .simnet import SimWorld, WorldState
 
 DEFAULT_INSTRUCTION_BUDGET = 10_000
-
-_IDENT_RE = re.compile(r"^[a-z0-9][a-z0-9._-]*$")
 
 # opcode -> (identifier argument count, value argument count)
 _SHAPES = {"set": (2, 1), "scale": (2, 1), "limit": (2, 2), "reroute": (2, 1)}
@@ -97,7 +95,7 @@ def parse_program(source: str) -> list[Instruction]:
             )
         idents = tuple(t.lower() for t in tokens[1 : 1 + n_idents])
         for ident in idents:
-            if not _IDENT_RE.match(ident):
+            if not _SEGMENT_RE.fullmatch(ident):
                 raise ProgramSyntaxError(
                     "ParseError", f"line {line_no}: bad identifier {ident!r}"
                 )
@@ -164,6 +162,19 @@ class GuardedProgram:
     source: str
     declared_effects: tuple[str, ...]
     author: str
+
+
+def _check_candidate(program: GuardedProgram) -> None:
+    """Raise InvalidMetadata unless the guard can feed back on a program:
+    its author names the topic `planner/<author>/feedback`, so it must be
+    one topic segment, and its id is the feedback envelope's session, so it
+    must be a non-empty `str` that journals as one field."""
+    check_journaled("author", program.author)
+    if not _SEGMENT_RE.fullmatch(program.author):
+        raise InvalidMetadata(f"author {program.author!r} is not a single topic segment")
+    check_journaled("program id", program.program_id)
+    if not program.program_id:
+        raise InvalidMetadata("program id is empty")
 
 
 @dataclass(frozen=True)
@@ -419,11 +430,12 @@ class Guard:
         drops any earlier acceptance of the id and emits planner feedback.
         An invariant whose predicate raises fails closed: the run is
         rejected as `InvariantError(<name>)`, like a violated one.
-        The author and the invariant names are journaled in the run's audit
-        record, so one that is not a `str` or holds a record break raises
-        InvalidMetadata on entry, before the run or any verdict change.
+        An author or program id that cannot address feedback (see
+        `_check_candidate`), or an invariant name that is not a `str` or holds
+        a record break, raises InvalidMetadata on entry, before the run or
+        any verdict change.
         """
-        check_journaled("author", program.author)
+        _check_candidate(program)
         for invariant in invariants:
             check_journaled("invariant name", invariant.name)
         base = model if model is not None else self._world.state
@@ -557,10 +569,13 @@ class Guard:
         """Strict-majority agreement over structural hashes.
 
         Disagreement escalates: a ticket is opened (subject: the first
-        candidate) and every distinct author gets refinement feedback.
+        candidate) and every distinct author gets refinement feedback, so a
+        candidate `_check_candidate` refuses raises InvalidMetadata first.
         """
         if len(outputs) < 2:
             raise ValueError("consensus needs at least two candidate programs")
+        for program in outputs:
+            _check_candidate(program)
         hashes = [structural_hash(p.source) for p in outputs]
         counts: dict[str, int] = {}
         for h in hashes:

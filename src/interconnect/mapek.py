@@ -10,14 +10,15 @@ the settle window, it restores that snapshot, which it then drops.
 All arithmetic is exact: loads, thresholds, and severities are Fractions, so
 convergence counts can be checked against a symbolic oracle with no
 tolerance. Severity of a congestion finding is clamp((mean - theta) /
-(1 - theta), 0, 1). Knowledge holds only what a stage reads: each origin's
-load readings, indexed by key so a windowed read costs O(window) however
-long the loop has run, and the ids of the envelopes already monitored. Plans,
-executions and rollbacks are recorded in the fabric's audit log. `monitor`
-parses each distinct payload once per batch at most, and not at all when
-the previous batch held it: a node's reading repeats from tick to tick, so
-it keeps the last batch's parses, payload to value, and takes a value from
-them before it parses. Envelopes that repeat a payload share its
+(1 - theta), 0, 1). Knowledge holds only what a stage reads: each monitored
+origin's last `window` load readings, so it stays the same size however long
+the loop runs. Plans, executions and rollbacks are recorded in the fabric's
+audit log. `monitor` folds what it drains from the loop's own subscription;
+the fabric hands each envelope over once, so it keeps no record of the ids
+it has read. It parses each distinct payload once per batch at most, and not
+at all when the previous batch held it: a node's reading repeats from tick
+to tick, so it keeps the last batch's parses, payload to value, and takes a
+value from them before it parses. Envelopes that repeat a payload share its
 `Fraction`. A windowed mean adds the window's numerators as ints,
 one sum per distinct denominator, and combines those few sums over their
 least common multiple, so it normalises once instead of after every add;
@@ -26,46 +27,36 @@ the result is the same normalised `Fraction`.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import ExecutionFailed, InsufficientData, NoApplicableAction
-from .fabric import KIND_CONTROL, AuditOp, Fabric, MessageEnvelope, Selector, Subscription
+from .fabric import KIND_CONTROL, AuditOp, Fabric, Selector, Subscription
 from .simnet import ADMISSION_KNOB, SimWorld
 
 
 class KnowledgeBase:
-    """Append-only store shared by all loop stages.
+    """What the loop's stages read: each monitored origin's last `window`
+    load readings, oldest first, in a `deque(maxlen=window)` the monitor
+    appends to.
 
-    It keeps each key's values in insertion order, so `series` is one lookup
-    and a tail slice: O(window), not O(history). `seen_ids` holds the ids of
-    the envelopes already monitored; the monitor adds to it.
+    A reading pushes out the origin's oldest once the window is full, so
+    knowledge holds at most origins x window values however long the loop
+    runs, and `series` copies at most `window` values.
     """
 
     def __init__(self) -> None:
-        self._values: dict[str, list] = {}
-        self.seen_ids: set[str] = set()
-
-    def add(self, key: str, value: object) -> None:
-        self.values_of(key).append(value)
-
-    def values_of(self, key: str) -> list:
-        """The live list of a key's values, oldest first, made empty if the
-        key has none yet. Appending to it records a value, as `add` does, so
-        a fold over many values of one key looks the key up once."""
-        values = self._values.get(key)
-        if values is None:
-            values = self._values[key] = []
-        return values
+        self.loads: dict[str, deque[Fraction]] = {}
 
     def __len__(self) -> int:
-        """Number of values held, over all keys."""
-        return sum(len(values) for values in self._values.values())
+        """Number of values held, over all origins."""
+        return sum(len(loads) for loads in self.loads.values())
 
-    def series(self, key: str, window: int) -> list:
-        """Last `window` values recorded under a key, oldest first."""
-        return self._values.get(key, [])[-window:]
+    def series(self, origin: str) -> list[Fraction]:
+        """An origin's readings in the window, oldest first."""
+        return list(self.loads.get(origin, ()))
 
 
 @dataclass(frozen=True)
@@ -147,16 +138,16 @@ def convergence_oracle(u0: Fraction, theta: Fraction, step: Fraction) -> int:
 class MapeKLoop:
     """Managing system: monitor, analyze, plan, execute over shared knowledge."""
 
+    theta = Fraction(4, 5)  # a windowed mean above it is congestion
+    actor = "mapek"  # the loop's node id, and the actor of its audit records
+
     def __init__(
         self,
         fabric: Fabric,
         world: SimWorld,
         *,
-        theta: Fraction = Fraction(4, 5),
         window: int = 10,
         knob_step: Fraction = Fraction(9, 10),
-        telemetry_selector: str = "telemetry/**",
-        actor: str = "mapek",
     ):
         if not (0 < knob_step < 1):
             raise ValueError("knob_step must lie strictly between 0 and 1")
@@ -164,51 +155,37 @@ class MapeKLoop:
             raise ValueError("window must be at least 1")
         self._fabric = fabric
         self._world = world
-        self.theta = Fraction(theta)
         self.window = window
         self.knob_step = Fraction(knob_step)
-        self.actor = actor
         self.knowledge = KnowledgeBase()
-        # Monitored origin -> its live `load.<origin>` list in knowledge.
-        self._loads: dict[str, list] = {}
         # The last `monitor` call's parses: payload -> value, None if malformed.
         self._parsed: dict[bytes, Fraction | None] = {}
         self._plan_count = 0
-        fabric.register_node(actor)
+        fabric.register_node(self.actor)
         self._sub_id = fabric.subscribe(
-            Subscription(
-                selector=Selector.parse(telemetry_selector), subscriber_node=actor
-            )
+            Subscription(selector=Selector.parse("telemetry/**"), subscriber_node=self.actor)
         )
 
     # -- stages ------------------------------------------------------------
 
-    def monitor(self, envelopes: list[MessageEnvelope] | None = None) -> int:
-        """Fold telemetry into knowledge; idempotent per envelope id.
+    def monitor(self) -> int:
+        """Fold the telemetry drained from the loop's subscription into
+        knowledge, and return how many readings it folded.
 
-        An envelope whose payload is not a UTF-8 exact number is marked seen,
-        audited as `error(MalformedTelemetry)` and skipped; the rest of the
-        batch is still read. Exponent notation counts as malformed: simnet
-        never emits it, and `1e60000` would build a 60,000-digit integer.
-        A distinct payload is parsed at most once per call, and not at all
+        An envelope whose payload is not a UTF-8 exact number is audited as
+        `error(MalformedTelemetry)` and skipped; the rest of the batch is
+        still read. Exponent notation counts as malformed: simnet never
+        emits it, and `1e60000` would build a 60,000-digit integer. A
+        distinct payload is parsed at most once per call, and not at all
         when the previous call's batch held it: the value is taken from that
         call's parses, which this call's replace, so the memo holds one
-        batch's payloads. An origin's series list is taken from knowledge
-        once, when the origin is first seen, and each reading is appended to
-        it directly.
+        batch's payloads.
         """
-        batch = envelopes if envelopes is not None else self._fabric.drain(self._sub_id)
-        knowledge = self.knowledge
-        seen = knowledge.seen_ids
-        loads = self._loads
+        loads = self.knowledge.loads
         previous = self._parsed
         parsed: dict[bytes, Fraction | None] = {}  # payload -> value, None if malformed
         ingested = 0
-        for envelope in batch:
-            envelope_id = envelope.id
-            if envelope_id in seen:
-                continue
-            seen.add(envelope_id)
+        for envelope in self._fabric.drain(self._sub_id):
             payload = envelope.payload
             value = parsed.get(payload, _UNPARSED)
             if value is _UNPARSED:
@@ -220,14 +197,14 @@ class MapeKLoop:
                 self._fabric.audit(
                     AuditOp.MONITOR,
                     actor=self.actor,
-                    message_id=envelope_id,
+                    message_id=envelope.id,
                     outcome="error(MalformedTelemetry)",
                 )
                 continue
             origin = envelope.metadata["origin-node"]
             series = loads.get(origin)
             if series is None:
-                series = loads[origin] = knowledge.values_of(f"load.{origin}")
+                series = loads[origin] = deque(maxlen=self.window)
             series.append(value)
             ingested += 1
         self._parsed = parsed
@@ -235,10 +212,10 @@ class MapeKLoop:
 
     def analyze(self) -> list[Finding]:
         """Windowed-mean congestion check per monitored origin."""
-        if not self._loads:
+        if not self.knowledge.loads:
             raise InsufficientData("no monitoring data in knowledge")
         findings = []
-        for origin in sorted(self._loads):
+        for origin in sorted(self.knowledge.loads):
             windowed = self._windowed_mean(origin)
             if windowed is None:
                 continue
@@ -287,7 +264,7 @@ class MapeKLoop:
 
     def _windowed_mean(self, origin: str) -> tuple[Fraction, int] | None:
         """Mean of an origin's last `window` loads, and how many there were."""
-        series = self.knowledge.series(f"load.{origin}", self.window)
+        series = self.knowledge.series(origin)
         if not series:
             return None
         sums: dict[int, int] = {}  # denominator -> sum of its numerators

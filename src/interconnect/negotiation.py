@@ -190,12 +190,10 @@ class Negotiator:
         fabric: Fabric,
         *,
         adapters_enabled: bool = True,
-        unit_table: dict[str, UnitDef] | None = None,
         session_prefix: str = "sess",
     ):
         self._fabric = fabric
         self.adapters_enabled = adapters_enabled
-        self._units = dict(unit_table) if unit_table is not None else dict(DEFAULT_UNIT_TABLE)
         self._mappings: list[SchemaMapping] = []
         self._prefix = session_prefix
         self._count = 0
@@ -284,7 +282,7 @@ class Negotiator:
     def _to_unit(self, value: Fraction, from_unit: str, to_unit: str) -> Fraction:
         if from_unit == to_unit:
             return value
-        src, dst = self._units[from_unit], self._units[to_unit]
+        src, dst = DEFAULT_UNIT_TABLE[from_unit], DEFAULT_UNIT_TABLE[to_unit]
         base = src.to_base_a * value + src.to_base_b
         return (base - dst.to_base_b) / dst.to_base_a
 
@@ -314,8 +312,9 @@ class Negotiator:
                 raise
 
         (id_a, (unit_a, lo_a, hi_a)), (id_b, (unit_b, lo_b, hi_b)) = decls.items()
-        dim_a = self._units[unit_a].dimension if unit_a in self._units else f"unit:{unit_a}"
-        dim_b = self._units[unit_b].dimension if unit_b in self._units else f"unit:{unit_b}"
+        units = DEFAULT_UNIT_TABLE
+        dim_a = units[unit_a].dimension if unit_a in units else f"unit:{unit_a}"
+        dim_b = units[unit_b].dimension if unit_b in units else f"unit:{unit_b}"
         if unit_a != unit_b and dim_a != dim_b:
             self._fail(session, f"NonOverlappingSemantics({metric})")
             raise NonOverlappingSemantics(
@@ -326,7 +325,7 @@ class Negotiator:
             canonical_unit = unit_a
         else:
             dimensionless = [
-                u for u in (unit_a, unit_b) if self._units[u].dimensionless
+                u for u in (unit_a, unit_b) if units[u].dimensionless
             ]
             canonical_unit = dimensionless[0] if dimensionless else min(unit_a, unit_b)
 

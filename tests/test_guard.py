@@ -502,6 +502,59 @@ def test_hitl_resolve_rejects_a_resolver_that_would_split_its_audit_line(tmp_pat
     assert [t.state for t in guard.tickets()] == [TicketState.OPEN]
 
 
+def _guard_state(fabric, guard):
+    return fabric.journal.render(), dict(guard._verdicts), guard.tickets()
+
+
+def test_sandbox_run_rejects_an_author_that_is_not_a_topic_segment():
+    # A rejection feeds back on `planner/<author>/feedback`: an author that
+    # cannot be one segment of it fails before the verdict or the journal
+    # changes, and the earlier acceptance of the id stands.
+    fabric, world, guard = make_rig()
+    assert guard.sandbox_run(program("set ran-1 admission-rate 1/2")).accepted
+    before = _guard_state(fabric, guard)
+    rejected = program("boost ran-1 admission-rate 2", author="Planner A")
+    with pytest.raises(InvalidMetadata, match="^author 'Planner A' is not a single topic segment$"):
+        guard.sandbox_run(rejected)
+    assert _guard_state(fabric, guard) == before
+
+
+def test_consensus_check_rejects_an_author_that_is_not_a_topic_segment():
+    fabric, world, guard = make_rig()
+    outputs = [
+        program("set ran-1 admission-rate 1/2", program_id="c-1"),
+        program("set ran-1 admission-rate 1/4", program_id="c-2", author="Planner A"),
+    ]
+    before = _guard_state(fabric, guard)
+    with pytest.raises(InvalidMetadata, match="^author 'Planner A' is not a single topic segment$"):
+        guard.consensus_check(outputs)
+    assert _guard_state(fabric, guard) == before
+    assert before[2] == []  # no ticket was opened
+
+
+def test_consensus_check_rejects_a_program_id_that_would_split_its_feedback():
+    # The program id is the session of the feedback envelope.
+    fabric, world, guard = make_rig()
+    outputs = [
+        program("set ran-1 admission-rate 1/2", program_id="c|1"),
+        program("set ran-1 admission-rate 1/4", program_id="c-2"),
+    ]
+    before = _guard_state(fabric, guard)
+    with pytest.raises(InvalidMetadata, match="^program id 'c\\|1' holds a record separator$"):
+        guard.consensus_check(outputs)
+    assert _guard_state(fabric, guard) == before
+    assert before[2] == []
+
+
+@pytest.mark.parametrize("program_id", ["", 7], ids=["empty", "not-a-str"])
+def test_sandbox_run_rejects_a_program_id_that_cannot_be_a_session(program_id):
+    fabric, world, guard = make_rig()
+    before = _guard_state(fabric, guard)
+    with pytest.raises(InvalidMetadata, match="^program id "):
+        guard.sandbox_run(program("boost ran-1 admission-rate 2", program_id=program_id))
+    assert _guard_state(fabric, guard) == before
+
+
 def test_deploy_rejects_a_source_other_than_the_one_sandboxed():
     # A verdict judges one program: a different source deployed under the
     # same program id must not ride on it, however harmless the first was.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,10 @@ from hypothesis import strategies as st
 
 from interconnect.errors import ExecutionFailed, InsufficientData, NoApplicableAction
 from interconnect import mapek
-from interconnect.fabric import KIND_DATA, Fabric, MessageEnvelope, Selector, Subscription
+from interconnect.fabric import KIND_DATA, Fabric, Selector, Subscription
 from interconnect.mapek import (
     AdaptationPlan,
     Finding,
-    KnowledgeBase,
     ManagedAction,
     MapeKLoop,
     convergence_oracle,
@@ -38,41 +38,28 @@ def make_loop(offered="19/20", **kwargs):
 # -- knowledge -----------------------------------------------------------------
 
 
-def test_knowledge_series_is_windowed():
-    kb = KnowledgeBase()
-    for i in range(5):
-        kb.add("load.a", Fraction(i))
-    kb.add("load.b", Fraction(9))
-    assert kb.series("load.a", 3) == [Fraction(2), Fraction(3), Fraction(4)]
-    assert kb.series("load.a", 10) == [Fraction(i) for i in range(5)]
-    assert kb.series("load.missing", 3) == []
-    assert len(kb) == 6
+def _knowledge_after(rounds):
+    """Values knowledge holds after `rounds` one-iteration rounds on two
+    congested nodes, whose admission resets whenever analysis is clean."""
+    fabric = Fabric()
+    world = SimWorld(fabric, seed=0)
+    loop = MapeKLoop(fabric, world, window=4)
+    for node_id in ("cell-0", "cell-1"):
+        world.spawn_node(
+            node_id,
+            NodeKind.RIC,
+            knobs={"admission-rate": Fraction(1)},
+            load=LoadModel(offered_load=Fraction(19, 20)),
+        )
+    for _ in range(rounds):
+        if loop.run_loop(max_iterations=1).converged:
+            for node_id in world.node_ids():
+                world.state.set_knob(node_id, "admission-rate", Fraction(1))
+    return len(loop.knowledge)
 
 
-_KEYS = ("load.a", "load.b", "load.c", "load.d")
-
-
-@settings(max_examples=250, deadline=None, derandomize=True)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(_KEYS[:3]), st.integers(-5, 5)),
-        max_size=30,
-    )
-)
-def test_knowledge_series_equals_reference_scan(adds):
-    """After every add, series(k, w) equals the tail slice of a scan over
-    every value added so far for every key (one is never added) and every
-    window, zero and negative windows included."""
-    kb = KnowledgeBase()
-    added = []
-    for t, (key, value) in enumerate(adds, start=1):
-        kb.add(key, Fraction(value))
-        added.append((key, Fraction(value)))
-        assert len(kb) == t
-        for k in _KEYS:
-            values = [v for added_key, v in added if added_key == k]
-            for w in range(-2, 13):
-                assert kb.series(k, w) == values[-w:]
+def test_knowledge_holds_one_window_per_origin_however_long_the_loop_runs():
+    assert _knowledge_after(10) == _knowledge_after(40) == 2 * 4
 
 
 # -- monitor ---------------------------------------------------------------------
@@ -82,18 +69,9 @@ def test_monitor_folds_telemetry_once_per_envelope():
     fabric, world, loop = make_loop()
     world.step(3)
     assert loop.monitor() == 3
-    assert loop.knowledge.series("load.core-1", 10) == [Fraction(19, 20)] * 3
+    assert loop.knowledge.series("core-1") == [Fraction(19, 20)] * 3
     # The drain emptied the mailbox, so a second monitor sees nothing new.
     assert loop.monitor() == 0
-
-
-def test_monitor_dedups_resubmitted_envelopes():
-    fabric, world, loop = make_loop()
-    world.step(1)
-    (envelope,) = fabric.drain(loop._sub_id)
-    assert loop.monitor([envelope]) == 1
-    assert loop.monitor([envelope, envelope]) == 0
-    assert len(loop.knowledge.series("load.core-1", 10)) == 1
 
 
 @pytest.mark.parametrize(
@@ -113,19 +91,16 @@ def test_monitor_skips_malformed_telemetry_and_audits_it(payload):
     world.step(1)
     # The bad envelope sits between two good ones; the whole batch is read.
     assert loop.monitor() == 2
-    assert loop.knowledge.series("load.core-1", 10) == [Fraction(19, 20)] * 2
-    assert loop.knowledge.series("load.rogue", 10) == []
-    assert bad.id in loop.knowledge.seen_ids
+    assert loop.knowledge.series("core-1") == [Fraction(19, 20)] * 2
+    assert loop.knowledge.series("rogue") == []
     (audit,) = fabric.audit_log.query(ops=["monitor"])
     assert (audit.actor, audit.message_id, audit.outcome) == (
         "mapek",
         bad.id,
         "error(MalformedTelemetry)",
     )
-    # The skipped origin is not analyzed, and resubmitting it is a no-op.
+    # The skipped origin is not analyzed.
     assert [f.target for f in loop.analyze()] == ["core-1"]
-    assert loop.monitor([bad]) == 0
-    assert len(fabric.audit_log.query(ops=["monitor"])) == 1
 
 
 def test_monitor_reads_repeated_payloads_and_audits_each_malformed_envelope():
@@ -143,12 +118,11 @@ def test_monitor_reads_repeated_payloads_and_audits_each_malformed_envelope():
         fabric.publish(envelope)
     world.step(3)
     assert loop.monitor() == 4 + 3
-    series = loop.knowledge.series("load.rogue", 10)
+    series = loop.knowledge.series("rogue")
     assert series == [Fraction(1, 2), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2)]
     # One parse per distinct payload: repeats share the parsed value.
     assert series[0] is series[1] is series[3]
-    assert loop.knowledge.series("load.core-1", 10) == [Fraction(19, 20)] * 3
-    assert all(e.id in loop.knowledge.seen_ids for e in envelopes)
+    assert loop.knowledge.series("core-1") == [Fraction(19, 20)] * 3
     audits = fabric.audit_log.query(ops=["monitor"])
     assert [a.message_id for a in audits] == [envelopes[i].id for i in (1, 4, 6, 7)]
     assert {a.outcome for a in audits} == {"error(MalformedTelemetry)"}
@@ -163,25 +137,23 @@ def test_monitor_reuses_the_last_batchs_parses(monkeypatch):
     parses = []
     parse = mapek._parse_reading
     monkeypatch.setattr(mapek, "_parse_reading", lambda p: parses.append(p) or parse(p))
-    ids = iter(range(100))
 
     def monitor(*payloads):
         batch = [
-            MessageEnvelope(
-                "telemetry/core-1/load",
-                payload,
-                {"kind": KIND_DATA, "session": "telemetry", "origin-node": "core-1"},
-                id=f"e{next(ids)}",
+            fabric.envelope(
+                "telemetry/core-1/load", p, kind=KIND_DATA, session="telemetry", origin="core-1"
             )
-            for payload in payloads
+            for p in payloads
         ]
-        loop.monitor(batch)
+        for envelope in batch:
+            fabric.publish(envelope)
+        loop.monitor()
         return [e.id for e in batch]
 
     bad = monitor(b"1/2", b"bad", b"1/2")[1:2]
     bad += monitor(b"bad", b"1/2", b"3/4")[:1]
     assert parses == [b"1/2", b"bad", b"3/4"]
-    series = loop.knowledge.series("load.core-1", 10)
+    series = loop.knowledge.series("core-1")
     assert series == [Fraction(1, 2)] * 3 + [Fraction(3, 4)]
     assert series[0] is series[1] is series[2]
     assert loop._parsed.keys() == {b"bad", b"1/2", b"3/4"}
@@ -189,7 +161,7 @@ def test_monitor_reuses_the_last_batchs_parses(monkeypatch):
     assert loop._parsed.keys() == {b"5/8", b"3/4"}
     bad += monitor(b"1/2", b"bad")[1:]
     assert parses == [b"1/2", b"bad", b"3/4", b"5/8", b"1/2", b"bad"]
-    assert loop.knowledge.series("load.core-1", 1)[0] is not series[0]
+    assert loop.knowledge.series("core-1")[-1] is not series[0]
     audits = fabric.audit_log.query(ops=["monitor"])
     assert [a.message_id for a in audits] == bad
 
@@ -197,6 +169,7 @@ def test_monitor_reuses_the_last_batchs_parses(monkeypatch):
 _FOLD_ORIGINS = ("core-1", "rogue", "late")
 _FOLD_PAYLOADS = (b"19/20", b"1/2", b"3/4", b"bad", b"\xff", b"1e3", b"1/0")
 _FOLD_POOL = [(o, p) for o in _FOLD_ORIGINS for p in _FOLD_PAYLOADS]
+_FOLD_WINDOW = 4
 
 
 def _reference_reading(payload):
@@ -213,62 +186,57 @@ def _reference_reading(payload):
 
 
 _fold_batches = st.lists(
-    st.lists(st.integers(0, 2 * len(_FOLD_POOL) - 1), max_size=12), min_size=1, max_size=5
+    st.lists(st.integers(0, len(_FOLD_POOL) - 1), max_size=12), min_size=1, max_size=5
 )
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_fold_batches)
-@example([[0, 0, 3, 0], [0, 0, 3, 0]])  # repeated ids; one batch passed twice
-@example([[1, 4, 8, 11, 12], [22, 14, 15, 1, 19, 36]])  # malformed; "late" first seen mid-batch
+@example([[0, 0, 3, 0], [0, 0, 3, 0]])  # one batch's payloads published twice
+@example([[1, 4, 8, 11, 12], [8, 14, 15, 1, 19, 20]])  # malformed; "late" first seen mid-batch
+@example([[0, 1, 2, 0, 1, 2, 7, 8], [2, 1]])  # core-1 overflows its window
 def test_monitor_equals_a_reference_fold(batches):
-    """`monitor(envelopes=...)` over batches drawn from a pool of envelopes
-    (each pool entry may recur, by id, within and across batches) leaves the
-    ingested counts, series, knowledge size, analyzed origins and `monitor`
-    audit records that a per-envelope reference fold over a fresh knowledge
-    base does."""
-    fabric, world, loop = make_loop()
-    envelopes = [
-        MessageEnvelope(
-            f"telemetry/{origin}/load",
-            payload,
-            {"kind": KIND_DATA, "session": "telemetry", "origin-node": origin},
-            id=f"e{k}",
-        )
-        for k, (origin, payload) in enumerate(_FOLD_POOL * 2)
-    ]
-    reference, seen, audits, counts, origins = KnowledgeBase(), set(), [], [], set()
-    memos = []  # per batch: the payloads of the envelopes it monitored
+    """Batches of telemetry drawn from a pool of (origin, payload) pairs,
+    each published through the fabric and then monitored, leave the ingested
+    counts, parse memo, windows, knowledge size, analyzed origins and
+    `monitor` audit records that a per-envelope reference fold into each
+    origin's unbounded list does, read through the last `window` values."""
+    fabric, world, loop = make_loop(window=_FOLD_WINDOW)
+    for origin in _FOLD_ORIGINS[1:]:
+        fabric.register_node(origin)
+        fabric.create_topic(f"telemetry/{origin}/load")
+    reference: dict[str, list] = {}
+    audits = []
     for batch in batches:
+        envelopes = [
+            fabric.envelope(
+                f"telemetry/{origin}/load", payload, kind=KIND_DATA, session="telemetry",
+                origin=origin,
+            )
+            for origin, payload in (_FOLD_POOL[k] for k in batch)
+        ]
         ingested = 0
-        memos.append(set())
-        for envelope in (envelopes[k] for k in batch):
-            if envelope.id in seen:
-                continue
-            seen.add(envelope.id)
-            memos[-1].add(envelope.payload)
+        for envelope in envelopes:
+            fabric.publish(envelope)
             value = _reference_reading(envelope.payload)
             if value is None:
                 audits.append(("mapek", envelope.id, "error(MalformedTelemetry)"))
                 continue
-            origins.add(envelope.metadata["origin-node"])
-            reference.add(f"load.{envelope.metadata['origin-node']}", value)
+            reference.setdefault(envelope.metadata["origin-node"], []).append(value)
             ingested += 1
-        counts.append(ingested)
-    for batch, count, memo in zip(batches, counts, memos):
-        assert loop.monitor([envelopes[k] for k in batch]) == count
+        assert loop.monitor() == ingested
         # The memo holds this batch's payloads only.
-        assert loop._parsed.keys() == memo
+        assert loop._parsed.keys() == {e.payload for e in envelopes}
     for origin in _FOLD_ORIGINS:
-        key = f"load.{origin}"
-        assert loop.knowledge.series(key, 10**6) == reference.series(key, 10**6)
-    assert len(loop.knowledge) == len(reference)
-    assert loop.knowledge.seen_ids == seen
+        assert loop.knowledge.series(origin) == reference.get(origin, [])[-_FOLD_WINDOW:]
+    assert len(loop.knowledge) == sum(
+        min(len(values), _FOLD_WINDOW) for values in reference.values()
+    )
     monitored = fabric.audit_log.query(ops=["monitor"])
     assert [(a.actor, a.message_id, a.outcome) for a in monitored] == audits
-    if origins:
-        assert sorted(loop._loads) == sorted(origins)
-        assert {f.target for f in loop.analyze()} <= origins | {""}
+    if reference:
+        assert sorted(loop.knowledge.loads) == sorted(reference)
+        assert {f.target for f in loop.analyze()} <= reference.keys() | {""}
     else:
         with pytest.raises(InsufficientData):
             loop.analyze()
@@ -323,8 +291,7 @@ def test_windowed_mean_equals_a_fraction_sum(values, window):
     window shorter than, equal to and longer than the series, and 1."""
     for size in (window, 1):
         fabric, world, loop = make_loop(window=size)
-        for value in values:
-            loop.knowledge.add("load.core-1", value)
+        loop.knowledge.loads["core-1"] = deque(values, maxlen=size)
         series = values[-size:]
         expected = sum(series, Fraction(0)) / len(series)
         mean, samples = loop._windowed_mean("core-1")
@@ -376,9 +343,10 @@ def test_knowledge_holds_only_monitored_loads():
     telemetry = [
         e for e in fabric.journal.envelope_events() if e.topic == "telemetry/core-1/load"
     ]
-    assert len(loop.knowledge) == len(telemetry)
+    assert len(telemetry) > loop.window
+    assert len(loop.knowledge) == loop.window
     loads = [Fraction(e.detail) for e in telemetry]
-    assert loop.knowledge.series("load.core-1", len(loads)) == loads
+    assert loop.knowledge.series("core-1") == loads[-loop.window:]
 
 
 # -- plan -------------------------------------------------------------------------
