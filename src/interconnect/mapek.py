@@ -7,9 +7,9 @@ knob adjustments for congested nodes, and executes them as control envelopes.
 (strictly lower windowed mean on every touched node) is not observed after
 the settle window, it restores that snapshot, which it then drops.
 
-All arithmetic is exact: loads, thresholds, and severities are Fractions, so
-convergence counts can be checked against a symbolic oracle with no
-tolerance. Severity of a congestion finding is clamp((mean - theta) /
+All arithmetic is exact: loads, thresholds, and severities are Fractions and
+windowed means are ints, so convergence counts can be checked against a
+symbolic oracle with no tolerance. Severity of a congestion finding is clamp((mean - theta) /
 (1 - theta), 0, 1). Knowledge holds only what a stage reads: each monitored
 origin's last `window` load readings, so it stays the same size however long
 the loop runs. Plans, executions and rollbacks are recorded in the fabric's
@@ -21,8 +21,12 @@ to tick, so it keeps the last batch's parses, payload to value, and takes a
 value from them before it parses. Envelopes that repeat a payload share its
 `Fraction`. A windowed mean adds the window's numerators as ints,
 one sum per distinct denominator, and combines those few sums over their
-least common multiple, so it normalises once instead of after every add;
-the result is the same normalised `Fraction`.
+least common multiple; it stays two ints, the total over a positive
+denominator, and is never normalised. `analyze` compares it with theta, and
+`execute` the means before and after the settle, by cross-multiplying ints;
+a `Fraction` is built only for a congested finding, its severity and the
+`mean=` text of its evidence, which are the normalised values a `Fraction`
+mean would give.
 """
 
 from __future__ import annotations
@@ -104,6 +108,7 @@ class LoopReport:
 
 
 _UNPARSED = object()  # a payload `monitor` has not parsed yet
+_ONE = Fraction(1)
 
 
 def _parse_reading(payload: bytes) -> Fraction | None:
@@ -149,14 +154,14 @@ class MapeKLoop:
         window: int = 10,
         knob_step: Fraction = Fraction(9, 10),
     ):
-        if not (0 < knob_step < 1):
-            raise ValueError("knob_step must lie strictly between 0 and 1")
+        if not isinstance(knob_step, Fraction) or not 0 < knob_step < 1:
+            raise ValueError(f"knob_step must be a Fraction between 0 and 1, not {knob_step!r}")
         if window < 1:
             raise ValueError("window must be at least 1")
         self._fabric = fabric
         self._world = world
         self.window = window
-        self.knob_step = Fraction(knob_step)
+        self.knob_step = knob_step
         self.knowledge = KnowledgeBase()
         # The last `monitor` call's parses: payload -> value, None if malformed.
         self._parsed: dict[bytes, Fraction | None] = {}
@@ -211,24 +216,35 @@ class MapeKLoop:
         return ingested
 
     def analyze(self) -> list[Finding]:
-        """Windowed-mean congestion check per monitored origin."""
+        """Windowed-mean congestion check per monitored origin.
+
+        A mean `total/denominator` is congested when `total*theta_d >
+        theta_n*denominator`, for theta `theta_n/theta_d`; its severity,
+        `(mean - theta) / (1 - theta)` capped at 1, is built only then.
+        """
         if not self.knowledge.loads:
             raise InsufficientData("no monitoring data in knowledge")
+        theta_n, theta_d = self.theta.numerator, self.theta.denominator
         findings = []
         for origin in sorted(self.knowledge.loads):
             windowed = self._windowed_mean(origin)
             if windowed is None:
                 continue
-            mean, samples = windowed
-            if mean > self.theta:
-                severity = (mean - self.theta) / (1 - self.theta)
-                severity = max(Fraction(0), min(Fraction(1), severity))
+            total, denominator, samples = windowed
+            excess = total * theta_d - theta_n * denominator
+            if excess > 0:
+                scale = (theta_d - theta_n) * denominator
+                severity = _ONE if excess >= scale else Fraction(excess, scale)
                 findings.append(
                     Finding(
                         kind="congestion",
                         target=origin,
                         severity=severity,
-                        evidence=(f"load.{origin}", f"samples={samples}", f"mean={mean}"),
+                        evidence=(
+                            f"load.{origin}",
+                            f"samples={samples}",
+                            f"mean={Fraction(total, denominator)}",
+                        ),
                     )
                 )
         findings.sort(key=lambda f: (-f.severity, f.target))
@@ -262,8 +278,10 @@ class MapeKLoop:
         self._fabric.audit(AuditOp.PLAN, actor=self.actor)
         return plan
 
-    def _windowed_mean(self, origin: str) -> tuple[Fraction, int] | None:
-        """Mean of an origin's last `window` loads, and how many there were."""
+    def _windowed_mean(self, origin: str) -> tuple[int, int, int] | None:
+        """An origin's last `window` loads as `(total, denominator, samples)`,
+        or None when it has none: their mean is `total/denominator`,
+        unreduced, over a positive denominator, and `samples` counts them."""
         series = self.knowledge.series(origin)
         if not series:
             return None
@@ -275,7 +293,7 @@ class MapeKLoop:
         total = 0
         for denominator, numerator in sums.items():
             total += numerator * (common // denominator)
-        return Fraction(total, common * len(series)), len(series)
+        return total, common * len(series), len(series)
 
     def execute(self, plan: AdaptationPlan) -> ExecutionReport:
         """Apply actions as control envelopes, settle, verify, else restore the start.
@@ -306,7 +324,12 @@ class MapeKLoop:
         for action in plan.actions:
             after = self._windowed_mean(action.target)
             previous = before[action.target]
-            if previous is None or after is None or not after[0] < previous[0]:
+            # The means compared by cross-multiplying over positive denominators.
+            if (
+                previous is None
+                or after is None
+                or not after[0] * previous[1] < previous[0] * after[1]
+            ):
                 held = False
                 break
         rolled_back = False

@@ -17,9 +17,15 @@ tick is served in this tick when its model comes later in that order, and
 in the next tick when it is this model or an earlier one.
 
 All trace-visible values are integers or exact rationals rendered as
-fraction strings; there are no floats anywhere in the state. The optional
-telemetry jitter draws from the world's single seeded generator and is off
-by default.
+fraction strings; there are no floats anywhere in the state. A load's offered
+load and service rate are ints or Fractions and its service rate is positive;
+`spawn_node` and `NodeState` refuse any other load. The optional telemetry
+jitter draws from the world's single seeded generator and is off by default.
+A jittered reading is the utilization `n/d` times `(1000 + k)/1000`, with `k`
+drawn from -10..10 once per tick, worked in ints: `n*(1000 + k)` over
+`d*1000`, both divided once by their gcd and rendered as `str(Fraction)`
+renders them (`n/d`, or `n` when the denominator is 1). So a tick builds no
+`Fraction` for it.
 
 Node state is an immutable value shared between worlds (structural sharing:
 Driscoll, Sarnak, Sleator and Tarjan, "Making Data Structures Persistent",
@@ -58,6 +64,7 @@ import random
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -111,6 +118,17 @@ class LoadModel:
     queue_depth: int = 0
 
 
+def _check_load(load: LoadModel) -> None:
+    """Raise ValueError unless the load's offered load and service rate are
+    exact, an int (not a bool) or a Fraction, and its service rate is positive."""
+    for name in ("offered_load", "service_rate"):
+        value = getattr(load, name)
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise ValueError(f"{name} must be an int or a Fraction, not {value!r}")
+    if load.service_rate <= 0:
+        raise ValueError(f"service_rate must be positive, not {load.service_rate}")
+
+
 class NodeState:
     """The managed, snapshot-able part of a node: an immutable value.
 
@@ -118,7 +136,9 @@ class NodeState:
     constructor copies its arguments) and `load` is a frozen `LoadModel` or
     None; setting an attribute raises `FrozenInstanceError`. A change is a
     new node put under the id in one world's `nodes`, so worlds share every
-    node neither has written since they parted.
+    node neither has written since they parted. The constructor raises
+    ValueError for a load that is not exact or has no positive service rate
+    (see `_check_load`).
     """
 
     __slots__ = ("knobs", "knob_ranges", "load", "_texts")
@@ -129,6 +149,8 @@ class NodeState:
         knob_ranges: Mapping[str, tuple[Fraction, Fraction]] | None = None,
         load: LoadModel | None = None,
     ) -> NodeState:
+        if load is not None:
+            _check_load(load)
         knobs, knob_ranges = dict(knobs or {}), dict(knob_ranges or {})
         return _node(MappingProxyType(knobs), MappingProxyType(knob_ranges), load)
 
@@ -343,9 +365,11 @@ class SimWorld:
         The id must be one topic segment (see `Fabric.create_topic`) other
         than `total`, whose metric keys would collide with the world total
         in `WorldState.metrics()`. Raises DuplicateNode for an id already
-        spawned, ValueError for a bad one, and ModelAlreadyHosted for a model
-        another node hosts or `hosted_models` names twice (see
-        `Fabric.host_model`), before anything is added.
+        spawned, ValueError for a bad one or for a load whose offered load or
+        service rate is not an int or a Fraction or whose service rate is not
+        positive, and ModelAlreadyHosted for a model another node hosts or
+        `hosted_models` names twice (see `Fabric.host_model`), before
+        anything is added.
         """
         if node_id in self._runtimes:
             raise DuplicateNode(f"node {node_id!r} already exists")
@@ -353,6 +377,8 @@ class SimWorld:
             raise ValueError(f"node id {TOTAL!r} is reserved for the world total")
         if "/" in node_id:
             raise ValueError(f"node id {node_id!r} must be a single topic segment")
+        if load is not None:
+            _check_load(load)
         named: set[str] = set()
         for model_id in hosted_models:
             host = node_id if model_id in named else self.fabric.model_host(model_id)
@@ -456,8 +482,12 @@ class SimWorld:
             runtime.reading = (inputs, value, text, text.encode("utf-8"))
         _, value, text, payload = runtime.reading
         if runtime.jitter:
-            value *= 1 + Fraction(self.rng.randint(-10, 10), 1000)
-            text = str(value)
+            numerator = value.numerator * (1000 + self.rng.randint(-10, 10))
+            denominator = value.denominator * 1000
+            divisor = gcd(numerator, denominator)
+            numerator //= divisor
+            denominator //= divisor
+            text = f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
             payload = text.encode("utf-8")
         send = runtime.send
         if send is None:

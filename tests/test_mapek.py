@@ -286,16 +286,88 @@ _fractions = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(_fractions, min_size=1, max_size=25), st.integers(1, 30))
 def test_windowed_mean_equals_a_fraction_sum(values, window):
-    """The per-denominator mean equals `sum(series, Fraction(0)) / len`, by
-    value and by its text, over mixed and repeated denominators, for a
-    window shorter than, equal to and longer than the series, and 1."""
+    """The per-denominator mean `total/denominator` equals
+    `sum(series, Fraction(0)) / len`, by value and by its text, over a
+    positive denominator, over mixed and repeated denominators, for a window
+    shorter than, equal to and longer than the series, and 1."""
     for size in (window, 1):
         fabric, world, loop = make_loop(window=size)
         loop.knowledge.loads["core-1"] = deque(values, maxlen=size)
         series = values[-size:]
         expected = sum(series, Fraction(0)) / len(series)
-        mean, samples = loop._windowed_mean("core-1")
+        total, denominator, samples = loop._windowed_mean("core-1")
+        mean = Fraction(total, denominator)
+        assert denominator > 0
         assert (mean, str(mean), samples) == (expected, str(expected), len(series))
+
+
+_ORIGINS = ("cell-0", "cell-1", "cell-2")
+_loads = st.one_of(
+    st.fractions(min_value=0, max_value=2, max_denominator=1000),
+    st.builds(Fraction, st.integers(0, 2000), st.sampled_from((1, 4, 5, 20, 1000, 3000))),
+)
+_windows = st.dictionaries(
+    st.sampled_from(_ORIGINS), st.lists(_loads, max_size=12), min_size=1
+)
+
+
+def _reference_mean(series):
+    return sum(series, Fraction(0)) / len(series) if series else None
+
+
+def _reference_findings(windows, theta):
+    """What analyze reports, worked in `Fraction` arithmetic."""
+    findings = []
+    for origin in sorted(windows):
+        mean = _reference_mean(windows[origin])
+        if mean is not None and mean > theta:
+            severity = max(Fraction(0), min(Fraction(1), (mean - theta) / (1 - theta)))
+            evidence = (f"load.{origin}", f"samples={len(windows[origin])}", f"mean={mean}")
+            findings.append(Finding("congestion", origin, severity, evidence))
+    findings.sort(key=lambda f: (-f.severity, f.target))
+    return findings or [Finding(kind="none", target="", severity=Fraction(0))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_windows, _windows, st.integers(1, 12))
+@example({"cell-0": [Fraction(4, 5)]}, {"cell-0": [Fraction(3, 4)]}, 10)  # mean at theta
+@example({"cell-0": [Fraction(2), Fraction(1)]}, {"cell-0": [Fraction(2)]}, 10)  # capped at 1
+@example({"cell-0": [Fraction(17, 20)]}, {"cell-0": [Fraction(4, 5)]}, 1)  # one-sample window
+def test_analyze_and_execute_equal_a_fraction_reference(before, after, window):
+    """analyze's findings (kind, target, severity, evidence) and execute's
+    verdict equal a reference worked in `Fraction` arithmetic over the same
+    windows: the windows knowledge holds before, and after, the settle."""
+    fabric = Fabric()
+    world = SimWorld(fabric, seed=0)
+    loop = MapeKLoop(fabric, world, window=window)
+    for origin in _ORIGINS:
+        world.spawn_node(origin, NodeKind.RIC, knobs={"admission-rate": Fraction(1)})
+
+    def install(windows):
+        loop.knowledge.loads = {o: deque(v, maxlen=window) for o, v in windows.items()}
+        return {o: v[-window:] for o, v in windows.items()}
+
+    before = install(before)
+    findings = loop.analyze()
+    expected = _reference_findings(before, MapeKLoop.theta)
+    assert findings == expected
+    assert repr(findings) == repr(expected)  # each severity a Fraction, as in the reference
+    targets = sorted(before)
+    plan = AdaptationPlan(
+        "adapt-1",
+        tuple(ManagedAction(t, "admission-rate", Fraction(1, 2)) for t in targets),
+        "",
+    )
+    settled = {}
+    loop.monitor = lambda: settled.update(install(after))
+    report = loop.execute(plan)
+    held = all(
+        _reference_mean(before[t]) is not None
+        and _reference_mean(settled.get(t, [])) is not None
+        and _reference_mean(settled[t]) < _reference_mean(before[t])
+        for t in targets
+    )
+    assert (report.effect_held, report.rolled_back) == (held, not held)
 
 
 def test_analyze_mean_at_threshold_is_healthy():
@@ -539,6 +611,17 @@ def test_knob_step_must_contract():
     world = SimWorld(fabric)
     with pytest.raises(ValueError):
         MapeKLoop(fabric, world, knob_step=Fraction(3, 2))
+
+
+def test_knob_step_must_be_an_exact_fraction():
+    # A float 0.9 once became 8106479329266893/9007199254740992, journaled in
+    # the first control payload, its denominator doubling in digits with
+    # every adaptation. It is refused before the loop registers or subscribes.
+    fabric = Fabric()
+    world = SimWorld(fabric)
+    with pytest.raises(ValueError, match="knob_step"):
+        MapeKLoop(fabric, world, knob_step=0.9)
+    assert len(fabric.journal.events) == 0 and "mapek" not in fabric._nodes
 
 
 @pytest.mark.parametrize("window", [0, -1])

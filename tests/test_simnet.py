@@ -79,6 +79,51 @@ def test_spawn_rejects_a_bad_node_id_before_adding_anything(node_id):
     assert sorted(metrics) == ["throughput.ran-1", "throughput.total", "utilization.ran-1"]
 
 
+_BAD_LOADS = [
+    pytest.param(LoadModel(0.5), id="float-load"),
+    pytest.param(LoadModel(True), id="bool-load"),
+    pytest.param(LoadModel("1/2"), id="str-load"),
+    pytest.param(LoadModel(Fraction(1, 2), service_rate=0.5), id="float-rate"),
+    pytest.param(LoadModel(Fraction(1, 2), service_rate=True), id="bool-rate"),
+    pytest.param(LoadModel(Fraction(1, 2), service_rate=Fraction(0)), id="zero-rate"),
+    pytest.param(LoadModel(Fraction(1, 2), service_rate=-1), id="negative-rate"),
+]
+
+
+@pytest.mark.parametrize("load", _BAD_LOADS)
+def test_spawn_rejects_an_inexact_or_zero_rate_load_before_adding_anything(load):
+    # A float load once sent `b'0.497'` when jittered, and a zero service
+    # rate raised ZeroDivisionError mid-tick, after an earlier node's
+    # telemetry was delivered and journaled.
+    world = make_world()
+    loaded_node(world, "cell-0", offered="1/2")
+    before = (world.node_ids(), world.fabric.topics(), len(world.fabric.journal.events))
+    with pytest.raises(ValueError):
+        world.spawn_node("cell-1", NodeKind.UE_GEN, load=load, jitter=True)
+    assert (world.node_ids(), world.fabric.topics(), len(world.fabric.journal.events)) == before
+    assert "cell-1" not in world.state.nodes
+    world.step(1)
+    loaded_node(world, "cell-1", offered="1/4")
+    world.step(1)
+
+
+@pytest.mark.parametrize("load", _BAD_LOADS)
+def test_node_state_rejects_an_inexact_or_zero_rate_load(load):
+    with pytest.raises(ValueError):
+        NodeState(load=load)
+
+
+def test_an_int_load_is_exact():
+    world = make_world()
+    world.spawn_node("cell-1", NodeKind.UE_GEN, load=LoadModel(1, service_rate=2), jitter=True)
+    assert NodeState(load=LoadModel(0, service_rate=1)).load == LoadModel(0, 1)
+    sub_id = watch_telemetry(world, "cell-1")
+    world.step(1)
+    mirror = random.Random(0)
+    expected = Fraction(1, 2) * (1 + Fraction(mirror.randint(-10, 10), 1000))
+    assert [s.payload.decode() for s in world.fabric.drain(sub_id)] == [str(expected)]
+
+
 def test_spawn_wires_control_and_telemetry_topics():
     world = make_world()
     loaded_node(world, "cell-1")
@@ -217,7 +262,19 @@ def test_telemetry_envelope_equals_the_keyword_built_one(jitter):
 
 
 _ORACLE_NODES = ("n0", "n1", "n2")  # n2 declares no admission knob
-_exact = st.fractions(min_value=0, max_value=2, max_denominator=12)
+_exact = st.one_of(
+    st.fractions(min_value=0, max_value=2, max_denominator=12),
+    # numerators and denominators of 26 to 39 digits, as after many
+    # adaptations at 19/20
+    st.builds(lambda k: Fraction(19, 20) ** k, st.integers(20, 30)),
+    # denominators that share factors with the jitter's 1000
+    st.builds(
+        Fraction,
+        st.integers(0, 3000),
+        st.sampled_from((8, 16, 25, 125, 250, 400, 1000, 2000, 3000, 10**6)),
+    ),
+    st.just(Fraction(0)),
+)
 _write = st.one_of(
     st.tuples(st.just("control"), st.sampled_from(_ORACLE_NODES), _exact),
     st.tuples(
@@ -237,6 +294,16 @@ _write = st.one_of(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.tuples(st.booleans(), st.booleans(), st.booleans()), st.lists(_write, max_size=25))
+@example(
+    (True, True, True),
+    [
+        ("offered", "n0", Fraction(0)),  # a zero reading
+        ("control", "n1", Fraction(19, 20) ** 24),  # a 31-digit numerator
+        ("offered", "n2", Fraction(7, 1000)),  # the jitter's own denominator
+        ("service", "n2", Fraction(5, 8)),
+        ("step", 3),
+    ],
+)
 def test_telemetry_is_a_fresh_reading_after_any_write(jitters, writes):
     """After every step, each payload (and its detail) is str() of the
     node's utilization computed afresh, times the jitter factor a mirror of
