@@ -9,8 +9,10 @@ planner so that identical intents under the same seed produce equal plans.
 Tool tasks run through the deployment guard. The planner emits the task's
 knob program, and the broker looks it up by its structural hash in one
 catalog of accepted programs. A miss is a synthesis: the program enters the
-catalog only if its sandbox run is accepted. Every invocation makes exactly
-one sandbox run, whose metric deltas are the task's output.
+catalog only if its sandbox run is accepted. A hit sandboxes the catalogued
+`GuardedProgram`, which carries its parse, so the emitted text is parsed
+only for its hash. Every invocation makes exactly one sandbox run, whose
+metric deltas are the task's output.
 """
 
 from __future__ import annotations

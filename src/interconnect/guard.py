@@ -2,8 +2,9 @@
 
 Programs arrive in a deliberately tiny DSL (one instruction per line, `#`
 comments; see docs/dsl.md) so they can be interpreted under a budget instead
-of executed as code. Three mechanisms gate the path from generated text to a
-live configuration change:
+of executed as code. A `GuardedProgram` parses its source once, at
+construction, and every gate reads that parse. Three mechanisms gate the path
+from generated text to a live configuration change:
 
 * sandbox runs interpret the program against a disposable copy of the world
   and check named invariants; the live state is never touched. Metric deltas
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import (
     DeployWithoutVerdict,
@@ -41,7 +42,7 @@ from .errors import (
     UnknownTicket,
 )
 from .fabric import _SEGMENT_RE, KIND_PROMPT, AuditOp, Fabric, check_journaled
-from .simnet import SimWorld, WorldState
+from .simnet import SimWorld, WorldState, parse_exact
 
 DEFAULT_INSTRUCTION_BUDGET = 10_000
 
@@ -74,8 +75,9 @@ class Instruction:
         return " ".join(parts)
 
 
-def parse_program(source: str) -> list[Instruction]:
-    """Parse DSL text; identifiers are case-folded for structural stability."""
+def parse_program(source: str) -> tuple[Instruction, ...]:
+    """Parse DSL text; identifiers are case-folded for structural stability
+    and values are read by `parse_exact`."""
     instructions = []
     for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -102,13 +104,35 @@ def parse_program(source: str) -> list[Instruction]:
         values = []
         for tok in tokens[1 + n_idents :]:
             try:
-                values.append(Fraction(tok))
-            except (ValueError, ZeroDivisionError):
+                values.append(parse_exact(tok))
+            except ValueError:
                 raise ProgramSyntaxError(
                     "ParseError", f"line {line_no}: bad value {tok!r}"
                 )
         instructions.append(Instruction(op, idents, tuple(values)))
-    return instructions
+    return tuple(instructions)
+
+
+class _Unparsed(NamedTuple):
+    """Why a source does not parse: its ProgramSyntaxError's kind and message."""
+
+    kind: str
+    message: str
+
+
+def _parse(source: str) -> tuple[Instruction, ...] | _Unparsed:
+    try:
+        return parse_program(source)
+    except ProgramSyntaxError as exc:
+        return _Unparsed(exc.kind, str(exc))
+
+
+def _hash_parsed(parsed: tuple[Instruction, ...] | _Unparsed, source: str) -> str:
+    if type(parsed) is _Unparsed:
+        canonical = f"!{parsed.kind}\n{source}"
+    else:
+        canonical = "\n".join(i.render() for i in parsed)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def structural_hash(source: str) -> str:
@@ -117,14 +141,10 @@ def structural_hash(source: str) -> str:
     Formatting, comments, and identifier case never affect the hash; programs
     that do not parse hash by their failure kind plus raw text.
     """
-    try:
-        canonical = "\n".join(i.render() for i in parse_program(source))
-    except ProgramSyntaxError as exc:
-        canonical = f"!{exc.kind}\n{source}"
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _hash_parsed(_parse(source), source)
 
 
-def _written_nodes(instructions: list[Instruction]) -> set[str]:
+def _written_nodes(instructions: tuple[Instruction, ...]) -> set[str]:
     """Nodes a program writes: reroute writes both idents, the rest the first."""
     written = set()
     for ins in instructions:
@@ -132,7 +152,7 @@ def _written_nodes(instructions: list[Instruction]) -> set[str]:
     return written
 
 
-def _execute(instructions: list[Instruction], state: WorldState, budget: int) -> None:
+def _execute(instructions: tuple[Instruction, ...], state: WorldState, budget: int) -> None:
     executed = 0
     for ins in instructions:
         executed += 1
@@ -156,12 +176,27 @@ def _execute(instructions: list[Instruction], state: WorldState, budget: int) ->
 
 @dataclass(frozen=True)
 class GuardedProgram:
-    """A candidate change expressed in the restricted DSL."""
+    """A candidate change expressed in the restricted DSL.
+
+    The source is parsed once, at construction: `parsed` holds the
+    instruction tuple, or the `(kind, message)` of the ProgramSyntaxError the
+    parse raised, and the sandbox, deploy and consensus read it. It takes no
+    part in equality, hashing or repr. A source that is not a `str` raises
+    InvalidMetadata before any parse.
+    """
 
     program_id: str
     source: str
     declared_effects: tuple[str, ...]
     author: str
+    parsed: tuple[Instruction, ...] | _Unparsed = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.source, str):
+            raise InvalidMetadata(
+                f"program source must be a str, not {type(self.source).__name__}"
+            )
+        object.__setattr__(self, "parsed", _parse(self.source))
 
 
 def _check_candidate(program: GuardedProgram) -> None:
@@ -383,7 +418,7 @@ class Guard:
         self.policy = policy
         self.instruction_budget = instruction_budget
         # program id -> the parsed program an Accepted run judged, until deployed
-        self._verdicts: dict[str, list[Instruction]] = {}
+        self._verdicts: dict[str, tuple[Instruction, ...]] = {}
         # deployment id -> (its record, the world before it), while Applied
         self._applied: dict[str, tuple[DeploymentRecord, WorldState]] = {}
         # the node ids of the last accepted run's world, and its all-zero deltas
@@ -440,12 +475,10 @@ class Guard:
             check_journaled("invariant name", invariant.name)
         base = model if model is not None else self._world.state
         work = base.clone()
-        instructions: list[Instruction] | None = None
+        instructions = program.parsed
         reason: str | None = None
-        try:
-            instructions = parse_program(program.source)
-        except ProgramSyntaxError as exc:
-            reason = exc.kind
+        if type(instructions) is _Unparsed:
+            reason = instructions.kind
         else:
             written = sorted(_written_nodes(instructions) & work.nodes.keys())
             before = [(work.utilization(n), work.throughput(n)) for n in written]
@@ -510,7 +543,7 @@ class Guard:
     def deploy(self, program: GuardedProgram, target: str) -> DeploymentRecord:
         """Apply an Accepted program to the live world, snapshotting first.
 
-        The source must parse to the instructions its verdict judged;
+        The program's parse must equal the instructions its verdict judged;
         formatting, comments and identifier case may differ. Only a success
         uses the verdict up: a redeploy, even after rollback, needs a fresh
         sandbox run. The target is journaled as the deploy's audit actor, so
@@ -523,11 +556,8 @@ class Guard:
             raise DeployWithoutVerdict(
                 f"no Accepted sandbox verdict recorded for {program.program_id!r}"
             )
-        try:
-            instructions = parse_program(program.source)
-        except ProgramSyntaxError:
-            instructions = None
-        if instructions != judged:
+        instructions = program.parsed
+        if instructions is not judged and instructions != judged:
             raise DeployWithoutVerdict(
                 f"{program.program_id!r} differs from the program its verdict judged"
             )
@@ -576,7 +606,7 @@ class Guard:
             raise ValueError("consensus needs at least two candidate programs")
         for program in outputs:
             _check_candidate(program)
-        hashes = [structural_hash(p.source) for p in outputs]
+        hashes = [_hash_parsed(p.parsed, p.source) for p in outputs]
         counts: dict[str, int] = {}
         for h in hashes:
             counts[h] = counts.get(h, 0) + 1

@@ -17,15 +17,17 @@ tick is served in this tick when its model comes later in that order, and
 in the next tick when it is this model or an earlier one.
 
 All trace-visible values are integers or exact rationals rendered as
-fraction strings; there are no floats anywhere in the state. A load's offered
-load and service rate are ints or Fractions and its service rate is positive;
-`spawn_node` and `NodeState` refuse any other load. The optional telemetry
-jitter draws from the world's single seeded generator and is off by default.
-A jittered reading is the utilization `n/d` times `(1000 + k)/1000`, with `k`
-drawn from -10..10 once per tick, worked in ints: `n*(1000 + k)` over
-`d*1000`, both divided once by their gcd and rendered as `str(Fraction)`
-renders them (`n/d`, or `n` when the denominator is 1). So a tick builds no
-`Fraction` for it.
+fraction strings; there are no floats anywhere in the state. A knob is a
+Fraction (an int knob is stored as one), a load's offered load and service
+rate are ints or Fractions and its service rate is positive; `spawn_node` and
+`NodeState` refuse any other knob or load. `parse_exact` reads an exact
+value's text, with no exponent and a bounded digit count; the guard's DSL
+parses its values with it. The optional telemetry jitter draws from the
+world's single seeded generator and is off by default. A jittered reading is
+the utilization `n/d` times `(1000 + k)/1000`, with `k` drawn from -10..10
+once per tick, worked in ints: `n*(1000 + k)` over `d*1000`, both divided
+once by their gcd and rendered as `str(Fraction)` renders them (`n/d`, or
+`n` when the denominator is 1). So a tick builds no `Fraction` for it.
 
 Node state is an immutable value shared between worlds (structural sharing:
 Driscoll, Sarnak, Sleator and Tarjan, "Making Data Structures Persistent",
@@ -61,6 +63,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -97,6 +100,39 @@ DEFAULT_KNOB_RANGES: dict[str, tuple[Fraction, Fraction]] = {
     "probe-rate": (_ZERO, _ONE),
 }
 
+# The most digits one part of an exact value's text may have.
+EXACT_DIGITS = 64
+_EXACT_TEXT = re.compile(
+    rf"([+-]?)(\d{{1,{EXACT_DIGITS}}})(?:/(\d{{1,{EXACT_DIGITS}}})|\.(\d{{1,{EXACT_DIGITS}}}))?",
+    re.ASCII,
+)
+
+
+def parse_exact(text: str) -> Fraction:
+    """The exact value `text` writes: an optional sign, then an integer
+    (`3`), a fraction (`9/10`) or a plain decimal (`0.25`), each part of at
+    most EXACT_DIGITS ASCII digits. Built from ints, so the cost is bounded
+    by the text's length; where it accepts, it equals `Fraction(text)`.
+
+    Raises ValueError for anything else, an exponent, whitespace or a zero
+    denominator included.
+    """
+    match = _EXACT_TEXT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not an exact value: {text!r}")
+    sign, whole, over, decimals = match.groups()
+    numerator = int(whole + decimals) if decimals is not None else int(whole)
+    if sign == "-":
+        numerator = -numerator
+    if over is not None:
+        denominator = int(over)
+        if not denominator:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(numerator, denominator)
+    if decimals is not None:
+        return Fraction(numerator, 10 ** len(decimals))
+    return Fraction(numerator)
+
 
 class NodeKind(str, Enum):
     NWDAF = "nwdaf"
@@ -129,6 +165,19 @@ def _check_load(load: LoadModel) -> None:
         raise ValueError(f"service_rate must be positive, not {load.service_rate}")
 
 
+def _exact_knobs(knobs: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    """A copy of `knobs` with every value a Fraction; raises ValueError for a
+    value that is not an int (a bool does not count) or a Fraction."""
+    exact = {}
+    for knob, value in knobs.items():
+        if type(value) is not Fraction:
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise ValueError(f"knob {knob!r} must be an int or a Fraction, not {value!r}")
+            value = Fraction(value)
+        exact[knob] = value
+    return exact
+
+
 class NodeState:
     """The managed, snapshot-able part of a node: an immutable value.
 
@@ -136,9 +185,10 @@ class NodeState:
     constructor copies its arguments) and `load` is a frozen `LoadModel` or
     None; setting an attribute raises `FrozenInstanceError`. A change is a
     new node put under the id in one world's `nodes`, so worlds share every
-    node neither has written since they parted. The constructor raises
-    ValueError for a load that is not exact or has no positive service rate
-    (see `_check_load`).
+    node neither has written since they parted. The constructor stores an int
+    knob as a Fraction and raises ValueError for a knob that is neither (see
+    `_exact_knobs`), or for a load that is not exact or has no positive
+    service rate (see `_check_load`).
     """
 
     __slots__ = ("knobs", "knob_ranges", "load", "_texts")
@@ -151,7 +201,7 @@ class NodeState:
     ) -> NodeState:
         if load is not None:
             _check_load(load)
-        knobs, knob_ranges = dict(knobs or {}), dict(knob_ranges or {})
+        knobs, knob_ranges = _exact_knobs(knobs or {}), dict(knob_ranges or {})
         return _node(MappingProxyType(knobs), MappingProxyType(knob_ranges), load)
 
     def __reduce__(self) -> tuple:  # so that copy, deepcopy and pickle rebuild the node
@@ -364,10 +414,12 @@ class SimWorld:
 
         The id must be one topic segment (see `Fabric.create_topic`) other
         than `total`, whose metric keys would collide with the world total
-        in `WorldState.metrics()`. Raises DuplicateNode for an id already
-        spawned, ValueError for a bad one or for a load whose offered load or
-        service rate is not an int or a Fraction or whose service rate is not
-        positive, and ModelAlreadyHosted for a model another node hosts or
+        in `WorldState.metrics()`. An int knob is stored as a Fraction.
+        Raises DuplicateNode for an id already spawned, ValueError for a bad
+        one, for a knob that is not an int (a bool does not count) or a
+        Fraction, or for a load whose offered load or service rate is not an
+        int or a Fraction or whose service rate is not positive, and
+        ModelAlreadyHosted for a model another node hosts or
         `hosted_models` names twice (see `Fabric.host_model`), before
         anything is added.
         """
@@ -379,6 +431,7 @@ class SimWorld:
             raise ValueError(f"node id {node_id!r} must be a single topic segment")
         if load is not None:
             _check_load(load)
+        knobs = _exact_knobs(knobs or {})
         named: set[str] = set()
         for model_id in hosted_models:
             host = node_id if model_id in named else self.fabric.model_host(model_id)
@@ -391,8 +444,8 @@ class SimWorld:
         if knob_ranges:
             ranges.update(knob_ranges)
         node_state = _node(
-            MappingProxyType({k: Fraction(v) for k, v in (knobs or {}).items()}),
-            MappingProxyType({k: ranges[k] for k in (knobs or {}) if k in ranges}),
+            MappingProxyType(knobs),
+            MappingProxyType({k: ranges[k] for k in knobs if k in ranges}),
             load,
         )
         runtime = _NodeRuntime(node_id=node_id, kind=kind, jitter=jitter)

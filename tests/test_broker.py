@@ -17,6 +17,7 @@ from interconnect.broker import (
 )
 from interconnect.errors import NoEligibleModel, PlanningFailed, TaskFailed
 from interconnect.fabric import Fabric, Selector, Subscription, SubscriptionKind
+import interconnect.guard as guard_module
 from interconnect.guard import Guard, structural_hash
 from interconnect.registry import ModelRegistry, parse_descriptor
 from interconnect.simnet import LoadModel, NodeKind, SimWorld
@@ -417,6 +418,20 @@ def test_execute_plan_reuses_cataloged_tool_by_program_hash():
     assert list(broker.catalog.values()) == [program]
     assert second.final_payload == first.final_payload
     assert len(insights(fabric)) == 1
+
+
+def test_a_catalog_hit_parses_the_emitted_program_once(monkeypatch):
+    # The hash lookup parses the emitted text; the hit sandboxes the
+    # catalogued program, which carries its parse.
+    fabric, world, guard, broker = guarded_stack()
+    run_tool(broker, tool_task())
+    calls = []
+    real = guard_module.parse_program
+    monkeypatch.setattr(
+        guard_module, "parse_program", lambda source: calls.append(source) or real(source)
+    )
+    assert run_tool(broker, tool_task(signature="other-purpose")).status == "Completed"
+    assert calls == [broker.planner.emit_tool_program("ran-1", "other-purpose")]
 
 
 def test_execute_plan_runs_cataloged_tools():

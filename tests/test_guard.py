@@ -37,6 +37,7 @@ from interconnect.guard import (
     structural_hash,
 )
 import interconnect
+import interconnect.guard as guard_module
 from interconnect.simnet import LoadModel, NodeKind, NodeState, SimWorld, WorldState
 from interconnect.trace import parse_trace
 
@@ -99,6 +100,10 @@ def test_parse_rejects_unknown_instruction():
         "set RAN_1! admission-rate 1/2",
         "set ran-1 admission-rate one-half",
         "set ran-1 admission-rate 1/0",
+        "set ran-1 admission-rate 1e-3",
+        "set ran-1 admission-rate .5",
+        "set ran-1 admission-rate 1_000",
+        "set ran-1 admission-rate " + "1" * 65,
     ],
 )
 def test_parse_rejects_malformed_lines(source):
@@ -570,6 +575,90 @@ def test_deploy_rejects_a_source_other_than_the_one_sandboxed():
     record = guard.deploy(program("# reformatted\nSET Ran-1 Rate-Limit 100/2"), "ran-1")
     assert record.status == "Applied"
     assert world.state.get_knob("ran-1", "rate-limit") == Fraction(50)
+
+
+# -- one parse per program ---------------------------------------------------------
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The sources `parse_program` is called on from here on, in order."""
+    calls = []
+    real = guard_module.parse_program
+
+    def counted(source):
+        calls.append(source)
+        return real(source)
+
+    monkeypatch.setattr(guard_module, "parse_program", counted)
+    return calls
+
+
+@pytest.mark.parametrize("factor, accepted", [("9/10", True), ("0", False)])
+def test_a_codegen_op_parses_each_candidate_once(parse_calls, factor, accepted):
+    # Three candidates, consensus, sandbox, and for an accepted program
+    # deploy and rollback: the three constructions are the only parses.
+    fabric, world, guard = make_rig()
+    template = f"limit ran-1 admission-rate 0 1\nscale ran-1 admission-rate {factor}"
+    candidates = [
+        program(template, "cg-a", "planner-0"),
+        program("# reformatted\n" + template.upper(), "cg-b", "planner-1"),
+        program("set ran-1 admission-rate 1/2", "cg-c", "planner-2"),
+    ]
+    assert parse_calls == [p.source for p in candidates]
+    consensus = guard.consensus_check(candidates)
+    assert consensus.chosen is candidates[0]
+    invariant = knob_within("ran-1", "admission-rate", Fraction(1, 10), Fraction(1))
+    verdict = guard.sandbox_run(consensus.chosen, [invariant])
+    assert verdict.accepted is accepted
+    if accepted:
+        record = guard.deploy(consensus.chosen, "ran-1")
+        guard.rollback(record.deployment_id)
+    assert len(parse_calls) == 3
+
+
+def test_deploy_reads_the_parse_and_refuses_another_source_under_the_judged_id(parse_calls):
+    fabric, world, guard = make_rig()
+    judged = program("set ran-1 rate-limit 50")
+    assert guard.sandbox_run(judged).accepted
+    swapped = program("set ran-1 rate-limit 60")
+    assert swapped.program_id == judged.program_id
+    with pytest.raises(DeployWithoutVerdict):
+        guard.deploy(swapped, "ran-1")
+    assert guard.deploy(judged, "ran-1").status == "Applied"
+    assert parse_calls == [judged.source, swapped.source]
+
+
+def test_the_parse_takes_no_part_in_equality_hash_or_repr():
+    a, b = program("set ran-1 rate-limit 50"), program("set ran-1 rate-limit 50")
+    assert a.parsed == b.parsed and a.parsed is not b.parsed
+    assert a == b and hash(a) == hash(b)
+    assert "parsed" not in repr(a)
+    kind, message = dataclasses.replace(a, source="boost").parsed
+    assert (kind, message) == ("IllegalInstruction", "line 1: unknown instruction 'boost'")
+    with pytest.raises(TypeError):
+        GuardedProgram("p", "set ran-1 rate-limit 50", (), "planner-0", parsed=())
+
+
+@pytest.mark.parametrize("source", [None, b"set ran-1 rate-limit 50", 50])
+def test_a_source_that_is_not_a_str_is_refused_before_any_parse(parse_calls, source):
+    with pytest.raises(InvalidMetadata, match="source"):
+        GuardedProgram("prog-1", source, (), "planner-0")
+    assert parse_calls == []
+
+
+def test_an_exponent_value_is_a_parse_error_and_never_reaches_live_state():
+    # `1e-5000` lies in the knob's range, but its denominator has 16,610
+    # bits: accepted, its deploy wrote the live knob and then raised from
+    # `config_hash`, with no deployment record to roll back.
+    fabric, world, guard = make_rig()
+    before = world.config_hash()
+    verdict = guard.sandbox_run(program("set ran-1 admission-rate 1e-5000"))
+    assert (verdict.accepted, verdict.reason) == (False, "ParseError")
+    with pytest.raises(DeployWithoutVerdict):
+        guard.deploy(program("set ran-1 admission-rate 1e-5000"), "ran-1")
+    assert world.config_hash() == before
+    assert fabric.audit_log.query(ops=["execute"]) == []
 
 
 def with_tilt(state):

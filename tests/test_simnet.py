@@ -7,6 +7,7 @@ import json
 import pickle
 import random
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,15 @@ from interconnect.errors import DuplicateNode, ModelAlreadyHosted, UnknownTopic
 from interconnect.fabric import Fabric, Selector, Subscription, TokenState
 from interconnect.guard import Guard, GuardedProgram, NamedInvariant
 from interconnect.registry import ModelRegistry, parse_descriptor
-from interconnect.simnet import LoadModel, NodeKind, NodeState, SimWorld, WorldState
+from interconnect.simnet import (
+    EXACT_DIGITS,
+    LoadModel,
+    NodeKind,
+    NodeState,
+    SimWorld,
+    WorldState,
+    parse_exact,
+)
 from interconnect.trace import AuditOp
 
 
@@ -122,6 +131,75 @@ def test_an_int_load_is_exact():
     mirror = random.Random(0)
     expected = Fraction(1, 2) * (1 + Fraction(mirror.randint(-10, 10), 1000))
     assert [s.payload.decode() for s in world.fabric.drain(sub_id)] == [str(expected)]
+
+
+_BAD_KNOBS = [
+    pytest.param(0.9, id="float"),
+    pytest.param(True, id="bool"),
+    pytest.param("1/2", id="str"),
+    pytest.param(Decimal("0.5"), id="decimal"),
+    pytest.param(None, id="none"),
+]
+
+
+@pytest.mark.parametrize("value", _BAD_KNOBS)
+def test_spawn_and_node_state_reject_an_inexact_knob_before_adding_anything(value):
+    # A float knob was once stored as its 53-bit binary fraction.
+    world = make_world()
+    before = (world.node_ids(), world.fabric.topics(), len(world.fabric.journal.events))
+    with pytest.raises(ValueError, match="admission-rate"):
+        world.spawn_node("cell-1", NodeKind.RIC, knobs={"admission-rate": value})
+    assert (world.node_ids(), world.fabric.topics(), len(world.fabric.journal.events)) == before
+    assert "cell-1" not in world.state.nodes
+    with pytest.raises(ValueError, match="admission-rate"):
+        NodeState({"admission-rate": value})
+
+
+def test_an_int_knob_is_stored_as_a_fraction():
+    # An int knob once made utilization the float 0.5.
+    state = WorldState()
+    state.nodes["cell-1"] = NodeState({"admission-rate": 1}, {}, LoadModel(1, 2))
+    assert type(state.nodes["cell-1"].knobs["admission-rate"]) is Fraction
+    assert type(state.utilization("cell-1")) is Fraction
+    assert state.utilization("cell-1") == Fraction(1, 2)
+    world = make_world()
+    world.spawn_node("cell-1", NodeKind.RIC, knobs={"admission-rate": 1}, load=LoadModel(1, 2))
+    assert type(world.state.get_knob("cell-1", "admission-rate")) is Fraction
+    assert type(world.state.utilization("cell-1")) is Fraction
+
+
+# -- exact value text --------------------------------------------------------------
+
+
+_VALUE_SHAPED = st.from_regex(r"\A[+-]?[0-9]{1,70}(/[0-9]{1,70}|\.[0-9]{1,70})?\Z")
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="0123456789+-./eE_ \u0661", max_size=12),
+        _VALUE_SHAPED,
+    )
+)
+@example("1e-5000")
+@example("1/0")
+@example("1" * 65)
+def test_parse_exact_rejects_a_text_or_reads_what_fraction_reads(text):
+    try:
+        value = parse_exact(text)
+    except ValueError:
+        return
+    assert type(value) is Fraction
+    assert value == Fraction(text)
+    # Every accepted text is bounded: a sign and two parts of EXACT_DIGITS.
+    assert len(text) <= 2 + 2 * EXACT_DIGITS
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.fractions(min_value=-(10**20), max_value=10**20, max_denominator=10**20))
+def test_parse_exact_reads_what_str_fraction_writes(value):
+    assert parse_exact(str(value)) == value
 
 
 def test_spawn_wires_control_and_telemetry_topics():
