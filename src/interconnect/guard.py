@@ -42,7 +42,7 @@ from .errors import (
     UnknownTicket,
 )
 from .fabric import _SEGMENT_RE, KIND_PROMPT, AuditOp, Fabric, check_journaled
-from .simnet import SimWorld, WorldState, parse_exact
+from .simnet import SimWorld, WorldState, _exact, parse_exact
 
 DEFAULT_INSTRUCTION_BUDGET = 10_000
 
@@ -229,7 +229,7 @@ class NamedInvariant:
 
 def min_total_throughput(bound: Fraction | int) -> NamedInvariant:
     """Invariant: total served load strictly exceeds the bound."""
-    limit = Fraction(bound)
+    limit = _exact("bound", bound)
     return NamedInvariant(
         f"total-throughput>{limit}", lambda s: s.total_throughput() > limit
     )

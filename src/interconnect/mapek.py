@@ -38,7 +38,7 @@ from math import lcm
 
 from .errors import ExecutionFailed, InsufficientData, NoApplicableAction
 from .fabric import KIND_CONTROL, AuditOp, Fabric, Selector, Subscription
-from .simnet import ADMISSION_KNOB, SimWorld
+from .simnet import ADMISSION_KNOB, SimWorld, _exact, parse_exact
 
 
 class KnowledgeBase:
@@ -112,13 +112,10 @@ _ONE = Fraction(1)
 
 
 def _parse_reading(payload: bytes) -> Fraction | None:
-    """The exact number a telemetry payload holds, or None if it holds none."""
+    """The value `parse_exact` reads from a telemetry payload, or None."""
     try:
-        text = payload.decode("utf-8")
-        if "e" in text or "E" in text:
-            return None
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):  # UnicodeDecodeError is a ValueError
+        return parse_exact(payload.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError is a ValueError
         return None
 
 
@@ -133,7 +130,7 @@ def convergence_oracle(u0: Fraction, theta: Fraction, step: Fraction) -> int:
     if not (0 < step < 1):
         raise ValueError("step must lie strictly between 0 and 1")
     n = 0
-    value = Fraction(u0)
+    value = _exact("u0", u0)
     while value > theta:
         value *= step
         n += 1
@@ -177,14 +174,12 @@ class MapeKLoop:
         """Fold the telemetry drained from the loop's subscription into
         knowledge, and return how many readings it folded.
 
-        An envelope whose payload is not a UTF-8 exact number is audited as
-        `error(MalformedTelemetry)` and skipped; the rest of the batch is
-        still read. Exponent notation counts as malformed: simnet never
-        emits it, and `1e60000` would build a 60,000-digit integer. A
-        distinct payload is parsed at most once per call, and not at all
-        when the previous call's batch held it: the value is taken from that
-        call's parses, which this call's replace, so the memo holds one
-        batch's payloads.
+        An envelope whose payload is not UTF-8 text in `parse_exact`'s
+        grammar is audited as `error(MalformedTelemetry)` and skipped; the
+        rest of the batch is still read. A distinct payload is parsed at
+        most once per call, and not at all when the previous call's batch
+        held it: the value is taken from that call's parses, which this
+        call's replace, so the memo holds one batch's payloads.
         """
         loads = self.knowledge.loads
         previous = self._parsed

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .fabric import KIND_CONTROL, AuditOp, Fabric, MessageEnvelope
 from .registry import ModelDescriptor
+from .simnet import parse_exact
 
 
 class Phase(IntEnum):
@@ -148,14 +149,16 @@ class NegotiationSession:
 
 
 def _parse_scale_declaration(raw: str) -> tuple[str, Fraction, Fraction]:
-    """Parse 'unit:lo..hi' into exact endpoints."""
+    """Parse 'unit:lo..hi' into endpoints read by `parse_exact`; anything
+    else, `1e5000` included, raises MissingScaleDeclaration, and
+    `negotiate_scale` fails the session with `MissingScaleDeclaration(<metric>)`."""
     unit, sep, span = raw.partition(":")
     if not sep or ".." not in span:
         raise MissingScaleDeclaration(f"malformed scale declaration {raw!r}")
     lo_raw, _, hi_raw = span.partition("..")
     try:
-        lo, hi = Fraction(lo_raw), Fraction(hi_raw)
-    except (ValueError, ZeroDivisionError) as exc:
+        lo, hi = parse_exact(lo_raw), parse_exact(hi_raw)
+    except ValueError as exc:
         raise MissingScaleDeclaration(f"bad endpoints in scale {raw!r}") from exc
     if not unit or lo >= hi:
         raise MissingScaleDeclaration(f"degenerate scale {raw!r}")

@@ -31,7 +31,7 @@ from .guard import Guard, GuardedProgram, knob_within, min_total_throughput
 from .mapek import MapeKLoop, convergence_oracle
 from .negotiation import Negotiator, Phase, SchemaMapping, apply_adapter
 from .registry import ModelDescriptor, ModelRegistry, parse_descriptor
-from .simnet import ADMISSION_KNOB, LoadModel, NodeKind, SimWorld
+from .simnet import ADMISSION_KNOB, LoadModel, NodeKind, SimWorld, parse_exact
 from .trace import Trace
 
 
@@ -229,7 +229,7 @@ def _scenario_oran_pair(seed: int) -> Trace:
     samples = fabric.drain(sub)
     _check(len(samples) == 3, "expected one telemetry sample per tick")
     _check(
-        all(Fraction(s.payload.decode()) == Fraction(9, 10) for s in samples),
+        all(parse_exact(s.payload.decode()) == Fraction(9, 10) for s in samples),
         "pre-control utilization should be 9/10",
     )
 
@@ -250,7 +250,7 @@ def _scenario_oran_pair(seed: int) -> Trace:
     world.step(2)
     after = fabric.drain(sub)
     _check(
-        all(Fraction(s.payload.decode()) == Fraction(27, 40) for s in after),
+        all(parse_exact(s.payload.decode()) == Fraction(27, 40) for s in after),
         "post-control utilization should be 27/40",
     )
     return fabric.journal

@@ -19,15 +19,16 @@ in the next tick when it is this model or an earlier one.
 All trace-visible values are integers or exact rationals rendered as
 fraction strings; there are no floats anywhere in the state. A knob is a
 Fraction (an int knob is stored as one), a load's offered load and service
-rate are ints or Fractions and its service rate is positive; `spawn_node` and
-`NodeState` refuse any other knob or load. `parse_exact` reads an exact
-value's text, with no exponent and a bounded digit count; the guard's DSL
-parses its values with it. The optional telemetry jitter draws from the
-world's single seeded generator and is off by default. A jittered reading is
-the utilization `n/d` times `(1000 + k)/1000`, with `k` drawn from -10..10
-once per tick, worked in ints: `n*(1000 + k)` over `d*1000`, both divided
-once by their gcd and rendered as `str(Fraction)` renders them (`n/d`, or
-`n` when the denominator is 1). So a tick builds no `Fraction` for it.
+rate are ints or Fractions and its service rate is positive; `_exact` is the
+one check that refuses any other number. Text becomes a value only through
+`parse_exact` (no exponent, a bounded digit count): DSL values, control
+payloads, telemetry readings and scale endpoints. The optional telemetry
+jitter draws from the world's single seeded generator and is off by default.
+A jittered reading is the utilization `n/d` times `(1000 + k)/1000`, with `k`
+drawn from -10..10 once per tick, worked in ints: `n*(1000 + k)` over
+`d*1000`, both divided once by their gcd and rendered as `str(Fraction)`
+renders them (`n/d`, or `n` when the denominator is 1). So a tick builds no
+`Fraction` for it.
 
 Node state is an immutable value shared between worlds (structural sharing:
 Driscoll, Sarnak, Sleator and Tarjan, "Making Data Structures Persistent",
@@ -154,28 +155,15 @@ class LoadModel:
     queue_depth: int = 0
 
 
-def _check_load(load: LoadModel) -> None:
-    """Raise ValueError unless the load's offered load and service rate are
-    exact, an int (not a bool) or a Fraction, and its service rate is positive."""
-    for name in ("offered_load", "service_rate"):
-        value = getattr(load, name)
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise ValueError(f"{name} must be an int or a Fraction, not {value!r}")
-    if load.service_rate <= 0:
-        raise ValueError(f"service_rate must be positive, not {load.service_rate}")
-
-
-def _exact_knobs(knobs: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    """A copy of `knobs` with every value a Fraction; raises ValueError for a
-    value that is not an int (a bool does not count) or a Fraction."""
-    exact = {}
-    for knob, value in knobs.items():
-        if type(value) is not Fraction:
-            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-                raise ValueError(f"knob {knob!r} must be an int or a Fraction, not {value!r}")
-            value = Fraction(value)
-        exact[knob] = value
-    return exact
+def _exact(name: str, value: object) -> Fraction:
+    """`value` as a Fraction if it is an int (not a bool) or a Fraction: the
+    one type check a number passes to become an exact value. Raises
+    ValueError, naming `name`, for anything else."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{name} must be an int or a Fraction, not {value!r}")
+    return Fraction(value)
 
 
 class NodeState:
@@ -186,9 +174,9 @@ class NodeState:
     None; setting an attribute raises `FrozenInstanceError`. A change is a
     new node put under the id in one world's `nodes`, so worlds share every
     node neither has written since they parted. The constructor stores an int
-    knob as a Fraction and raises ValueError for a knob that is neither (see
-    `_exact_knobs`), or for a load that is not exact or has no positive
-    service rate (see `_check_load`).
+    knob as a Fraction and raises ValueError for a knob, or a load's offered
+    load or service rate, that `_exact` refuses, or for a service rate that
+    is not positive.
     """
 
     __slots__ = ("knobs", "knob_ranges", "load", "_texts")
@@ -200,9 +188,11 @@ class NodeState:
         load: LoadModel | None = None,
     ) -> NodeState:
         if load is not None:
-            _check_load(load)
-        knobs, knob_ranges = _exact_knobs(knobs or {}), dict(knob_ranges or {})
-        return _node(MappingProxyType(knobs), MappingProxyType(knob_ranges), load)
+            _exact("offered_load", load.offered_load)
+            if _exact("service_rate", load.service_rate) <= 0:
+                raise ValueError(f"service_rate must be positive, not {load.service_rate}")
+        knobs = {knob: _exact(knob, value) for knob, value in (knobs or {}).items()}
+        return _node(MappingProxyType(knobs), MappingProxyType(dict(knob_ranges or {})), load)
 
     def __reduce__(self) -> tuple:  # so that copy, deepcopy and pickle rebuild the node
         return NodeState, (dict(self.knobs), dict(self.knob_ranges), self.load)
@@ -299,16 +289,17 @@ class WorldState:
     def set_knob(self, node_id: str, knob: str, value: Fraction) -> Fraction:
         """Assign a knob, clamped into its declared range; returns the value set.
 
-        The node is replaced in this world only (see `NodeState`).
+        The node is replaced in this world only (see `NodeState`). Raises
+        KeyError for an undeclared knob, ValueError for a value (or a range
+        endpoint it is clamped to) that `_exact` refuses.
         """
         node = self.nodes[node_id]
         if knob not in node.knobs:
             raise KeyError(f"node {node_id!r} declares no knob {knob!r}")
+        value = _exact(knob, value)
         lo, hi = node.knob_ranges.get(knob, (None, None))
         if lo is not None:
-            value = max(lo, min(hi, value))
-        if type(value) is not Fraction:
-            value = Fraction(value)
+            value = _exact(knob, max(lo, min(hi, value)))
         knobs = node.knobs.copy()
         knobs[knob] = value
         self.nodes[node_id] = _node(MappingProxyType(knobs), node.knob_ranges, node.load)
@@ -318,12 +309,13 @@ class WorldState:
         """Move a fraction of offered load between nodes; returns the amount.
 
         Both nodes are replaced in this world only; a node rerouted to
-        itself keeps its load, and is not replaced.
+        itself keeps its load, and is not replaced. Raises ValueError for a
+        fraction `_exact` refuses, before anything changes.
         """
         source, target = self.nodes[src], self.nodes[dst]
         if source.load is None or target.load is None:
             raise KeyError("both reroute endpoints need a load model")
-        fraction = max(_ZERO, min(_ONE, fraction))
+        fraction = max(_ZERO, min(_ONE, _exact("fraction", fraction)))
         moved = source.load.offered_load * fraction
         if src != dst:
             self.nodes[src] = _with_offered_load(source, source.load.offered_load - moved)
@@ -416,9 +408,7 @@ class SimWorld:
         than `total`, whose metric keys would collide with the world total
         in `WorldState.metrics()`. An int knob is stored as a Fraction.
         Raises DuplicateNode for an id already spawned, ValueError for a bad
-        one, for a knob that is not an int (a bool does not count) or a
-        Fraction, or for a load whose offered load or service rate is not an
-        int or a Fraction or whose service rate is not positive, and
+        one or for a knob or load `NodeState` refuses, and
         ModelAlreadyHosted for a model another node hosts or
         `hosted_models` names twice (see `Fabric.host_model`), before
         anything is added.
@@ -429,9 +419,11 @@ class SimWorld:
             raise ValueError(f"node id {TOTAL!r} is reserved for the world total")
         if "/" in node_id:
             raise ValueError(f"node id {node_id!r} must be a single topic segment")
-        if load is not None:
-            _check_load(load)
-        knobs = _exact_knobs(knobs or {})
+        knobs = knobs or {}
+        ranges = dict(DEFAULT_KNOB_RANGES)
+        if knob_ranges:
+            ranges.update(knob_ranges)
+        node_state = NodeState(knobs, {k: ranges[k] for k in knobs if k in ranges}, load)
         named: set[str] = set()
         for model_id in hosted_models:
             host = node_id if model_id in named else self.fabric.model_host(model_id)
@@ -440,14 +432,6 @@ class SimWorld:
             named.add(model_id)
         control_topic = f"managed/{node_id}/knobs"
         self.fabric.create_topic(control_topic)  # rejects a bad segment
-        ranges = dict(DEFAULT_KNOB_RANGES)
-        if knob_ranges:
-            ranges.update(knob_ranges)
-        node_state = _node(
-            MappingProxyType(knobs),
-            MappingProxyType({k: ranges[k] for k in knobs if k in ranges}),
-            load,
-        )
         runtime = _NodeRuntime(node_id=node_id, kind=kind, jitter=jitter)
         self.fabric.register_node(node_id)
         self.state.nodes[node_id] = node_state
@@ -484,8 +468,9 @@ class SimWorld:
 
     def _apply_control(self, node_id: str, envelope: MessageEnvelope) -> None:
         """Apply `knob=value; ...` assignments. Each one naming no declared
-        knob or holding no exact number is skipped and audited as `execute`
-        with `error(BadControlAssignment)`, and so is a payload that is not
+        knob or holding a value outside `parse_exact`'s grammar (`1e-5000`
+        included) is skipped and audited as `execute` with
+        `error(BadControlAssignment)`, and so is a payload that is not
         UTF-8, once; the other assignments still apply."""
 
         def reject() -> None:
@@ -507,8 +492,8 @@ class SimWorld:
                 continue
             knob, _, raw = assignment.partition("=")
             try:
-                self.state.set_knob(node_id, knob.strip(), Fraction(raw.strip()))
-            except (KeyError, ValueError, ZeroDivisionError):
+                self.state.set_knob(node_id, knob.strip(), parse_exact(raw.strip()))
+            except (KeyError, ValueError):
                 reject()
 
     def step(self, ticks: int = 1) -> None:

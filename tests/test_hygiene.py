@@ -1,12 +1,18 @@
 """Source hygiene: no module under src/interconnect/ imports a name it never
-uses or holds a float, and the package exports each public name once.
+uses, holds a float or makes a `Fraction` from anything but an int literal
+outside the two functions that make values exact, and the package exports
+each public name once.
 
-The import and float checks read each module with the standard-library `ast`
-parser, so they need nothing beyond the interpreter. `from __future__` imports
-and the package `__init__.py` (whose imports are its public re-exports) are
-exempt from the import check. The float check covers every module: the
-simulator's values are ints and `Fraction`s, and its integer paths (telemetry
-jitter, MAPE-K analysis) are exact only while no float enters them.
+The import, float and `Fraction` checks read each module with the
+standard-library `ast` parser, so they need nothing beyond the interpreter.
+`from __future__` imports and the package `__init__.py` (whose imports are
+its public re-exports) are exempt from the import check. The float check
+covers every module: the simulator's values are ints and `Fraction`s, and its
+integer paths (telemetry jitter, MAPE-K analysis) are exact only while no
+float enters them. The `Fraction` check keeps one grammar for exact values:
+text becomes one only through `simnet.parse_exact`, and a number only
+through `simnet._exact`, so `Fraction(text)`, which reads exponents and
+underscores, never sees input.
 """
 
 from __future__ import annotations
@@ -93,3 +99,63 @@ def test_every_exported_name_resolves_once():
     exported = interconnect.__all__
     assert [n for n in exported if not hasattr(interconnect, n)] == []
     assert sorted(n for n in set(exported) if exported.count(n) > 1) == []
+
+
+# The functions that make a value exact; only they may call Fraction(x).
+EXACT_MAKERS = {"parse_exact", "_exact"}
+
+
+def _is_int_literal(node: ast.expr) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def inexact_fractions(source: str) -> list[str]:
+    """`<line>: <source>` for each one-argument `Fraction(...)` call whose
+    argument is not an int literal, outside the EXACT_MAKERS functions."""
+    tree = ast.parse(source)
+    exempt = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in EXACT_MAKERS
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction"
+            and len(node.args) + len(node.keywords) == 1
+            and id(node) not in exempt
+            and not (node.args and _is_int_literal(node.args[0]))
+        ):
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_module_makes_fractions_only_from_int_literals_or_exact_makers(path):
+    assert inexact_fractions(path.read_text(encoding="utf-8")) == []
+
+
+def test_fraction_checker_flags_text_and_names_and_spares_exact_makers():
+    source = (
+        "from fractions import Fraction\n"
+        "a = Fraction(1) + Fraction(-2) + Fraction(3, 4)\n"
+        "b = Fraction('1e-5000')\n"
+        "c = Fraction(a)\n"
+        "d = Fraction(numerator=a)\n"
+        "e = Fraction(True)\n"
+        "def parse_exact(text):\n"
+        "    return Fraction(int(text))\n"
+        "def _exact(name, value):\n"
+        "    return Fraction(value)\n"
+    )
+    assert inexact_fractions(source) == [
+        "3: Fraction('1e-5000')",
+        "4: Fraction(a)",
+        "5: Fraction(numerator=a)",
+        "6: Fraction(True)",
+    ]

@@ -76,8 +76,14 @@ def test_monitor_folds_telemetry_once_per_envelope():
 
 @pytest.mark.parametrize(
     "payload",
-    ["not-a-number", "1/0", b"\xff", "1e60000", "5E-1"],
-    ids=["ValueError", "ZeroDivisionError", "UnicodeDecodeError", "Exponent", "UpperExponent"],
+    [
+        "not-a-number", "1/0", b"\xff", "1e60000", "5E-1",
+        "1_0/2_0", " 1/2", ".5", "5.", "1" * 65 + "/2",
+    ],
+    ids=[
+        "ValueError", "ZeroDivisionError", "UnicodeDecodeError", "Exponent", "UpperExponent",
+        "Underscores", "Whitespace", "BareDecimal", "TrailingPoint", "65Digits",
+    ],
 )
 def test_monitor_skips_malformed_telemetry_and_audits_it(payload):
     fabric, world, loop = make_loop()

@@ -193,11 +193,28 @@ def test_missing_or_degenerate_scale_declarations():
     negotiator.intersect_capabilities(session)
     with pytest.raises(MissingScaleDeclaration):
         negotiator.negotiate_scale(session, "optimize")
-    for bad in ("percent", "percent:1", "percent:5..5", "percent:9..1", ":0..1"):
+    bad_scales = (
+        "percent", "percent:1", "percent:5..5", "percent:9..1", ":0..1",
+        "percent:0..1e5000", "percent:0..1_000",
+    )
+    for bad in bad_scales:
         negotiator, session = scale_pair(bad, "fraction:0..1")
         with pytest.raises(MissingScaleDeclaration):
             negotiator.negotiate_scale(session, "optimize")
         assert session.phase is Phase.FAILED
+    # An exponent endpoint once raised a raw ValueError out of
+    # run_to_completion, leaving the session in CapabilitiesExchanged.
+    negotiator = make_negotiator()
+    session = open_pair(
+        negotiator,
+        descriptor("a", caps={"optimize": {"scale": "percent:0..1e5000"}}),
+        descriptor("b", caps={"optimize": {"scale": "fraction:0..1"}}),
+    )
+    assert negotiator.run_to_completion(session) is session
+    assert (session.phase, session.failure_reason) == (
+        Phase.FAILED,
+        "MissingScaleDeclaration(optimize)",
+    )
 
 
 def test_unconvertible_units_fail_the_session():

@@ -508,6 +508,67 @@ def test_control_payload_that_is_not_utf8_is_audited():
     assert world.state.get_knob("cell-1", "admission-rate") == Fraction(1)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["1e-5000", "1e320000", "1_0/2_0", ".5", "1" * (EXACT_DIGITS + 1)],
+    ids=["exponent", "large-exponent", "underscores", "bare-decimal", "65-digit-numerator"],
+)
+def test_a_control_value_outside_the_grammar_cannot_stop_the_world(value):
+    # `Fraction(str)` once kept `1e-5000` inside the knob's range with a
+    # 16,610-bit denominator; rendering it made every later step and
+    # config_hash raise, and no audit record said why.
+    world = make_world()
+    loaded_node(world, admission="1/4")
+    envelope = world.fabric.envelope(
+        "managed/cell-1/knobs",
+        f"admission-rate={value}",
+        kind="control",
+        session="ops",
+        origin="operator",
+    )
+    world.fabric.publish(envelope)
+    (record,) = world.fabric.audit_log.query(ops=[AuditOp.EXECUTE])
+    assert (record.actor, record.message_id, record.outcome) == (
+        "cell-1",
+        envelope.id,
+        "error(BadControlAssignment)",
+    )
+    assert world.state.get_knob("cell-1", "admission-rate") == Fraction(1, 4)
+    world.step(2)
+    world.config_hash()
+
+
+@pytest.mark.parametrize("value", [0.9, "1/2", True], ids=["float", "text", "bool"])
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda state, value: state.set_knob("cell-1", "admission-rate", value),
+        lambda state, value: state.shift_load("cell-1", "cell-2", value),
+    ],
+    ids=["set_knob", "shift_load"],
+)
+def test_world_writes_take_only_exact_numbers(write, value):
+    # `set_knob(..., 0.9)` once stored 8106479329266893/9007199254740992, and
+    # `shift_load(..., 0.5)` made both nodes' offered loads floats.
+    world = make_world()
+    loaded_node(world)
+    loaded_node(world, "cell-2")
+    nodes = dict(world.state.nodes)
+    with pytest.raises(ValueError):
+        write(world.state, value)
+    assert all(world.state.nodes[node_id] is node for node_id, node in nodes.items())
+
+
+def test_a_knob_clamped_to_an_int_range_endpoint_is_a_fraction():
+    state = WorldState()
+    state.nodes["cell-1"] = NodeState(
+        {"admission-rate": 0}, {"admission-rate": (0, 1)}, LoadModel(1, 2)
+    )
+    assert type(state.set_knob("cell-1", "admission-rate", 5)) is Fraction
+    assert type(state.get_knob("cell-1", "admission-rate")) is Fraction
+    assert type(state.utilization("cell-1")) is Fraction
+
+
 # -- world state accounting ----------------------------------------------------------
 
 
