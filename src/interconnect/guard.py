@@ -236,7 +236,8 @@ def min_total_throughput(bound: Fraction | int) -> NamedInvariant:
 
 
 def knob_within(node: str, knob: str, lo: Fraction, hi: Fraction) -> NamedInvariant:
-    """Invariant: a knob ends inside [lo, hi]."""
+    """Invariant: a knob ends inside [lo, hi]; `_exact` checks the bounds."""
+    lo, hi = _exact("lo", lo), _exact("hi", hi)
 
     def check(state: WorldState) -> bool:
         try:

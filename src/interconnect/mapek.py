@@ -38,7 +38,7 @@ from math import lcm
 
 from .errors import ExecutionFailed, InsufficientData, NoApplicableAction
 from .fabric import KIND_CONTROL, AuditOp, Fabric, Selector, Subscription
-from .simnet import ADMISSION_KNOB, SimWorld, _exact, parse_exact
+from .simnet import ADMISSION_KNOB, SimWorld, _exact, _readable, parse_exact
 
 
 class KnowledgeBase:
@@ -162,6 +162,7 @@ class MapeKLoop:
         self.knowledge = KnowledgeBase()
         # The last `monitor` call's parses: payload -> value, None if malformed.
         self._parsed: dict[bytes, Fraction | None] = {}
+        self._unread: set[str] = set()  # origins the last `monitor` call could not read
         self._plan_count = 0
         fabric.register_node(self.actor)
         self._sub_id = fabric.subscribe(
@@ -179,13 +180,16 @@ class MapeKLoop:
         rest of the batch is still read. A distinct payload is parsed at
         most once per call, and not at all when the previous call's batch
         held it: the value is taken from that call's parses, which this
-        call's replace, so the memo holds one batch's payloads.
+        call's replace, so the memo holds one batch's payloads. An origin
+        whose readings in the batch were all malformed is kept in `_unread`.
         """
         loads = self.knowledge.loads
         previous = self._parsed
         parsed: dict[bytes, Fraction | None] = {}  # payload -> value, None if malformed
+        unread = set()
         ingested = 0
-        for envelope in self._fabric.drain(self._sub_id):
+        batch = self._fabric.drain(self._sub_id)
+        for envelope in batch:
             payload = envelope.payload
             value = parsed.get(payload, _UNPARSED)
             if value is _UNPARSED:
@@ -200,6 +204,7 @@ class MapeKLoop:
                     message_id=envelope.id,
                     outcome="error(MalformedTelemetry)",
                 )
+                unread.add(envelope.metadata.get("origin-node"))
                 continue
             origin = envelope.metadata["origin-node"]
             series = loads.get(origin)
@@ -207,7 +212,9 @@ class MapeKLoop:
                 series = loads[origin] = deque(maxlen=self.window)
             series.append(value)
             ingested += 1
-        self._parsed = parsed
+        if unread:  # an origin with a reading folded in the batch was read
+            unread -= {e.metadata["origin-node"] for e in batch if parsed[e.payload] is not None}
+        self._parsed, self._unread = parsed, unread
         return ingested
 
     def analyze(self) -> list[Finding]:
@@ -248,7 +255,8 @@ class MapeKLoop:
         return findings
 
     def plan(self, findings: list[Finding]) -> AdaptationPlan:
-        """Turn congestion findings into knob actions; the world is only read."""
+        """Turn congestion findings into knob actions; the world is only read.
+        Raises NoApplicableAction for no admission knob or an unreadable next value."""
         actionable = [f for f in findings if f.kind != "none"]
         if not actionable:
             raise NoApplicableAction("analysis reported nothing to act on")
@@ -257,10 +265,10 @@ class MapeKLoop:
             node = self._world.state.nodes.get(finding.target)
             if node is None or ADMISSION_KNOB not in node.knobs:
                 continue
-            current = node.knobs[ADMISSION_KNOB]
-            actions.append(
-                ManagedAction(finding.target, ADMISSION_KNOB, current * self.knob_step)
-            )
+            value = node.knobs[ADMISSION_KNOB] * self.knob_step
+            if not _readable(value):
+                raise NoApplicableAction(f"{finding.target}: next {ADMISSION_KNOB} is not readable")
+            actions.append(ManagedAction(finding.target, ADMISSION_KNOB, value))
         if not actions:
             targets = ",".join(f.target for f in actionable)
             raise NoApplicableAction(f"no managed knobs on {targets}")
@@ -294,7 +302,8 @@ class MapeKLoop:
         """Apply actions as control envelopes, settle, verify, else restore the start.
 
         Raises ExecutionFailed, before anything is published, for the first
-        action whose target has no control topic.
+        action whose target has no control topic, and after the restore when
+        a target sent only readings `parse_exact` refuses during the settle.
         """
         topics = [f"managed/{action.target}/knobs" for action in plan.actions]
         for action, topic in zip(plan.actions, topics):
@@ -315,6 +324,7 @@ class MapeKLoop:
             )
         self._world.step(self.window)
         self.monitor()
+        unread = ",".join(a.target for a in plan.actions if a.target in self._unread)
         held = True
         for action in plan.actions:
             after = self._windowed_mean(action.target)
@@ -327,21 +337,21 @@ class MapeKLoop:
             ):
                 held = False
                 break
-        rolled_back = False
         if not held:
             self._world.restore(snapshot)
             self._fabric.audit(AuditOp.ROLLBACK, actor=self.actor)
-            rolled_back = True
         self._fabric.audit(
             AuditOp.EXECUTE,
             actor=self.actor,
             outcome="ok" if held else "error(EffectNotObserved)",
         )
+        if unread:  # its window did not move, so `held` is False
+            raise ExecutionFailed(f"{plan.plan_id}: no readable telemetry from {unread}")
         return ExecutionReport(
             plan_id=plan.plan_id,
             applied=plan.actions,
             effect_held=held,
-            rolled_back=rolled_back,
+            rolled_back=not held,
         )
 
     # -- loop ----------------------------------------------------------------
@@ -349,7 +359,6 @@ class MapeKLoop:
     def run_loop(self, max_iterations: int = 10) -> LoopReport:
         """Iterate M-A-P-E until analysis is clean or the budget runs out."""
         iterations = 0
-        adaptations = 0
         reports: list[ExecutionReport] = []
         findings: list[Finding] = []
         converged = False
@@ -363,10 +372,9 @@ class MapeKLoop:
                 break
             plan = self.plan(findings)
             reports.append(self.execute(plan))
-            adaptations += 1
         return LoopReport(
             iterations=iterations,
-            adaptations=adaptations,
+            adaptations=len(reports),
             converged=converged,
             findings=tuple(findings),
             reports=tuple(reports),

@@ -21,9 +21,10 @@ fraction strings; there are no floats anywhere in the state. A knob is a
 Fraction (an int knob is stored as one), a load's offered load and service
 rate are ints or Fractions and its service rate is positive; `_exact` is the
 one check that refuses any other number. Text becomes a value only through
-`parse_exact` (no exponent, a bounded digit count): DSL values, control
-payloads, telemetry readings and scale endpoints. The optional telemetry
-jitter draws from the world's single seeded generator and is off by default.
+`parse_exact` (at most EXACT_DIGITS digits a part, no exponent): DSL values,
+control payloads, telemetry readings and scale endpoints, though a stored
+value has no digit bound. The optional telemetry jitter draws from the
+world's single seeded generator and is off by default.
 A jittered reading is the utilization `n/d` times `(1000 + k)/1000`, with `k`
 drawn from -10..10 once per tick, worked in ints: `n*(1000 + k)` over
 `d*1000`, both divided once by their gcd and rendered as `str(Fraction)`
@@ -103,6 +104,7 @@ DEFAULT_KNOB_RANGES: dict[str, tuple[Fraction, Fraction]] = {
 
 # The most digits one part of an exact value's text may have.
 EXACT_DIGITS = 64
+_EXACT_LIMIT = 10**EXACT_DIGITS
 _EXACT_TEXT = re.compile(
     rf"([+-]?)(\d{{1,{EXACT_DIGITS}}})(?:/(\d{{1,{EXACT_DIGITS}}})|\.(\d{{1,{EXACT_DIGITS}}}))?",
     re.ASCII,
@@ -133,6 +135,11 @@ def parse_exact(text: str) -> Fraction:
     if decimals is not None:
         return Fraction(numerator, 10 ** len(decimals))
     return Fraction(numerator)
+
+
+def _readable(value: Fraction) -> bool:
+    """Whether `parse_exact` reads `str(value)`: both parts of at most EXACT_DIGITS digits."""
+    return -_EXACT_LIMIT < value.numerator < _EXACT_LIMIT and value.denominator < _EXACT_LIMIT
 
 
 class NodeKind(str, Enum):
@@ -174,9 +181,9 @@ class NodeState:
     None; setting an attribute raises `FrozenInstanceError`. A change is a
     new node put under the id in one world's `nodes`, so worlds share every
     node neither has written since they parted. The constructor stores an int
-    knob as a Fraction and raises ValueError for a knob, or a load's offered
-    load or service rate, that `_exact` refuses, or for a service rate that
-    is not positive.
+    knob or range endpoint as a Fraction and raises ValueError for a knob, a
+    range endpoint, or a load's offered load or service rate, that `_exact`
+    refuses, or for a service rate that is not positive.
     """
 
     __slots__ = ("knobs", "knob_ranges", "load", "_texts")
@@ -192,7 +199,11 @@ class NodeState:
             if _exact("service_rate", load.service_rate) <= 0:
                 raise ValueError(f"service_rate must be positive, not {load.service_rate}")
         knobs = {knob: _exact(knob, value) for knob, value in (knobs or {}).items()}
-        return _node(MappingProxyType(knobs), MappingProxyType(dict(knob_ranges or {})), load)
+        ranges = {
+            knob: (_exact(f"{knob} range", lo), _exact(f"{knob} range", hi))
+            for knob, (lo, hi) in (knob_ranges or {}).items()
+        }
+        return _node(MappingProxyType(knobs), MappingProxyType(ranges), load)
 
     def __reduce__(self) -> tuple:  # so that copy, deepcopy and pickle rebuild the node
         return NodeState, (dict(self.knobs), dict(self.knob_ranges), self.load)
@@ -290,8 +301,8 @@ class WorldState:
         """Assign a knob, clamped into its declared range; returns the value set.
 
         The node is replaced in this world only (see `NodeState`). Raises
-        KeyError for an undeclared knob, ValueError for a value (or a range
-        endpoint it is clamped to) that `_exact` refuses.
+        KeyError for an undeclared knob, ValueError for a value `_exact`
+        refuses, before anything changes.
         """
         node = self.nodes[node_id]
         if knob not in node.knobs:
@@ -299,7 +310,7 @@ class WorldState:
         value = _exact(knob, value)
         lo, hi = node.knob_ranges.get(knob, (None, None))
         if lo is not None:
-            value = _exact(knob, max(lo, min(hi, value)))
+            value = max(lo, min(hi, value))
         knobs = node.knobs.copy()
         knobs[knob] = value
         self.nodes[node_id] = _node(MappingProxyType(knobs), node.knob_ranges, node.load)
@@ -408,7 +419,7 @@ class SimWorld:
         than `total`, whose metric keys would collide with the world total
         in `WorldState.metrics()`. An int knob is stored as a Fraction.
         Raises DuplicateNode for an id already spawned, ValueError for a bad
-        one or for a knob or load `NodeState` refuses, and
+        one or for a knob, knob range or load `NodeState` refuses, and
         ModelAlreadyHosted for a model another node hosts or
         `hosted_models` names twice (see `Fabric.host_model`), before
         anything is added.
@@ -419,10 +430,7 @@ class SimWorld:
             raise ValueError(f"node id {TOTAL!r} is reserved for the world total")
         if "/" in node_id:
             raise ValueError(f"node id {node_id!r} must be a single topic segment")
-        knobs = knobs or {}
-        ranges = dict(DEFAULT_KNOB_RANGES)
-        if knob_ranges:
-            ranges.update(knob_ranges)
+        knobs, ranges = knobs or {}, {**DEFAULT_KNOB_RANGES, **(knob_ranges or {})}
         node_state = NodeState(knobs, {k: ranges[k] for k in knobs if k in ranges}, load)
         named: set[str] = set()
         for model_id in hosted_models:

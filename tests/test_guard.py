@@ -617,6 +617,12 @@ def test_a_codegen_op_parses_each_candidate_once(parse_calls, factor, accepted):
     assert len(parse_calls) == 3
 
 
+@pytest.mark.parametrize("bounds", [(0.1, 1), (0, "1"), (False, 1)], ids=["float", "text", "bool"])
+def test_knob_within_takes_only_exact_bounds(bounds):
+    with pytest.raises(ValueError, match="must be an int or a Fraction"):
+        knob_within("ran-1", "admission-rate", *bounds)
+
+
 def test_deploy_reads_the_parse_and_refuses_another_source_under_the_judged_id(parse_calls):
     fabric, world, guard = make_rig()
     judged = program("set ran-1 rate-limit 50")

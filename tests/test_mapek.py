@@ -612,6 +612,53 @@ def test_run_loop_respects_iteration_budget():
     assert report.iterations == 2
 
 
+def test_run_loop_stops_with_an_error_when_its_telemetry_outgrows_the_grammar():
+    # From 19/20 at 999/1000, the 21st adaptation makes a reading whose
+    # denominator, 2 * 10**64, has 65 digits. The monitor cannot read it, and
+    # the loop once rolled that adaptation back and planned it again until
+    # its budget ran out.
+    fabric, world, loop = make_loop(offered="19/20", knob_step=Fraction(999, 1000))
+    with pytest.raises(ExecutionFailed, match="adapt-21: no readable telemetry from core-1"):
+        loop.run_loop(max_iterations=400)
+    assert world.state.get_knob("core-1", "admission-rate") == Fraction(999, 1000) ** 20
+    executions = fabric.audit_log.query(ops=["execute"], actor="mapek")
+    assert [r.outcome for r in executions] == ["ok"] * 20 + ["error(EffectNotObserved)"]
+    assert len(fabric.audit_log.query(ops=["rollback"])) == 1
+
+
+def test_run_loop_stops_before_its_knob_outgrows_the_grammar():
+    # At an offered load of 10**10 every reading stays readable, but the 22nd
+    # adaptation's knob has a 67-digit denominator. The world refused it as
+    # BadControlAssignment, and the loop once rolled back and sent it again
+    # until its budget ran out.
+    fabric, world, loop = make_loop(offered="10000000000", knob_step=Fraction(999, 1000))
+    with pytest.raises(NoApplicableAction, match="core-1: next admission-rate is not readable"):
+        loop.run_loop(max_iterations=400)
+    assert world.state.get_knob("core-1", "admission-rate") == Fraction(999, 1000) ** 21
+    assert len(fabric.audit_log.query(ops=["rollback"])) == 0
+    assert len(fabric.audit_log.query(ops=["plan"])) == 21
+
+
+def test_a_malformed_reading_beside_readable_ones_does_not_stop_the_loop():
+    # Only an origin none of whose settle readings could be read fails
+    # `execute`; here a rogue adds a malformed reading under core-1's name
+    # to every settle.
+    fabric, world, loop = make_loop()
+    fabric.register_node("rogue")
+
+    def inject(_envelope):
+        fabric.publish(
+            fabric.envelope(
+                "telemetry/core-1/load", "1/0", kind=KIND_DATA, session="telemetry", origin="core-1"
+            )
+        )
+
+    fabric.subscribe(Subscription(Selector.parse("managed/core-1/knobs"), "rogue"), handler=inject)
+    report = loop.run_loop()
+    assert report.converged and report.adaptations == 2
+    assert len(fabric.audit_log.query(ops=["monitor"])) == 2
+
+
 def test_knob_step_must_contract():
     fabric = Fabric()
     world = SimWorld(fabric)

@@ -25,6 +25,7 @@ from interconnect.simnet import (
     NodeState,
     SimWorld,
     WorldState,
+    _readable,
     parse_exact,
 )
 from interconnect.trace import AuditOp
@@ -564,9 +565,42 @@ def test_a_knob_clamped_to_an_int_range_endpoint_is_a_fraction():
     state.nodes["cell-1"] = NodeState(
         {"admission-rate": 0}, {"admission-rate": (0, 1)}, LoadModel(1, 2)
     )
+    assert all(type(end) is Fraction for end in state.nodes["cell-1"].knob_ranges["admission-rate"])
     assert type(state.set_knob("cell-1", "admission-rate", 5)) is Fraction
     assert type(state.get_knob("cell-1", "admission-rate")) is Fraction
     assert type(state.utilization("cell-1")) is Fraction
+
+
+def test_a_knob_range_endpoint_is_checked_where_it_enters():
+    # A float endpoint was once stored, and surfaced only when a clamp picked
+    # it, as a ValueError that named the endpoint as if it were the value set.
+    with pytest.raises(ValueError, match="admission-rate range must be an int or a Fraction"):
+        NodeState({"admission-rate": 0}, {"admission-rate": (0, 0.5)}, LoadModel(1, 2))
+    world = make_world()
+    with pytest.raises(ValueError, match="admission-rate range"):
+        world.spawn_node(
+            "cell-1",
+            NodeKind.UE_GEN,
+            knobs={"admission-rate": Fraction(1)},
+            knob_ranges={"admission-rate": (Fraction(0), 1.0)},
+            load=LoadModel(offered_load=Fraction(9, 10)),
+        )
+    assert world.node_ids() == [] and not world.fabric.has_topic("managed/cell-1/knobs")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-(10**66), 10**66), st.integers(1, 10**66))
+@example(10**EXACT_DIGITS - 1, 10**EXACT_DIGITS - 2)
+@example(-(10**EXACT_DIGITS) + 1, 1)
+@example(-(10**EXACT_DIGITS), 3)
+@example(1, 10**EXACT_DIGITS)
+def test_readable_says_whether_parse_exact_reads_a_values_text(numerator, denominator):
+    value = Fraction(numerator, denominator)
+    try:
+        read = parse_exact(str(value)) == value
+    except ValueError:
+        read = False
+    assert _readable(value) is read
 
 
 # -- world state accounting ----------------------------------------------------------
