@@ -30,12 +30,8 @@ printable), and by the regex only when that test fails.
 
 Dispatch is indexed by topic segments: `subscribe` files each subscription
 in a segment trie (exact, `*` and final `**` segments, after MQTT v5.0 topic
-filters), so a publish walks only the branches its topic can reach. Within
-the bucket where its pattern ends, a subscription with an `eq` predicate is
-filed under its first one, by key and then value (the equality index of
-Fabret et al., SIGMOD 2001), so a publish looks up the values its metadata
-carries instead of testing every such subscription. The candidates found
-this way still have their whole predicate list checked. `Selector.matches`
+filters), so a publish walks only the branches its topic can reach, and
+checks the predicates of the subscriptions filed there. `Selector.matches`
 remains the definition of a match: a publish reaches exactly the
 subscriptions whose selector accepts the envelope, in subscription-creation
 order. A subscription's selector, subscriber node and mode are read once,
@@ -47,15 +43,15 @@ since its route last changed to a `_Route`, so a publish on a known topic
 skips the walk. A route carries a delivery plan: the matched entries in
 creation order, their handlers, their subscriber nodes (the tuple the
 journal entry shares) and the one-shots among them. When no bucket the walk
-reaches holds an `eq`-filed entry or an entry with predicates, as for
-`telemetry/**` alone or a result topic with one subscriber, every publish on
-the topic matches the same subscriptions, and the plan is built with the
-route; a publish takes it with no candidate collection, predicate test or
-sort. Any other route holds the non-empty buckets and the metadata keys
-their predicates read. It keeps the plan of its last filter, keyed by those
-keys' values (an absent key counts as `None`), which decide every predicate
-and `eq` lookup on the route; a publish whose values differ filters the
-buckets again and replaces the plan.
+reaches holds an entry with predicates, as for `telemetry/**` alone or a
+result topic with one subscriber, every publish on the topic matches the
+same subscriptions, and the plan is built with the route; a publish takes it
+with no predicate test or sort. Any other route holds the non-empty buckets
+and the metadata keys their predicates read. It keeps the plan of its last
+filter, keyed by those keys' values (an absent key counts as `None`), which
+decide every predicate on the route; so a filtered route tests its buckets'
+entries again only when a publish's values for those keys differ from the
+last filter's, and then replaces the plan.
 
 A bucket's contents change, and a trie node appears or goes, only in
 `_index_entry` and `_unindex` (subscribe, re-subscribe, unsubscribe and a
@@ -71,7 +67,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     EmptyObjective,
@@ -334,8 +330,8 @@ class AuditLog:
 class _SubEntry:
     sub: Subscription
     handler: Callable[[MessageEnvelope], None] | None
-    # Read at subscribe: the index files the entry by its selector, and
-    # delivery plans copy its node and mode.
+    # Read at subscribe: the index files the entry by its selector's pattern,
+    # filters read its predicates, and delivery plans copy its node and mode.
     selector: Selector
     node: str
     one_shot: bool
@@ -343,81 +339,17 @@ class _SubEntry:
     mailbox: list[MessageEnvelope] = field(default_factory=list)
 
 
-def _first_eq(selector: Selector) -> TagPredicate | None:
-    for predicate in selector.predicates:
-        if predicate.op == "eq":
-            return predicate
-    return None
-
-
-class _Bucket:
-    """Subscriptions whose pattern ends at one trie position, keyed by id.
-
-    One with an `eq` predicate is filed under its first one in `eq` (key ->
-    value -> id -> entry), the rest in `plain`. `eq` is made on the first
-    such subscription, so buckets without one cost a single dict.
-    """
-
-    __slots__ = ("plain", "eq")
-
-    def __init__(self) -> None:
-        self.plain: dict[str, _SubEntry] = {}
-        self.eq: dict[str, dict[str, dict[str, _SubEntry]]] | None = None
-
-    def __bool__(self) -> bool:
-        return bool(self.plain or self.eq)
-
-    def add(self, entry: _SubEntry) -> None:
-        predicate = _first_eq(entry.selector)
-        if predicate is None:
-            self.plain[entry.sub.id] = entry
-            return
-        if self.eq is None:
-            self.eq = {}
-        by_value = self.eq.setdefault(predicate.key, {})
-        by_value.setdefault(predicate.value, {})[entry.sub.id] = entry
-
-    def remove(self, entry: _SubEntry) -> None:
-        predicate = _first_eq(entry.selector)
-        if predicate is None:
-            del self.plain[entry.sub.id]
-            return
-        by_value = self.eq[predicate.key]
-        filed = by_value[predicate.value]
-        del filed[entry.sub.id]
-        if not filed:
-            del by_value[predicate.value]
-            if not by_value:
-                del self.eq[predicate.key]
-
-    def entries(self) -> Iterator[_SubEntry]:
-        yield from self.plain.values()
-        for by_value in (self.eq or {}).values():
-            for filed in by_value.values():
-                yield from filed.values()
-
-    def collect(self, metadata: dict[str, str], out: list[_SubEntry]) -> None:
-        """Append the candidates for `metadata`: every plain entry, and every
-        filed entry whose `eq` key the metadata carries with its value."""
-        out.extend(self.plain.values())
-        if self.eq:
-            for key, by_value in self.eq.items():
-                filed = by_value.get(metadata.get(key))
-                if filed:
-                    out.extend(filed.values())
-
-
 class _TopicNode:
     """One trie level: children by exact segment (and `*`), plus the bucket
     of subscriptions whose pattern ends here (`here`) or ends here in a
-    final `**` (`tail`)."""
+    final `**` (`tail`), each a plain map of subscription id to entry."""
 
     __slots__ = ("children", "here", "tail")
 
     def __init__(self) -> None:
         self.children: dict[str, _TopicNode] = {}
-        self.here = _Bucket()
-        self.tail = _Bucket()
+        self.here: dict[str, _SubEntry] = {}
+        self.tail: dict[str, _SubEntry] = {}
 
 
 def _pattern_path(pattern: str) -> tuple[list[str], bool]:
@@ -460,21 +392,17 @@ def _plan(matched: Sequence[_SubEntry]) -> _Plan:
 _by_seq = attrgetter("seq")
 
 
-def _filter(buckets: tuple[_Bucket, ...], metadata: dict[str, str]) -> _Plan:
-    """The plan of a publish with `metadata` over a route's buckets: each
-    yields its plain entries and the entries filed under the `eq` values
-    the metadata carries; only those candidates have their predicates
-    checked."""
-    candidates: list[_SubEntry] = []
-    for bucket in buckets:
-        bucket.collect(metadata, candidates)
+def _filter(buckets: tuple[dict[str, _SubEntry], ...], metadata: dict[str, str]) -> _Plan:
+    """The plan of a publish with `metadata` over a route's buckets: every
+    entry of every bucket whose predicates all hold, in creation order."""
     matched = []
-    for entry in candidates:
-        for predicate in entry.selector.predicates:
-            if not predicate.holds(metadata):
-                break
-        else:
-            matched.append(entry)
+    for bucket in buckets:
+        for entry in bucket.values():
+            for predicate in entry.selector.predicates:
+                if not predicate.holds(metadata):
+                    break
+            else:
+                matched.append(entry)
     matched.sort(key=_by_seq)
     return _plan(matched)
 
@@ -482,17 +410,21 @@ def _filter(buckets: tuple[_Bucket, ...], metadata: dict[str, str]) -> _Plan:
 class _Route:
     """What a publish on one topic reaches.
 
-    When none of the walk's buckets holds an `eq`-filed entry or an entry
-    with predicates, each publish matches all of their subscriptions:
-    `keys` is None, `buckets` empty and `plan` theirs. Otherwise `buckets`
-    holds the walk's non-empty buckets, `keys` the sorted metadata keys
-    their predicates read, and `plan` the last filter's, made for the
-    values `plan_key` (None before the first)."""
+    When none of the walk's buckets holds an entry with predicates, each
+    publish matches all of their subscriptions: `keys` is None, `buckets`
+    empty and `plan` theirs. Otherwise `buckets` holds the walk's non-empty
+    buckets, `keys` the sorted metadata keys their predicates read, and
+    `plan` the last filter's, made for the values `plan_key` (None before
+    the first); `_deliver` filters again only when a publish's values for
+    `keys` differ from `plan_key`."""
 
     __slots__ = ("buckets", "keys", "plan", "plan_key")
 
     def __init__(
-        self, buckets: tuple[_Bucket, ...], keys: tuple[str, ...] | None, plan: _Plan | None
+        self,
+        buckets: tuple[dict[str, _SubEntry], ...],
+        keys: tuple[str, ...] | None,
+        plan: _Plan | None,
     ) -> None:
         self.buckets = buckets
         self.keys = keys
@@ -676,7 +608,7 @@ class Fabric:
 
     def _validate_metadata(self, metadata: dict[str, str], envelope_id: str) -> None:
         """Reject what cannot be journaled as one well-formed record, or
-        matched: predicates and the `eq` index read values as strings.
+        matched: predicates read values as strings.
 
         Well-formed metadata passes two combined tests: every value a `str`
         (one C-level join of the values), then kind, session and origin-node
@@ -878,7 +810,7 @@ class Fabric:
         the `*` child at each level and taking every `**` bucket passed and
         the final level's own bucket; the non-empty ones make the route."""
         segments = topic.split("/")
-        buckets: list[_Bucket] = []
+        buckets: list[dict[str, _SubEntry]] = []
         frontier = [(self._index, 0)]
         while frontier:
             node, depth = frontier.pop()
@@ -894,16 +826,16 @@ class Fabric:
                     frontier.append((child, depth + 1))
         subscribers: list[_SubEntry] = []
         for bucket in buckets:
-            if bucket.eq or any(entry.selector.predicates for entry in bucket.plain.values()):
+            if any(entry.selector.predicates for entry in bucket.values()):
                 break
-            subscribers.extend(bucket.plain.values())
+            subscribers.extend(bucket.values())
         else:
             subscribers.sort(key=_by_seq)
             return _Route((), None, _plan(subscribers))
         keys = {
             predicate.key
             for filtered in buckets
-            for entry in filtered.entries()
+            for entry in filtered.values()
             for predicate in entry.selector.predicates
         }
         return _Route(tuple(buckets), tuple(sorted(keys)), None)
@@ -925,7 +857,7 @@ class Fabric:
             if child is None:
                 child = node.children[segment] = _TopicNode()
             node = child
-        (node.tail if tail else node.here).add(entry)
+        (node.tail if tail else node.here)[entry.sub.id] = entry
 
     def _unindex(self, entry: _SubEntry) -> None:
         """Remove an entry from the index, pruning nodes left empty."""
@@ -935,7 +867,7 @@ class Fabric:
         trail = [self._index]
         for segment in path:
             trail.append(trail[-1].children[segment])
-        (trail[-1].tail if tail else trail[-1].here).remove(entry)
+        del (trail[-1].tail if tail else trail[-1].here)[entry.sub.id]
         for depth in range(len(path), 0, -1):
             node = trail[depth]
             if node.children or node.here or node.tail:

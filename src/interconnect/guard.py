@@ -42,7 +42,7 @@ from .errors import (
     UnknownTicket,
 )
 from .fabric import _SEGMENT_RE, KIND_PROMPT, AuditOp, Fabric, check_journaled
-from .simnet import SimWorld, WorldState, _exact, parse_exact
+from .simnet import SimWorld, WorldState, _exact, _readable, parse_exact
 
 DEFAULT_INSTRUCTION_BUDGET = 10_000
 
@@ -172,6 +172,19 @@ def _execute(instructions: tuple[Instruction, ...], state: WorldState, budget: i
                 state.shift_load(ins.idents[0], ins.idents[1], ins.values[0])
         except KeyError as exc:
             raise _ExecError("IllegalInstruction", str(exc))
+
+
+def _check_readable(instructions: tuple[Instruction, ...], state: WorldState) -> None:
+    """Fail the run as UnreadableValue, after `_execute` has completed it,
+    for a node the program wrote whose knob or offered load `parse_exact`
+    could not read back (the rule `MapeKLoop.plan` keeps for its own
+    values): a part of more than EXACT_DIGITS digits, which no control or
+    reading could carry."""
+    for node_id in sorted(_written_nodes(instructions)):
+        node = state.nodes[node_id]
+        load = () if node.load is None else (node.load.offered_load,)
+        if not all(map(_readable, (*node.knobs.values(), *load))):
+            raise _ExecError("UnreadableValue", f"{node_id} holds a value with too many digits")
 
 
 @dataclass(frozen=True)
@@ -465,7 +478,9 @@ class Guard:
         accepted run keeps the parsed program for one deploy; a rejection
         drops any earlier acceptance of the id and emits planner feedback.
         An invariant whose predicate raises fails closed: the run is
-        rejected as `InvariantError(<name>)`, like a violated one.
+        rejected as `InvariantError(<name>)`, like a violated one. A run that
+        leaves a written node with a knob or offered load `parse_exact` could
+        not read back is rejected as `UnreadableValue` (see `_check_readable`).
         An author or program id that cannot address feedback (see
         `_check_candidate`), or an invariant name that is not a `str` or holds
         a record break, raises InvalidMetadata on entry, before the run or
@@ -485,6 +500,7 @@ class Guard:
             before = [(work.utilization(n), work.throughput(n)) for n in written]
             try:
                 _execute(instructions, work, self.instruction_budget)
+                _check_readable(instructions, work)
             except _ExecError as exc:
                 reason = exc.kind
             else:
@@ -547,8 +563,10 @@ class Guard:
         The program's parse must equal the instructions its verdict judged;
         formatting, comments and identifier case may differ. Only a success
         uses the verdict up: a redeploy, even after rollback, needs a fresh
-        sandbox run. The target is journaled as the deploy's audit actor, so
-        one that is not a `str` or holds a record break raises
+        sandbox run. A run that fails on the live world, or leaves a value
+        `_check_readable` refuses, restores the snapshot and raises
+        ExecutionFailed. The target is journaled as the deploy's audit
+        actor, so one that is not a `str` or holds a record break raises
         InvalidMetadata on entry, before the world changes.
         """
         check_journaled("target", target)
@@ -567,6 +585,7 @@ class Guard:
         before = self._world.config_hash()
         try:
             _execute(instructions, self._world.state, self.instruction_budget)
+            _check_readable(instructions, self._world.state)
         except _ExecError as exc:
             self._world.restore(snapshot)
             raise ExecutionFailed(f"{program.program_id}: {exc}") from exc

@@ -1157,14 +1157,18 @@ def test_exact_pattern_changes_keep_other_topics_routes(monkeypatch):
     assert [e.metadata["origin-node"] for e in fabric.drain(collector)] == ["pub"] * 3
 
 
-def test_eq_filing_tests_only_the_subscriptions_filed_under_the_value(monkeypatch):
-    fabric = make_fabric("pub")
+@pytest.mark.parametrize("subscribers", [32, 3_200])
+def test_a_filtered_route_tests_its_predicates_only_when_their_values_change(
+    monkeypatch, subscribers
+):
+    """The first publish on a topic tests each predicate subscription its
+    route reaches once; later publishes with the same origin reuse the
+    route's plan and test none, however many subscriptions it holds."""
+    fabric = make_fabric("pub", "alarm")
     fabric.create_topic("telemetry/n1/load")
-    for k in range(32):
-        fabric.register_node(f"alarm-{k}")
-        fabric.subscribe(
-            Subscription(Selector.parse(f"telemetry/*/load origin-node=n{k}"), f"alarm-{k}")
-        )
+    for k in range(subscribers):
+        selector = Selector.parse(f"telemetry/*/load origin-node=n{k}")
+        fabric.subscribe(Subscription(selector, "alarm"))
     calls = []
     holds = TagPredicate.holds
 
@@ -1174,7 +1178,12 @@ def test_eq_filing_tests_only_the_subscriptions_filed_under_the_value(monkeypatc
 
     monkeypatch.setattr(TagPredicate, "holds", counted)
     assert fabric.publish(data_envelope(fabric, "telemetry/n1/load", origin="n1")) == 1
-    assert calls == [TagPredicate("origin-node", "eq", "n1")]
+    assert len(calls) == subscribers
+    assert set(calls) == {TagPredicate("origin-node", "eq", f"n{k}") for k in range(subscribers)}
+    calls.clear()
+    for _ in range(3):
+        assert fabric.publish(data_envelope(fabric, "telemetry/n1/load", origin="n1")) == 1
+    assert calls == []
 
 
 def test_selector_is_read_once_at_subscribe():

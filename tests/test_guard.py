@@ -667,6 +667,44 @@ def test_an_exponent_value_is_a_parse_error_and_never_reaches_live_state():
     assert fabric.audit_log.query(ops=["execute"]) == []
 
 
+# 2,200 in-range scalings: the knob ends with a 4,400-digit denominator,
+# past the 4,300-digit limit of `str(int)` that `config_hash` renders with.
+_UNREADABLE_SCALING = "scale ran-1 admission-rate 99/100\n" * 2_200
+
+
+def test_a_program_that_writes_an_unreadable_value_is_rejected_before_live_state():
+    # Accepted, its deploy wrote the knob into the live world and then raised
+    # `ValueError` from `config_hash`; every later `config_hash` and `step`
+    # raised the same.
+    fabric, world, guard = make_rig()
+    before = world.config_hash()
+    verdict = guard.sandbox_run(program(_UNREADABLE_SCALING))
+    assert (verdict.accepted, verdict.reason) == (False, "UnreadableValue")
+    with pytest.raises(DeployWithoutVerdict):
+        guard.deploy(program(_UNREADABLE_SCALING), "ran-1")
+    assert world.config_hash() == before
+    world.step(1)
+    assert world.config_hash() == before
+    assert fabric.audit_log.query(ops=["execute"]) == []
+
+
+def test_a_deploy_that_writes_an_unreadable_value_restores_the_live_world():
+    # Judged against a model whose knob is 0, which the scaling keeps at 0,
+    # the program leaves the live knob, 1, unreadable.
+    fabric, world, guard = make_rig()
+    zeroed = world.state.clone()
+    zeroed.set_knob("ran-1", "admission-rate", 0)
+    prog = program(_UNREADABLE_SCALING)
+    assert guard.sandbox_run(prog, model=zeroed).accepted
+    before = world.state_hash()
+    with pytest.raises(ExecutionFailed, match="ran-1"):
+        guard.deploy(prog, "ran-1")
+    assert world.state_hash() == before
+    world.step(1)
+    world.config_hash()
+    assert fabric.audit_log.query(ops=["execute"]) == []
+
+
 def with_tilt(state):
     """The state with a `tilt` knob declared on ran-1, by replacing the node."""
     node = state.nodes["ran-1"]

@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/interconnect/ imports a name it never
 uses, holds a float or makes a `Fraction` from anything but an int literal
-outside the two functions that make values exact, and the package exports
-each public name once.
+outside the two functions that make values exact, defines a module-level
+private name that nothing references, and the package exports each public
+name once.
 
 The import, float and `Fraction` checks read each module with the
 standard-library `ast` parser, so they need nothing beyond the interpreter.
@@ -12,7 +13,9 @@ integer paths (telemetry jitter, MAPE-K analysis) are exact only while no
 float enters them. The `Fraction` check keeps one grammar for exact values:
 text becomes one only through `simnet.parse_exact`, and a number only
 through `simnet._exact`, so `Fraction(text)`, which reads exponents and
-underscores, never sees input.
+underscores, never sees input. The private-name check finds helpers a
+refactor left behind: a `_name` defined at module level must be read
+somewhere in the package other than the statement defining it.
 """
 
 from __future__ import annotations
@@ -158,4 +161,77 @@ def test_fraction_checker_flags_text_and_names_and_spares_exact_makers():
         "4: Fraction(a)",
         "5: Fraction(numerator=a)",
         "6: Fraction(True)",
+    ]
+
+
+def _defined_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level def, class or assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """`<module>: <name>` for each module-level private name (one leading
+    `_`, not a dunder) that no module references outside the statement
+    defining it. A name is referenced in its own module when read there, in
+    another when imported from its module, and anywhere as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced: set[tuple[str, str]] = set()
+    attributes: set[str] = set()
+    for module, tree in trees.items():
+        for statement in tree.body:
+            own = set(_defined_names(statement))
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and node.id not in own:
+                    referenced.add((module, node.id))
+                elif isinstance(node, ast.Attribute):
+                    attributes.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    source_module = node.module.rsplit(".", 1)[-1]
+                    referenced.update((source_module, a.name) for a in node.names)
+    return [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for statement in tree.body
+        for name in _defined_names(statement)
+        if name.startswith("_") and not name.startswith("__")
+        and (module, name) not in referenced
+        and name not in attributes
+    ]
+
+
+def test_every_private_module_name_is_referenced():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in ALL_MODULES}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_private_name_checker_flags_dead_names_and_spares_used_ones():
+    sources = {
+        "a": (
+            "_DEAD = 1\n"
+            "_USED = 2\n"
+            "_ONLY_SELF: int = 3\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1)\n"
+            "class _Bucket:\n"
+            "    pass\n"
+            "def _imported(): pass\n"
+            "def _as_attribute(): pass\n"
+            "__dunder__ = 4\n"
+            "PUBLIC = _USED\n"
+        ),
+        "b": "from .a import _imported\nimport a\nx = a._as_attribute\n_DEAD\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        "a: _DEAD",
+        "a: _ONLY_SELF",
+        "a: _recursive",
+        "a: _Bucket",
     ]
